@@ -17,7 +17,10 @@ This module provides:
 * a fast exact evaluator for the top-class coefficient of a full-degree
   monomial in the main family (`top_class_bit`),
 * total and dual Stiefel-Whitney classes over the dense squarefree basis
-  (`total_sw`, `dual_sw`),
+  (`total_sw`, `dual_sw`): 2^n GF(2) coefficients bit-packed into uint64
+  words, multiplied by sweeps that move whole words for x_7..x_n and shift
+  bits inside words for x_1..x_6; a grade becomes a `Poly` only when it is
+  read,
 * the end-to-end verifier `verify_main`.
 
 All arithmetic is over GF(2); there are no tolerances anywhere.
@@ -417,67 +420,77 @@ def top_coefficient(p: Poly, M: BottMatrix) -> int:
 # dense engine over the squarefree basis
 
 
-class _DenseRing:
-    """GF(2) vectors over the 2^n squarefree basis, indexed by variable bitmask.
+# Per-word constants for the six variables that live inside a word: bit p of
+# _LOW[l] is set iff basis element p lacks x_l (bit l-1 of p is clear).
+_LOW = (None,) + tuple(
+    np.uint64(sum(1 << p for p in range(64) if not p >> (l - 1) & 1))
+    for l in range(1, 7)
+)
+# Bit p of _IN_WORD_GRADE[t] is set iff p has t ones.
+_IN_WORD_GRADE = tuple(
+    sum(1 << p for p in range(64) if p.bit_count() == t) for t in range(7)
+)
 
-    Multiplication by a single variable is one downward sweep over pending
-    carries: basis elements without the variable just gain it, and squares
-    re-emit along the matrix column.  Each sweep costs O(n + #ones) vector
-    XORs regardless of matrix density.
+
+class _DenseRing:
+    """GF(2) vectors over the 2^n squarefree basis, bit-packed into uint64 words.
+
+    Basis element ``m`` (the bitmask of its variables) is bit ``m & 63`` of
+    word ``m >> 6``; below n = 6 one word holds all 2^n bits.  Multiplication
+    by x_l is one downward sweep over pending carries: basis elements without
+    x_l just gain it, and those with x_l re-emit along column l
+    (x_l^2 = Lambda_l x_l).  A variable is handled in one of two ways:
+
+    * l >= 7: x_l is bit l-7 of the word index, so the words fall into blocks
+      of ``half = 2^(l-7)`` without and with x_l, split by a reshape;
+    * l <= 6: x_l is bit l-1 inside every word, so ``(w & LOW_l) << 2^(l-1)``
+      gains x_l and ``w & ~LOW_l`` is the carrier.
+
+    Each sweep costs O(n + #ones) word-vector operations regardless of matrix
+    density.  Vectors become `Poly` only through `to_poly`, which unpacks the
+    bits of the one grade it is given; `GradedClasses` calls it when a grade
+    is first read.
     """
 
     def __init__(self, M: BottMatrix) -> None:
         self.M = M
         self.n = M.n
-        self.size = 1 << M.n
-        self.popcounts = np.bitwise_count(
-            np.arange(self.size, dtype=np.uint64)
-        ).astype(np.uint8)
+        self.words = 1 << max(M.n - 6, 0)
 
     def unit(self) -> np.ndarray:
-        v = np.zeros(self.size, dtype=np.uint8)
+        v = np.zeros(self.words, dtype=np.uint64)
         v[0] = 1
         return v
 
     def _mul_by_seeds(self, seeds: dict[int, np.ndarray]) -> np.ndarray:
-        out = np.zeros(self.size, dtype=np.uint8)
+        """Sum of ``seeds[i] * x_i``; consumes the seeds (distinct arrays)."""
+        out = np.zeros(self.words, dtype=np.uint64)
         pend = seeds
         for l in range(self.n, 0, -1):
             w = pend.pop(l, None)
             if w is None or not w.any():
                 continue
-            half = 1 << (l - 1)
-            w3 = w.reshape(-1, 2, half)
-            out.reshape(-1, 2, half)[:, 1, :] ^= w3[:, 0, :]
+            if l > 6:
+                w3 = w.reshape(-1, 2, 1 << (l - 7))
+                out.reshape(w3.shape)[:, 1, :] ^= w3[:, 0, :]
+                w3[:, 0, :] = 0
+            else:
+                out ^= (w & _LOW[l]) << np.uint64(1 << (l - 1))
+                w &= ~_LOW[l]
             cols = self.M.col(l)
-            if cols:
-                on = w3[:, 1, :]
-                if on.any():
-                    carrier = np.zeros_like(w).reshape(-1, 2, half)
-                    carrier[:, 1, :] = on
-                    carrier = carrier.reshape(-1)
-                    for i in cols:
-                        prev = pend.get(i)
-                        if prev is None:
-                            pend[i] = carrier.copy()
-                        else:
-                            prev ^= carrier
+            if not cols or not w.any():
+                continue
+            for i in cols:
+                prev = pend.get(i)
+                if prev is None:
+                    pend[i] = w.copy()
+                else:
+                    prev ^= w
         return out
-
-    def mul_var(self, v: np.ndarray, i: int) -> np.ndarray:
-        """v * x_i."""
-        return self._mul_by_seeds({i: v.copy()})
 
     def mul_lambda(self, v: np.ndarray, j: int) -> np.ndarray:
         """v * Lambda_j where Lambda_j is the column-j variable sum."""
         return self._mul_by_seeds({i: v.copy() for i in self.M.col(j)})
-
-    def total_vector(self) -> np.ndarray:
-        """The total class vector: (1 + Lambda_1) ... (1 + Lambda_n) * 1."""
-        v = self.unit()
-        for j in range(1, self.n + 1):
-            v = v ^ self.mul_lambda(v, j)
-        return v
 
     def mul_total(self, v: np.ndarray) -> np.ndarray:
         """v times the total class, evaluated factor by factor."""
@@ -486,42 +499,93 @@ class _DenseRing:
         return v
 
     def grade_piece(self, v: np.ndarray, k: int) -> np.ndarray:
-        return np.where(self.popcounts == k, v, np.uint8(0))
+        """The degree-k part of v: an AND with the packed popcount-k mask."""
+        # word j's elements have popcount(j) ones above the in-word bits, so
+        # its mask depends on that count alone
+        index_ones = np.bitwise_count(np.arange(self.words, dtype=np.uint64))
+        by_index_ones = [0] * (self.n + 1)
+        for c in range(max(k - 6, 0), k + 1):
+            by_index_ones[c] = _IN_WORD_GRADE[k - c]
+        return v & np.array(by_index_ones, dtype=np.uint64)[index_ones]
 
     def to_poly(self, v: np.ndarray) -> Poly:
-        return Poly(
-            frozenset(Monomial.from_mask(int(m)) for m in np.flatnonzero(v))
+        """The Poly of v, unpacking only the words that hold a term."""
+        nonzero = np.flatnonzero(v)
+        bits = np.unpackbits(
+            v[nonzero].astype("<u8").view(np.uint8), bitorder="little"
         )
+        positions = np.flatnonzero(bits)
+        masks = (nonzero[positions >> 6] << 6) | (positions & 63)
+        return Poly(frozenset(Monomial.from_mask(m) for m in masks.tolist()))
 
 
-@dataclass(frozen=True)
 class GradedClasses:
-    """Graded classes by degree (index k holds the degree-k piece, normalized)."""
+    """Graded classes by degree (index k holds the degree-k piece, normalized).
 
-    n: int
-    by_degree: tuple[Poly, ...]
+    ``GradedClasses(n, by_degree)`` validates explicit pieces.  `total_sw`
+    and `dual_sw` instead hand over the packed grade vectors of the dense
+    engine; a grade is rendered as a `Poly` on first access and cached, so a
+    caller that reads one grade converts only that one.
+    """
 
-    def __post_init__(self) -> None:
-        for k, piece in enumerate(self.by_degree):
+    __slots__ = ("_n", "_pieces", "_ring")
+
+    def __init__(self, n: int, by_degree: Iterable[Poly]) -> None:
+        pieces = tuple(by_degree)
+        for k, piece in enumerate(pieces):
             for m in piece.terms:
                 if m.degree() != k or not m.is_squarefree():
                     raise ValueError(
                         f"degree-{k} entry contains invalid monomial {m}"
                     )
+        self._n = n
+        self._pieces: list[Poly | np.ndarray] = list(pieces)  # arrays not yet rendered
+        self._ring: _DenseRing | None = None
+
+    @classmethod
+    def _packed(cls, ring: _DenseRing, vectors: list[np.ndarray]) -> "GradedClasses":
+        """Classes backed by grade vectors; entry k must hold only degree-k bits."""
+        self = cls(ring.n, ())
+        self._pieces = list(vectors)
+        self._ring = ring
+        return self
+
+    @property
+    def n(self) -> int:
+        return self._n
+
+    @property
+    def by_degree(self) -> tuple[Poly, ...]:
+        return tuple(self[k] for k in range(len(self)))
 
     def __getitem__(self, k: int) -> Poly:
-        return self.by_degree[k]
+        piece = self._pieces[k]
+        if isinstance(piece, np.ndarray):
+            piece = self._pieces[k] = self._ring.to_poly(piece)
+        return piece
 
     def __len__(self) -> int:
-        return len(self.by_degree)
+        return len(self._pieces)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GradedClasses):
+            return NotImplemented
+        return self.n == other.n and self.by_degree == other.by_degree
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.by_degree))
+
+    def __repr__(self) -> str:
+        return f"GradedClasses(n={self.n!r}, by_degree={self.by_degree!r})"
 
 
 def total_sw(M: BottMatrix) -> GradedClasses:
     """Total Stiefel-Whitney class: normal form of prod_j (1 + Lambda_j)."""
     ring = _DenseRing(M)
-    v = ring.total_vector()
-    pieces = tuple(ring.to_poly(ring.grade_piece(v, k)) for k in range(M.n + 1))
-    return GradedClasses(M.n, pieces)
+    v = ring.mul_total(ring.unit())
+    return GradedClasses._packed(
+        ring, [ring.grade_piece(v, k) for k in range(M.n + 1)]
+    )
 
 
 def dual_sw(M: BottMatrix, up_to: int) -> GradedClasses:
@@ -536,13 +600,12 @@ def dual_sw(M: BottMatrix, up_to: int) -> GradedClasses:
         raise ValueError(f"up_to must lie in 0..{M.n}, got {up_to}")
     ring = _DenseRing(M)
     inverse_so_far = ring.unit()
-    pieces = [ring.to_poly(ring.unit())]
+    pieces = [ring.unit()]
     for k in range(1, up_to + 1):
-        prod = ring.mul_total(inverse_so_far.copy())
-        piece = ring.grade_piece(prod, k)
-        pieces.append(ring.to_poly(piece))
+        piece = ring.grade_piece(ring.mul_total(inverse_so_far), k)
+        pieces.append(piece)
         inverse_so_far ^= piece
-    return GradedClasses(M.n, tuple(pieces))
+    return GradedClasses._packed(ring, pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ class RunConfig:
 
     workers: int = 1
     direct_method_cap: int = DEFAULT_DIRECT_CAP
-    format: str = "json"
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -64,8 +63,6 @@ class RunConfig:
             raise ValueError(
                 f"direct-cap must be >= 1, got {self.direct_method_cap}"
             )
-        if self.format not in ("text", "json", "csv"):
-            raise ValueError(f"unknown output format {self.format!r}")
 
 
 def _input_errors_exit_2(fn):
@@ -214,12 +211,22 @@ def cmd_chi_sq(
     default=None,
     help="Largest degree to emit (default: the manifold dimension).",
 )
+@click.pass_obj
 @_input_errors_exit_2
 def cmd_class_table(
-    n: int | None, matrix_path: str | None, dual: bool, up_to: int | None
+    cfg: RunConfig,
+    n: int | None,
+    matrix_path: str | None,
+    dual: bool,
+    up_to: int | None,
 ) -> None:
     """CSV table of w_i (or dual w_i) normal forms, degrees 0..up-to."""
     matrix = _load_matrix(n, matrix_path)
+    if matrix.n > cfg.direct_method_cap:
+        raise FeasibilityError(
+            f"dimension {matrix.n} exceeds the direct-method cap "
+            f"{cfg.direct_method_cap}; raise --direct-cap to force the computation"
+        )
     if up_to is None:
         up_to = matrix.n
     if not 0 <= up_to <= matrix.n:

@@ -6,6 +6,8 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from charclass.bott import (
     BottMatrix,
@@ -29,6 +31,7 @@ from charclass.bott import (
     total_sw,
     verify_main,
 )
+from charclass.bott import _DenseRing
 from charclass.poly2 import Monomial, Poly, parse_poly
 
 from conftest import ALL_BOTT_FIXTURES
@@ -401,6 +404,69 @@ def test_graded_classes_validation():
         GradedClasses(2, (Poly.one(), Poly.one()))  # degree-1 entry holds 1
     with pytest.raises(ValueError):
         GradedClasses(2, (Poly.one(), X(1) ** 2))  # non-squarefree entry
+
+
+@st.composite
+def _bott_matrices(draw, max_n: int = 9) -> BottMatrix:
+    """Any strictly upper-triangular matrix, or one made orientable."""
+    n = draw(st.integers(1, max_n))
+    cells = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    bits = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    ones = {cell for cell, bit in zip(cells, bits) if bit}
+    if draw(st.booleans()):
+        for i in range(1, n):
+            if sum(1 for r, _ in ones if r == i) % 2:
+                ones ^= {(i, n)}
+    return BottMatrix(n, ones)
+
+
+# The packed engine stores 64 basis elements per word: n <= 5 fills part of
+# one word, n = 6 exactly one, and n = 7 is the first variable that moves
+# whole words instead of bits inside them.
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_bott_matrices())
+@example(main_matrix(5))
+@example(random_orientable_matrix(5, 3))
+@example(main_matrix(6))
+@example(BottMatrix(6, [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]))
+@example(random_orientable_matrix(7, 4))
+@example(BottMatrix(7, [(1, 7), (5, 7), (6, 7), (2, 3)]))
+def test_packed_engine_matches_scalar_route(M):
+    assert total_sw(M).by_degree == tuple(_scalar_total_sw(M))
+    assert dual_sw(M, M.n).by_degree == tuple(_scalar_dual_sw(M, M.n))
+
+
+def test_dual_sw_renders_only_the_grade_read(monkeypatch):
+    rendered = []
+    to_poly = _DenseRing.to_poly
+
+    def counting(self, v):
+        rendered.append(v)
+        return to_poly(self, v)
+
+    monkeypatch.setattr(_DenseRing, "to_poly", counting)
+    for n in (5, 9, 13):
+        rendered.clear()
+        k = n - alpha_hat(n)
+        classes = dual_sw(main_matrix(n), k)
+        assert not rendered
+        assert not classes[k].is_zero()
+        assert len(rendered) == 1
+        assert classes[k] is classes[k]  # cached, not rendered again
+        assert len(rendered) == 1
+
+
+def test_lazy_graded_classes_equal_rendered_ones():
+    for M in (main_matrix(9), random_orientable_matrix(8, 12), chain_matrix(7)):
+        for compute in (total_sw, lambda M: dual_sw(M, M.n)):
+            rendered = GradedClasses(M.n, compute(M).by_degree)
+            lazy = compute(M)
+            assert lazy == rendered and rendered == lazy
+            assert len(lazy) == len(rendered) == M.n + 1
+            assert lazy.n == rendered.n == M.n
+            assert hash(compute(M)) == hash(rendered)
+            assert lazy.by_degree == rendered.by_degree
+            assert lazy != GradedClasses(M.n, ())
 
 
 # ---------------------------------------------------------------------------

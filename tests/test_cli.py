@@ -166,6 +166,20 @@ def test_class_table_up_to_out_of_range():
     assert res.exit_code == 2
 
 
+def test_class_table_honours_direct_cap():
+    res = invoke("--direct-cap", "5", "class-table", "--n", "6")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ")
+    assert "cap 5" in res.stderr
+    # the default cap refuses a basis of 2^30 before allocating it
+    res = invoke("class-table", "--n", "30", "--dual")
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: ")
+    res = invoke("--direct-cap", "6", "class-table", "--n", "6")
+    assert res.exit_code == 0
+
+
 # ---------------------------------------------------------------------------
 # scan-bott
 

@@ -284,7 +284,7 @@ def _dense_product_is_zero(n: int, exps: dict[int, int]) -> bool:
     v = ring.unit()
     for var, e in sorted(exps.items()):
         for _ in range(e):
-            v = ring.mul_var(v, var)
+            v = ring._mul_by_seeds({var: v.copy()})
     return not v.any()
 
 
