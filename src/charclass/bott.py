@@ -10,10 +10,12 @@ number of ones.
 
 This module provides:
 
-* exact normal forms by memoized rewriting (`normal_form`),
+* exact normal forms by multiplication in the squarefree basis
+  (`normal_form`): a monomial starts as the bitmask of its variables and
+  takes its repeated factors one sweep at a time,
 * closed-form powers for the distinguished "main" matrix family
-  (`power_closed_form`), computed by token packing instead of rewriting so
-  the two routes can check each other,
+  (`power_closed_form`), computed by token packing instead of basis sweeps
+  so the two routes can check each other,
 * a fast exact evaluator for the top-class coefficient of a full-degree
   monomial in the main family (`top_class_bit`),
 * total and dual Stiefel-Whitney classes over the dense squarefree basis
@@ -28,7 +30,6 @@ All arithmetic is over GF(2); there are no tolerances anywhere.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -236,52 +237,62 @@ def is_orientable(M: BottMatrix) -> bool:
 # scalar normal forms
 
 
+def _mul_var(elems: set[int], l: int, M: BottMatrix) -> set[int]:
+    """``elems * x_l`` for a sum of squarefree basis elements (bitmasks).
+
+    One downward sweep over pending carries, as in `_DenseRing._mul_by_seeds`:
+    elements without x_l just gain it, and those with x_l re-emit along
+    column l (x_l^2 = Lambda_l x_l) as carries for the smaller variables.
+    The sweep stops as soon as nothing is pending.  ``elems`` is not changed.
+    """
+    out: set[int] = set()
+    pend: dict[int, set[int]] = {l: elems}
+    while pend:
+        v = max(pend)
+        w = pend.pop(v)
+        bit = 1 << (v - 1)
+        out ^= {m | bit for m in w if not m & bit}
+        carry = {m for m in w if m & bit}
+        if not carry:
+            continue
+        for i in M.col(v):
+            prev = pend.get(i)
+            if prev is None:
+                pend[i] = set(carry)
+            else:
+                prev ^= carry
+    return out
+
+
 def normal_form(p: Poly, M: BottMatrix) -> Poly:
     """The unique squarefree-basis representative of ``p`` in the ring of ``M``.
 
-    Iterative rewriting: pending monomials are bucketed by (highest squared
-    variable, its exponent) and buckets drain in descending order.  Every
-    rewrite of x_j^2 -> Lambda_j * x_j only produces strictly smaller keys
-    (the matrix is strictly upper triangular), so each bucket is fully
-    GF(2)-cancelled before it is expanded — large telescoping reductions
-    stay small instead of materializing every intermediate monomial.
+    Multiplication factor by factor in the squarefree basis: a monomial
+    prod x_v^e_v starts as the basis element prod x_v (a bitmask, already its
+    own normal form) and is then multiplied by x_v, e_v - 1 times per
+    variable, with `_mul_var`.  Terms that need the same extra factors share
+    those sweeps, so squarefree terms cost none.  The working set never
+    exceeds the 2^n basis, and monomials are built only for the output.
     Idempotent, additive, and multiplicative up to renormalization.
     """
-    out: set[Monomial] = set()
-    buckets: dict[tuple[int, int], set[Monomial]] = {}
-    heap: list[tuple[int, int]] = []
-
-    def push(m: Monomial) -> None:
-        for var, exp in reversed(m.factors):
-            if exp >= 2:
-                key = (var, exp)
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = {m}
-                    heapq.heappush(heap, (-var, -exp))
-                else:
-                    bucket.symmetric_difference_update({m})
-                return
-        out.symmetric_difference_update({m})
-
+    by_extra: dict[tuple[tuple[int, int], ...], set[int]] = {}
     for m in p.terms:
         if m.factors and m.factors[-1][0] > M.n:
             raise ValueError(
                 f"monomial {m} uses a variable beyond x{M.n}"
             )
-        push(m)
-
-    while heap:
-        neg_var, neg_exp = heapq.heappop(heap)
-        j, exp = -neg_var, -neg_exp
-        column = M.col(j)
-        for m in buckets.pop((j, exp)):
-            lowered = {v: e for v, e in m.factors}
-            lowered[j] = exp - 1
-            base = Monomial.from_exponents(lowered)
-            for i in column:
-                push(base * Monomial.var(i))
-    return Poly(frozenset(out))
+        base = 0
+        for var, _ in m.factors:
+            base |= 1 << (var - 1)
+        extra = tuple((var, exp - 1) for var, exp in m.factors if exp > 1)
+        by_extra.setdefault(extra, set()).symmetric_difference_update({base})
+    out: set[int] = set()
+    for extra, elems in by_extra.items():
+        for var, times in extra:
+            for _ in range(times):
+                elems = _mul_var(elems, var, M)
+        out ^= elems
+    return Poly(frozenset(Monomial.from_mask(mask) for mask in out))
 
 
 def _pack_chain_tokens(counts: Mapping[int, int], top_slot: int) -> int | None:
@@ -309,8 +320,8 @@ def power_closed_form(i: int, e: int, n: int) -> Poly:
     For i < n: the product ``x_{i-e+1} ... x_i`` when e <= i, else 0.  For
     i = n the exponent must be a power of two, and the value is
     ``(x_1 + ... + x_{n-2})^(e-1) * x_n`` expanded factor by factor and
-    normalized purely by token packing.  No generic rewriting is used, so
-    this serves as an independent oracle for :func:`normal_form`.
+    normalized purely by token packing.  No basis sweep is used, so this
+    serves as an independent oracle for :func:`normal_form`.
     """
     if not 1 <= i <= n:
         raise ValueError(f"variable index {i} out of range 1..{n}")

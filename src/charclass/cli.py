@@ -189,7 +189,7 @@ def cmd_chi_sq(
     matrix = _load_matrix(n, matrix_path)
     poly = parse_poly(z)
     if verbose:
-        for t in enumerate_tuples(k):
+        for t in enumerate_tuples(k, poly.degree()):
             click.echo(format_tuple(t), err=True)
     click.echo(format_poly(chi_sq(k, poly, matrix)))
 
@@ -426,9 +426,17 @@ def cmd_dold_verify(
     report = verify_dold(spec)
     click.echo(report.to_json())
     if not report.verified:
+        failed = []
+        if not report.orientable:
+            failed.append("it is not orientable (w_1 != 0)")
+        if not report.nonvanishing:
+            failed.append(
+                f"the boundary-grade dual class wbar_{report.grade} vanishes"
+            )
+        ms = ",".join(str(m) for m in spec.ms)
         click.echo(
-            "falsified: the expected class behaviour did not hold - this "
-            "indicates an implementation bug, not a mathematical finding",
+            f"not verified: {' and '.join(failed)}, so P({spec.n};{ms}) is "
+            "not a witness",
             err=True,
         )
         raise SystemExit(1)

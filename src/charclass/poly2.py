@@ -60,12 +60,10 @@ class Monomial:
     def from_mask(cls, mask: int) -> "Monomial":
         """Squarefree monomial whose variable set is the bitmask (bit i-1 <-> x_i)."""
         factors = []
-        i = 1
         while mask:
-            if mask & 1:
-                factors.append((i, 1))
-            mask >>= 1
-            i += 1
+            low = mask & -mask
+            factors.append((low.bit_length(), 1))
+            mask ^= low
         return cls(tuple(factors))
 
     # -- queries ------------------------------------------------------------

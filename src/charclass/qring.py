@@ -280,7 +280,7 @@ def verify_key(p: int, workers: int = 1) -> KeyReport:
     where its gap sits.  Every nonzero monomial equals the top class, so the
     identity holds iff the nonzero count is even; the gap ledger refines the
     zero count.  For p <= 3 the result is additionally cross-checked against
-    generic rewriting of ``(x_1 + ... + x_m)^m`` in the chain matrix.
+    the normal form of ``(x_1 + ... + x_m)^m`` in the chain matrix.
     """
     if p < 2:
         raise ValueError(
@@ -316,8 +316,8 @@ def verify_key(p: int, workers: int = 1) -> KeyReport:
         nf = normal_form(full_sum ** m, chain_matrix(m))
         if nf.is_zero() != report.sum_is_zero:
             raise RuntimeError(
-                f"stream parity ({report.sum_is_zero}) disagrees with generic "
-                f"rewriting ({nf.is_zero()}) at p = {p}"
+                f"stream parity ({report.sum_is_zero}) disagrees with the "
+                f"squarefree-basis normal form ({nf.is_zero()}) at p = {p}"
             )
     return report
 

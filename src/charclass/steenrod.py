@@ -9,8 +9,9 @@ realized as the sum of all Milnor elements of grading k.
 
 Everything here reduces through the ring of a :class:`~charclass.bott.BottMatrix`;
 full-degree terms in the main family take the fast exact evaluator
-:func:`~charclass.bott.top_class_bit`, everything else goes through generic
-rewriting -- two routes that are cross-checked in the test suite.
+:func:`~charclass.bott.top_class_bit`, everything else goes through
+:func:`~charclass.bott.normal_form`, multiplication in the squarefree basis --
+two routes that are cross-checked in the test suite.
 """
 
 from __future__ import annotations

@@ -248,7 +248,7 @@ def test_criterion_09_orientable_vanishing_bound():
 
 
 def test_criterion_10_oracle_equivalences():
-    # excess-sequence zero test == generic rewriting, all degree-m sequences
+    # excess-sequence zero test == normal_form, all degree-m sequences
     def compositions(total, parts):
         if parts == 1:
             yield (total,)
@@ -267,7 +267,7 @@ def test_criterion_10_oracle_equivalences():
             nf = normal_form(Poly.of([mono]), M)
             assert nf == (Poly.zero() if is_zero_monomial(e) else top)
 
-    # closed-form powers == generic rewriting up to n = 13
+    # closed-form powers (token packing) == normal_form up to n = 13
     for n in range(1, 14):
         M = main_matrix(n)
         for i in range(1, n):
@@ -286,6 +286,6 @@ def test_criterion_10_oracle_equivalences():
         row = [1] + [(row[q - 1] + row[q]) % 2 for q in range(1, p + 1)] + [1]
     print(
         "PASS criterion 10: oracle equivalences hold (excess test vs "
-        "rewriting m<=8, closed-form powers vs rewriting n<=13, Lucas "
+        "normal form m<=8, closed-form powers vs normal form n<=13, Lucas "
         "parity vs Pascal p<=64)"
     )

@@ -31,16 +31,19 @@ from charclass.bott import (
     total_sw,
     verify_main,
 )
+from charclass import bott
 from charclass.bott import _DenseRing
 from charclass.poly2 import Monomial, Poly, parse_poly
+from charclass.steenrod import permsum
 
 from conftest import ALL_BOTT_FIXTURES
+from oracles import rewrite_normal_form
 
 X = Poly.var
 
 
 # ---------------------------------------------------------------------------
-# oracles: plain Poly arithmetic + generic rewriting, no dense engine
+# oracles: plain Poly arithmetic + bucket rewriting, no squarefree-basis sweep
 
 
 def _column_sum(M: BottMatrix, j: int) -> Poly:
@@ -48,10 +51,10 @@ def _column_sum(M: BottMatrix, j: int) -> Poly:
 
 
 def _scalar_total_sw(M: BottMatrix) -> list[Poly]:
-    """Total class by literal product expansion and generic rewriting."""
+    """Total class by literal product expansion and bucket rewriting."""
     w = Poly.one()
     for j in range(1, M.n + 1):
-        w = normal_form(w * (Poly.one() + _column_sum(M, j)), M)
+        w = rewrite_normal_form(w * (Poly.one() + _column_sum(M, j)), M)
     return [
         Poly(frozenset(m for m in w.terms if m.degree() == k))
         for k in range(M.n + 1)
@@ -65,8 +68,8 @@ def _scalar_dual_sw(M: BottMatrix, up_to: int) -> list[Poly]:
     for k in range(1, up_to + 1):
         acc = Poly.zero()
         for j in range(1, k + 1):
-            acc = acc + normal_form(w[j] * dual[k - j], M)
-        dual.append(normal_form(acc, M))
+            acc = acc + rewrite_normal_form(w[j] * dual[k - j], M)
+        dual.append(rewrite_normal_form(acc, M))
     return dual
 
 
@@ -99,6 +102,20 @@ def _random_poly(rng: random.Random, n: int, terms: int, max_exp: int) -> Poly:
         }
         out = out + Poly.of([Monomial.from_exponents(exps)])
     return out
+
+
+@st.composite
+def _bott_matrices(draw, max_n: int = 9) -> BottMatrix:
+    """Any strictly upper-triangular matrix, or one made orientable."""
+    n = draw(st.integers(1, max_n))
+    cells = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    bits = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    ones = {cell for cell, bit in zip(cells, bits) if bit}
+    if draw(st.booleans()):
+        for i in range(1, n):
+            if sum(1 for r, _ in ones if r == i) % 2:
+                ones ^= {(i, n)}
+    return BottMatrix(n, ones)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +277,68 @@ def test_normal_form_is_squarefree_and_ring_homomorphic():
         assert normal_form(p * q, M) == normal_form(np_ * nq, M)
 
 
+# Exponents 8 and 16 reach the long carry chains of x_v^(2^k); 1 keeps some
+# terms squarefree, so a poly can mix terms that need sweeps and terms that
+# need none.
+_EXPONENTS = (1, 2, 3, 4, 5, 8, 16)
+
+
+@st.composite
+def _polys_on(draw, n: int) -> Poly:
+    """A sum of one to four monomials in x_1..x_n, each in 1..3 variables."""
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        variables = draw(st.lists(
+            st.integers(1, n), unique=True, min_size=1, max_size=min(n, 3)
+        ))
+        terms.append(Monomial.from_exponents(
+            {v: draw(st.sampled_from(_EXPONENTS)) for v in variables}
+        ))
+    return Poly.of(terms)
+
+
+@st.composite
+def _matrices_and_polys(draw) -> tuple[BottMatrix, Poly]:
+    M = draw(_bott_matrices())
+    return M, draw(_polys_on(M.n))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_matrices_and_polys())
+@example((main_matrix(9), X(9) ** 16 + X(8) ** 8 * X(9) ** 2 + X(3) * X(7)))
+def test_normal_form_matches_bucket_rewriting(case):
+    M, p = case
+    assert normal_form(p, M) == rewrite_normal_form(p, M)
+
+
+def test_normal_form_pinned_cases():
+    M = main_matrix(5)
+    assert normal_form(Poly.one(), M) == Poly.one()
+    assert normal_form(Poly.zero(), M) == Poly.zero()
+    assert normal_form(X(13) ** 16, main_matrix(13)) == power_closed_form(13, 16, 13)
+    full_sum = Poly.of(Monomial.var(v) for v in range(1, 8))
+    assert normal_form(full_sum ** 7, chain_matrix(7)).is_zero()
+
+
+def test_squarefree_terms_cost_no_sweep(monkeypatch):
+    sweeps = []
+    mul_var = bott._mul_var
+
+    def counting(elems, l, M):
+        sweeps.append(l)
+        return mul_var(elems, l, M)
+
+    monkeypatch.setattr(bott, "_mul_var", counting)
+    M = random_orientable_matrix(9, 5)
+    squarefree = Poly.of(Monomial.from_mask(mask) for mask in range(0, 512, 7))
+    assert normal_form(squarefree, M) == squarefree
+    assert top_coefficient(permsum(29), main_matrix(29)) == 1
+    assert not sweeps
+    # the counter sees the sweeps it is meant to count
+    assert normal_form(X(2) ** 2, main_matrix(5)) == parse_poly("x1*x2")
+    assert sweeps == [2]
+
+
 def test_power_closed_form_examples():
     assert power_closed_form(4, 4, 5) == parse_poly("x1*x2*x3*x4")
     assert power_closed_form(3, 4, 5) == Poly.zero()
@@ -404,20 +483,6 @@ def test_graded_classes_validation():
         GradedClasses(2, (Poly.one(), Poly.one()))  # degree-1 entry holds 1
     with pytest.raises(ValueError):
         GradedClasses(2, (Poly.one(), X(1) ** 2))  # non-squarefree entry
-
-
-@st.composite
-def _bott_matrices(draw, max_n: int = 9) -> BottMatrix:
-    """Any strictly upper-triangular matrix, or one made orientable."""
-    n = draw(st.integers(1, max_n))
-    cells = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    bits = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
-    ones = {cell for cell, bit in zip(cells, bits) if bit}
-    if draw(st.booleans()):
-        for i in range(1, n):
-            if sum(1 for r, _ in ones if r == i) % 2:
-                ones ^= {(i, n)}
-    return BottMatrix(n, ones)
 
 
 # The packed engine stores 64 basis elements per word: n <= 5 fills part of

@@ -89,11 +89,27 @@ def test_chi_sq_command():
 
 
 def test_chi_sq_verbose_lists_tuples_on_stderr():
+    # Sq(3) has weight 3 > deg(x4*x5), so it acts as 0 and is not listed
     res = invoke("chi-sq", "--k", "3", "--z", "x4*x5", "--n", "5", "--verbose")
     assert res.exit_code == 0
     assert res.stdout.strip() == "x1*x2*x3*x4*x5"
-    assert "Sq(0,1)" in res.stderr
-    assert "Sq(3)" in res.stderr
+    assert res.stderr == "Sq(0,1)\n"
+
+
+def test_chi_sq_verbose_readme_example():
+    args = ("chi-sq", "--k", "9", "--z", "x1*x11*x12", "--n", "12")
+    res = invoke(*args, "--verbose")
+    assert res.exit_code == 0
+    assert res.stdout == invoke(*args).stdout == "0\n"
+    assert res.stderr == "Sq(0,3)\nSq(2,0,1)\n"
+
+
+def test_chi_sq_verbose_lists_no_tuple_heavier_than_the_input():
+    # grading 400 has 335566 tuples, none of weight <= 1
+    res = invoke("chi-sq", "--k", "400", "--z", "x1", "--n", "5", "--verbose")
+    assert res.exit_code == 0
+    assert res.stdout == "0\n"
+    assert res.stderr == ""
 
 
 def test_chi_sq_requires_exactly_one_matrix_source(tmp_path):
@@ -337,7 +353,21 @@ def test_dold_verify_falsified_is_exit_one():
     res = invoke("dold", "verify", "--n", "1", "--ms", "1")
     assert res.exit_code == 1
     assert json.loads(res.stdout)["orientable"] is False
-    assert "implementation bug" in res.stderr
+    assert res.stderr == (
+        "not verified: it is not orientable (w_1 != 0), so P(1;1) is not a "
+        "witness\n"
+    )
+
+
+def test_dold_verify_names_the_failed_predicate():
+    # P(2;1) is orientable, but its boundary-grade dual class vanishes
+    res = invoke("dold", "verify", "--n", "2", "--ms", "1")
+    assert res.exit_code == 1
+    assert json.loads(res.stdout)["nonvanishing"] is False
+    assert res.stderr == (
+        "not verified: the boundary-grade dual class wbar_2 vanishes, so "
+        "P(2;1) is not a witness\n"
+    )
 
 
 def test_dold_verify_input_errors(tmp_path):

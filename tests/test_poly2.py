@@ -71,6 +71,25 @@ class TestMonomial:
         with pytest.raises(ValueError):
             Monomial.var(2, 2).mask()
 
+    def test_from_mask_matches_bit_by_bit_loop(self):
+        def reference(mask: int) -> Monomial:
+            factors = []
+            i = 1
+            while mask:
+                if mask & 1:
+                    factors.append((i, 1))
+                mask >>= 1
+                i += 1
+            return Monomial(tuple(factors))
+
+        rng = random.Random(2029)
+        masks = list(range(1 << 10)) + [rng.getrandbits(29) for _ in range(500)]
+        masks += [(1 << 29) - 1, 1 << 28]
+        for mask in masks:
+            m = Monomial.from_mask(mask)
+            assert m == reference(mask)
+            assert m.mask() == mask
+
     def test_degree_and_queries(self):
         m = Monomial(((2, 3), (5, 1)))
         assert m.degree() == 4
