@@ -697,10 +697,14 @@ def verify_main(
             f"steenrod method requires n = 1 (mod 4), got n = {n}; use method='direct'"
         )
     if run_direct and n > direct_cap:
+        hint = (
+            "raise direct_cap or use the steenrod method"
+            if n % 4 == 1
+            else "raise direct_cap; the steenrod method needs n = 1 (mod 4)"
+        )
         raise FeasibilityError(
             f"direct method materializes a 2^{n}-dimensional basis; n = {n} "
-            f"exceeds the cap {direct_cap} (raise direct_cap or use the "
-            "steenrod method)"
+            f"exceeds the cap {direct_cap} ({hint})"
         )
     m = n - (n % 4 - 1)  # largest m <= n with m = 1 mod 4
     matrix = extend_with_circles(main_matrix(m), n - m)

@@ -6,7 +6,7 @@ Subcommands map one-to-one onto the library verifiers and class computations:
     chi-sq        evaluate chi Sq^k on a polynomial in a Bott manifold ring
     class-table   CSV of w_i or dual w_i for a Bott matrix
     scan-bott     evaluate a family of Bott matrices at the critical grade
-    qm check-key  stream the full key-identity expansion and its parity ledger
+    qm check-key  count the key-identity expansion and its parity ledger
     qm check-zero run both zero-product verifiers over all admissible cases
     dold verify   orientability + dual-class nonvanishing for a Dold manifold
     dold scan     enumerate Dold specs of a target dimension that verify
@@ -86,7 +86,8 @@ def _input_errors_exit_2(fn):
     default=1,
     show_default=True,
     envvar="CHARCLASS_THREADS",
-    help="Worker threads for parallel folds (env: CHARCLASS_THREADS).",
+    help="Accepted for compatibility; every command runs in one thread "
+    "(env: CHARCLASS_THREADS).",
 )
 @click.option(
     "--direct-cap",
@@ -337,7 +338,11 @@ def qm_group() -> None:
 @click.pass_obj
 @_input_errors_exit_2
 def cmd_check_key(cfg: RunConfig, p: int, stats: bool) -> None:
-    """Stream the key-identity expansion in Q_{2^p-1} and check its parity."""
+    """Count the key-identity expansion in Q_{2^p-1} and check its parity.
+
+    The ledger comes from an exact counting DP; for p <= 4 it is
+    cross-checked against the streamed expansion.  p >= 11 is refused.
+    """
     report = verify_key(p, workers=cfg.workers)
     if stats:
         click.echo(json.dumps(report.to_json_dict()))

@@ -1,13 +1,15 @@
-"""The chain ring Q_m: excess analysis, streaming expansion, and zero verifiers.
+"""The chain ring Q_m: excess analysis, the key-identity ledger, zero verifiers.
 
 ``Q_m`` is the ring ``GF(2)[x_1..x_m] / (x_1^2, x_i^2 - x_{i-1} x_i)``.  A
 degree-m monomial ``prod x_i^{e_i}`` is zero exactly when some prefix of the
 exponent sequence over-fills its slots (``e_1 + ... + e_d > d``); otherwise it
-reduces to the top product ``x_1 ... x_m``.  That O(m) test powers a streaming
-verification that ``(x_1 + ... + x_m)^m = 0`` for ``m = 2^p - 1``, whose
-expansion is walked through the factorization
-``prod_{i=0}^{p-1} (x_{2^i}^{2^i} + ... + x_m^{2^i})`` -- about 10.4 million
-summands at p = 5.
+reduces to the top product ``x_1 ... x_m``.  That test decides the identity
+``(x_1 + ... + x_m)^m = 0`` for ``m = 2^p - 1``, whose expansion follows the
+factorization ``prod_{i=0}^{p-1} (x_{2^i}^{2^i} + ... + x_m^{2^i})`` -- about
+10 million summands at p = 5, 2 * 10^10 at p = 6.  The ledger of zero and
+nonzero summands is counted by an exact DP over the positions of the placed
+factors (about m * 3^p steps, p <= 10 within budget); for p <= 4 it is
+cross-checked against a vectorized fold over the streamed summands.
 
 The second half verifies the two families of vanishing products (parts a and
 b) in the main-family Bott ring, converting each product-with-S-power into a
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -46,6 +47,7 @@ __all__ = [
 ]
 
 DEFAULT_ZERO_BUDGET = 2_000_000
+KEY_DP_BUDGET = 100_000_000  # m * 3^p steps of the key-identity count
 
 
 def _check_degree(e: Sequence[int]) -> tuple[int, ...]:
@@ -230,6 +232,64 @@ def _fold_range(m: int, p: int, start: int, stop: int) -> tuple[int, np.ndarray]
     return zero_count, gap_hist
 
 
+def _check_key_budget(p: int) -> None:
+    """Refuse, before any work, a key-identity count over KEY_DP_BUDGET steps."""
+    if p > 64:  # m * 3^p passed the budget long before; skip the bignum
+        steps = f"(2^{p} - 1) * 3^{p}"
+    else:
+        cost = ((1 << p) - 1) * 3**p
+        if cost <= KEY_DP_BUDGET:
+            return
+        steps = str(cost)
+    raise FeasibilityError(
+        f"the key-identity count for p = {p} needs m * 3^p = {steps} "
+        f"DP steps (> budget {KEY_DP_BUDGET})"
+    )
+
+
+def _count_key(m: int, p: int) -> tuple[int, dict[int, int]]:
+    """Count the expansion of (x_1 + ... + x_m)^m exactly, without walking it.
+
+    Returns (nonzero, {D: zero items whose gap sits at D}).  Factor i of the
+    factorization sits at a position J_i in [2^i, m], so after position d the
+    prefix weight is the bitmask S_d = {i : J_i <= d} read as an integer; an
+    item is zero iff S_d > d for some d, and its gap is d + 1 for the largest
+    such d.  ``g[S]`` counts the ways to place the factors outside S on
+    positions d+1..m with S_v <= v at every v > d; one step back places the
+    set T of factors that sit exactly at position v = d + 1.  A state S with
+    S > d + 1 cannot be completed (S_{d+1} >= S), so the zero items with gap
+    v = d + 1 all have S_d = v: there are g_d(v) * prod_{i in v} (v - 2^i) of
+    them, factor i taking one of the positions 2^i..d.  About m * 3^p steps
+    on exact ints.
+    """
+    g = [0] * (m + 1)
+    g[m] = 1  # after position m every factor is placed
+    gaps: dict[int, int] = {}
+    for v in range(m, 0, -1):
+        prev = [0] * (m + 1)
+        for S in range(v + 1):
+            room = v - S  # S | T <= v, and S | T = S + T for disjoint T
+            # a factor i in T has 2^i <= T <= room <= v, so it may sit at v
+            free = ~S & ((1 << room.bit_length()) - 1)
+            acc = 0
+            T = free
+            while True:
+                if T <= room:
+                    acc += g[S | T]
+                if not T:
+                    break
+                T = (T - 1) & free
+            prev[S] = acc
+        g = prev  # g now counts completions after position d = v - 1
+        ways = g[v]  # zero items with gap v
+        for i in range(p):
+            if v >> i & 1:
+                ways *= v - (1 << i)
+        if ways:
+            gaps[v] = ways
+    return g[0], gaps
+
+
 @dataclass(frozen=True)
 class KeyReport:
     """Parity ledger for the key identity (x_1 + ... + x_m)^m = 0 in Q_m."""
@@ -274,13 +334,18 @@ class KeyReport:
 
 
 def verify_key(p: int, workers: int = 1) -> KeyReport:
-    """Verify the key identity for m = 2^p - 1 by streaming the expansion.
+    """Verify the key identity for m = 2^p - 1 by counting its expansion.
 
-    Tallies, for every expansion monomial, whether it vanishes in Q_m and
-    where its gap sits.  Every nonzero monomial equals the top class, so the
+    Counts, over every expansion monomial, whether it vanishes in Q_m and
+    where its gap sits, with the exact DP of ``_count_key`` (about m * 3^p
+    steps; refused with FeasibilityError above ``KEY_DP_BUDGET``, so
+    p <= 10 runs).  Every nonzero monomial equals the top class, so the
     identity holds iff the nonzero count is even; the gap ledger refines the
-    zero count.  For p <= 3 the result is additionally cross-checked against
-    the normal form of ``(x_1 + ... + x_m)^m`` in the chain matrix.
+    zero count.  The counted zero and nonzero items must add up to the
+    closed-form total; for p <= 4 the ledger is cross-checked against the streamed fold
+    ``_fold_range`` over all items, and for p <= 3 against the normal form of
+    ``(x_1 + ... + x_m)^m`` in the chain matrix.  ``workers`` is validated
+    and otherwise unused: the count runs in one thread.
     """
     if p < 2:
         raise ValueError(
@@ -288,29 +353,28 @@ def verify_key(p: int, workers: int = 1) -> KeyReport:
         )
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_key_budget(p)
     m = (1 << p) - 1
     total = stream_count(m)
-    if workers == 1:
-        zero, gap_hist = _fold_range(m, p, 0, total)
-    else:
-        bounds = [total * w // workers for w in range(workers + 1)]
-        zero = 0
-        gap_hist = np.zeros(m + 2, dtype=np.int64)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_fold_range, m, p, bounds[w], bounds[w + 1])
-                for w in range(workers)
-            ]
-            for fut in futures:
-                z, h = fut.result()
-                zero += z
-                gap_hist += h
-    gap_counts = tuple(
-        (D, int(gap_hist[D])) for D in range(len(gap_hist)) if gap_hist[D]
-    )
+    nonzero, gaps = _count_key(m, p)
+    zero = sum(gaps.values())
+    if zero + nonzero != total:
+        raise RuntimeError(
+            f"key count does not add up at p = {p}: {zero} zero + {nonzero} "
+            f"nonzero != {total} items"
+        )
     report = KeyReport(
-        m=m, total=total, zero=zero, nonzero=total - zero, gap_counts=gap_counts
+        m=m, total=total, zero=zero, nonzero=nonzero,
+        gap_counts=tuple(sorted(gaps.items())),
     )
+    if p <= 4:
+        fold_zero, gap_hist = _fold_range(m, p, 0, total)
+        fold_gaps = {D: int(c) for D, c in enumerate(gap_hist) if c}
+        if (fold_zero, fold_gaps) != (zero, gaps):
+            raise RuntimeError(
+                f"counted ledger disagrees with the streamed fold at p = {p}: "
+                f"zero {zero} vs {fold_zero}, gaps {gaps} vs {fold_gaps}"
+            )
     if p <= 3:
         full_sum = Poly.of(Monomial.var(v) for v in range(1, m + 1))
         nf = normal_form(full_sum ** m, chain_matrix(m))
@@ -324,16 +388,14 @@ def verify_key(p: int, workers: int = 1) -> KeyReport:
 
 @lru_cache(maxsize=None)
 def _gap_counts_for(m: int) -> dict[int, int]:
-    p = _stream_p(m)
-    _, gap_hist = _fold_range(m, p, 0, stream_count(m))
-    return {D: int(gap_hist[D]) for D in range(len(gap_hist)) if gap_hist[D]}
+    return _count_key(m, _stream_p(m))[1]
 
 
 def gap_count(m: int, D: int) -> int:
     """Number of expansion monomials of (x_1+...+x_m)^m whose gap sits at D."""
     if not 1 <= D <= m:
         raise ValueError(f"D must lie in 1..{m}, got {D}")
-    _stream_p(m)
+    _check_key_budget(_stream_p(m))
     return _gap_counts_for(m).get(D, 0)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -63,6 +64,27 @@ def test_verify_main_direct_cap_override():
         "verify-main", "--n", "18", "--method", "direct", "--direct-cap", "19"
     )
     assert res.exit_code == 0
+
+
+def test_verify_main_over_cap_hint_fits_the_dimension():
+    # n = 18 = 2 (mod 4): the steenrod method does not apply there
+    res = invoke("verify-main", "--n", "18")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == (
+        "error: direct method materializes a 2^18-dimensional basis; n = 18 "
+        "exceeds the cap 17 (raise direct_cap; the steenrod method needs "
+        "n = 1 (mod 4))\n"
+    )
+    res = invoke("verify-main", "--n", "21", "--method", "direct")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == (
+        "error: direct method materializes a 2^21-dimensional basis; n = 21 "
+        "exceeds the cap 17 (raise direct_cap or use the steenrod method)\n"
+    )
+    # and the suggested route does run at n = 21
+    assert invoke("verify-main", "--n", "21", "--method", "steenrod").exit_code == 0
 
 
 def test_verify_main_text_format():
@@ -300,6 +322,24 @@ def test_check_key_plain_verdict():
 def test_check_key_rejects_bad_p():
     res = invoke("qm", "check-key", "--p", "1")
     assert res.exit_code == 2
+
+
+def test_check_key_over_budget_is_refused_fast():
+    start = time.perf_counter()
+    res = invoke("qm", "check-key", "--p", "11")
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: the key-identity count for p = 11")
+
+
+def test_check_key_p6_runs_past_the_stream():
+    res = invoke("qm", "check-key", "--p", "6")
+    assert res.exit_code == 0
+    assert res.stdout == (
+        "m=63: total=20158709760 zero=19084967936 nonzero=1073741824 "
+        "verified=True\n"
+    )
 
 
 def test_check_zero_five_and_thirteen():

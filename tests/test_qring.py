@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import time
 
 import numpy as np
 import pytest
 
+from charclass import qring
 from charclass.bott import chain_matrix, main_matrix, normal_form
 from charclass.poly2 import Monomial, Poly
 from charclass.qring import (
     KeyReport,
+    _fold_range,
     decompose,
     excess,
     expand_stream,
@@ -265,6 +269,87 @@ def test_gap_count_accessor():
         gap_count(7, 0)
     with pytest.raises(ValueError):
         gap_count(7, 8)
+
+
+def _fold_report(p: int) -> KeyReport:
+    """The ledger of the vectorized fold over every streamed item."""
+    m = 2 ** p - 1
+    total = stream_count(m)
+    zero, gap_hist = _fold_range(m, p, 0, total)
+    return KeyReport(
+        m=m,
+        total=total,
+        zero=zero,
+        nonzero=total - zero,
+        gap_counts=tuple((D, int(c)) for D, c in enumerate(gap_hist) if c),
+    )
+
+
+def test_counted_ledger_matches_streamed_fold():
+    for p in (2, 3, 4, 5):
+        assert verify_key(p) == _fold_report(p)
+
+
+def test_counted_ledger_pinned_invariants():
+    for p in range(2, 9):
+        m = 2 ** p - 1
+        report = verify_key(p)
+        assert report.nonzero == 2 ** (p * (p - 1))
+        assert all(c % 2 == 0 for _, c in report.gap_counts)
+        assert sum(c for _, c in report.gap_counts) == report.zero
+        assert report.zero + report.nonzero == report.total == stream_count(m)
+        assert report.verified
+        # no item has its gap at a power of two: S_d = d + 1 = 2^i would
+        # need factor i at a position below 2^i
+        assert all(D & (D - 1) for D, _ in report.gap_counts)
+        # gap m: exactly the items that leave position m empty
+        assert report.gap_count(m) == math.prod(m - 2 ** i for i in range(p))
+
+
+def test_verify_key_p6_beyond_the_stream():
+    # the stream holds about 2 * 10^10 items at p = 6
+    report = verify_key(6)
+    assert report.total == stream_count(63) == 20158709760
+    assert report.nonzero == 2 ** 30
+    assert gap_count(63, 63) == report.gap_count(63) == 62 * 61 * 59 * 55 * 47 * 31
+
+
+def test_fold_cross_check_runs_for_p_up_to_4_only(monkeypatch):
+    calls: dict[int, int] = {}
+
+    def counting_fold(m, p, start, stop):
+        calls[p] = calls.get(p, 0) + 1
+        return _fold_range(m, p, start, stop)
+
+    monkeypatch.setattr(qring, "_fold_range", counting_fold)
+    for p in (2, 3, 4, 5):
+        verify_key(p)
+    assert calls == {2: 1, 3: 1, 4: 1}
+
+
+def test_fold_cross_check_catches_a_disagreement(monkeypatch):
+    def off_by_two(m, p, start, stop):
+        zero, gap_hist = _fold_range(m, p, start, stop)
+        gap_hist[m] += 2
+        return zero + 2, gap_hist
+
+    monkeypatch.setattr(qring, "_fold_range", off_by_two)
+    with pytest.raises(RuntimeError, match="streamed fold"):
+        verify_key(3)
+
+
+def test_key_count_refused_over_budget():
+    assert (2 ** 10 - 1) * 3 ** 10 <= qring.KEY_DP_BUDGET
+    assert (2 ** 11 - 1) * 3 ** 11 > qring.KEY_DP_BUDGET
+    start = time.perf_counter()
+    for p in (11, 12, 64, 65, 10 ** 6):
+        with pytest.raises(FeasibilityError, match="budget"):
+            verify_key(p)
+    with pytest.raises(FeasibilityError):
+        gap_count(2 ** 11 - 1, 3)
+    with pytest.raises(ValueError):
+        verify_key(11, workers=0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_key_report_json_shape():
