@@ -22,7 +22,6 @@ from .bott import (
     is_orientable,
     main_matrix,
     normal_form,
-    power_closed_form,
     random_orientable_matrix,
     top_class_bit,
     top_coefficient,
@@ -95,7 +94,6 @@ __all__ = [
     "normal_form",
     "parse_poly",
     "permsum",
-    "power_closed_form",
     "random_orientable_matrix",
     "scan_dold",
     "top_class_bit",

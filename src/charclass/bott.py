@@ -13,9 +13,6 @@ This module provides:
 * exact normal forms by multiplication in the squarefree basis
   (`normal_form`): a monomial starts as the bitmask of its variables and
   takes its repeated factors one sweep at a time,
-* closed-form powers for the distinguished "main" matrix family
-  (`power_closed_form`), computed by token packing instead of basis sweeps
-  so the two routes can check each other,
 * a fast exact evaluator for the top-class coefficient of a full-degree
   monomial in the main family (`top_class_bit`),
 * total and dual Stiefel-Whitney classes over the dense squarefree basis
@@ -33,7 +30,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as _iter_product
 from random import Random
 from typing import Iterable, Mapping
 
@@ -56,16 +52,17 @@ __all__ = [
     "is_orientable",
     "main_matrix",
     "normal_form",
-    "power_closed_form",
     "random_orientable_matrix",
     "top_class_bit",
     "top_coefficient",
     "total_sw",
     "verify_main",
     "DEFAULT_DIRECT_CAP",
+    "TOP_CLASS_BUDGET",
 ]
 
 DEFAULT_DIRECT_CAP = 17
+TOP_CLASS_BUDGET = 500_000_000  # n * 3^popcount(E-1) steps of top_class_bit
 
 
 class UnsupportedDimensionError(ValueError):
@@ -93,6 +90,11 @@ def alpha_hat(n: int) -> int:
 # matrices
 
 
+def _is_int(value: object) -> bool:
+    """An int that is not a bool (json reads true/false as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BottMatrix:
     """Strictly upper-triangular binary matrix defining a real Bott manifold."""
@@ -101,7 +103,7 @@ class BottMatrix:
     ones: frozenset[tuple[int, int]]
 
     def __init__(self, n: int, ones: Iterable[tuple[int, int]] = ()) -> None:
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ValueError(f"dimension must be a positive integer, got {n!r}")
         normalized = frozenset((int(i), int(j)) for i, j in ones)
         for i, j in normalized:
@@ -154,9 +156,12 @@ class BottMatrix:
             raise ValueError('matrix JSON must be {"n": ..., "ones": [[i, j], ...]}')
         ones = data["ones"]
         if not isinstance(ones, list) or not all(
-            isinstance(p, list) and len(p) == 2 for p in ones
+            isinstance(p, list) and len(p) == 2 and all(map(_is_int, p))
+            for p in ones
         ):
-            raise ValueError('matrix JSON field "ones" must be a list of [i, j] pairs')
+            raise ValueError(
+                'matrix JSON field "ones" must be a list of [i, j] integer pairs'
+            )
         return cls(data["n"], [(p[0], p[1]) for p in ones])
 
 
@@ -295,59 +300,19 @@ def normal_form(p: Poly, M: BottMatrix) -> Poly:
     return Poly(frozenset(Monomial.from_mask(mask) for mask in out))
 
 
-def _pack_chain_tokens(counts: Mapping[int, int], top_slot: int) -> int | None:
-    """Normalize a chain-ring monomial by greedy slot packing.
+def _check_top_class_cost(n: int, last_exponents: Iterable[int]) -> None:
+    """Refuse, before any work, `top_class_bit` calls over TOP_CLASS_BUDGET.
 
-    ``counts`` maps a variable v (1 <= v <= top_slot) to its exponent in the
-    ring with relations x_v^2 = x_{v-1} x_v, x_1^2 = 0.  Scanning slots from
-    high to low, each slot absorbs one available token (tokens released at v
-    can only occupy slots <= v).  Returns the squarefree bitmask, or None when
-    tokens remain unplaced below slot 1 (the monomial is 0).
+    A call on a degree-n monomial with x_n^E costs about n * 3^popcount(E-1)
+    steps; ``last_exponents`` lists E for each planned call, and their costs
+    add up.
     """
-    mask = 0
-    pending = 0
-    for v in range(top_slot, 0, -1):
-        pending += counts.get(v, 0)
-        if pending:
-            mask |= 1 << (v - 1)
-            pending -= 1
-    return None if pending else mask
-
-
-def power_closed_form(i: int, e: int, n: int) -> Poly:
-    """Closed form of ``x_i^e`` in the ring of ``main_matrix(n)``.
-
-    For i < n: the product ``x_{i-e+1} ... x_i`` when e <= i, else 0.  For
-    i = n the exponent must be a power of two, and the value is
-    ``(x_1 + ... + x_{n-2})^(e-1) * x_n`` expanded factor by factor and
-    normalized purely by token packing.  No basis sweep is used, so this
-    serves as an independent oracle for :func:`normal_form`.
-    """
-    if not 1 <= i <= n:
-        raise ValueError(f"variable index {i} out of range 1..{n}")
-    if e < 1:
-        raise ValueError(f"exponent must be >= 1, got {e}")
-    if i < n:
-        if e > i:
-            return Poly.zero()
-        return Poly(frozenset({Monomial(tuple((v, 1) for v in range(i - e + 1, i + 1)))}))
-    if e == 1:
-        return Poly.var(n)
-    if e & (e - 1):
-        raise ValueError(
-            f"x{n}^{e}: exponent for the last variable must be a power of two"
+    cost = sum(n * 3 ** (e - 1).bit_count() for e in last_exponents if e)
+    if cost > TOP_CLASS_BUDGET:
+        raise FeasibilityError(
+            f"top-class evaluation at n = {n} needs n * 3^popcount(E-1) = "
+            f"{cost} steps (> budget {TOP_CLASS_BUDGET})"
         )
-    k = e.bit_length() - 1  # e = 2^k, k >= 1; expand S^(2^k - 1) * x_n
-    masks: set[int] = set()
-    top_bit = 1 << (n - 1)
-    for choice in _iter_product(range(1, n - 1), repeat=k):
-        counts: dict[int, int] = {}
-        for t, v in enumerate(choice):
-            counts[v] = counts.get(v, 0) + (1 << t)
-        packed = _pack_chain_tokens(counts, n - 1)
-        if packed is not None:
-            masks.symmetric_difference_update({packed | top_bit})
-    return Poly(frozenset(Monomial.from_mask(m) for m in masks))
 
 
 def top_class_bit(M: BottMatrix, exponents: Mapping[int, int]) -> int:
@@ -358,7 +323,8 @@ def top_class_bit(M: BottMatrix, exponents: Mapping[int, int]) -> int:
     monomial equals ``(x_1+...+x_{n-2})^(E-1) * x_n`` times the chain part,
     and the top coefficient is the mod-2 count of ways to distribute the
     binary digits of E-1 over the chain variables without over-filling any
-    prefix.  Runs in O(n * 3^popcount(E-1)) -- exact and fast even at n = 29.
+    prefix.  Runs in O(n * 3^popcount(E-1)) -- exact and fast even at n = 29;
+    refused with FeasibilityError above ``TOP_CLASS_BUDGET`` steps.
     """
     if not M.is_main_pattern:
         raise ValueError("top_class_bit requires the main-family matrix pattern")
@@ -375,6 +341,7 @@ def top_class_bit(M: BottMatrix, exponents: Mapping[int, int]) -> int:
     e_n = exponents.get(n, 0)
     if e_n == 0:
         return 0
+    _check_top_class_cost(n, (e_n,))
     q = e_n - 1
     tbits = [t for t in range(q.bit_length()) if (q >> t) & 1]
     k = len(tbits)

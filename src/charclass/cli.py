@@ -13,15 +13,13 @@ Subcommands map one-to-one onto the library verifiers and class computations:
 
 Exit codes are uniform: 0 verified/success, 1 falsified, 2 invalid input or
 refused (infeasible) computation.  Data goes to stdout, progress and error
-text to stderr, so piped JSON/CSV stays clean.  Output for a given
-configuration and seed is byte-identical regardless of the worker count.
+text to stderr, so piped JSON/CSV stays clean.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -44,25 +42,9 @@ from .poly2 import format_poly, parse_poly
 from .qring import DEFAULT_ZERO_BUDGET, verify_key, verify_zero_a, verify_zero_b
 from .steenrod import chi_sq, enumerate_tuples, format_tuple
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 DEFAULT_SCAN_SEED = 0x5EED_2026
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Run-wide knobs shared by the subcommands."""
-
-    workers: int = 1
-    direct_method_cap: int = DEFAULT_DIRECT_CAP
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.direct_method_cap < 1:
-            raise ValueError(
-                f"direct-cap must be >= 1, got {self.direct_method_cap}"
-            )
 
 
 def _input_errors_exit_2(fn):
@@ -81,15 +63,6 @@ def _input_errors_exit_2(fn):
 
 @click.group()
 @click.option(
-    "--workers",
-    type=int,
-    default=1,
-    show_default=True,
-    envvar="CHARCLASS_THREADS",
-    help="Accepted for compatibility; every command runs in one thread "
-    "(env: CHARCLASS_THREADS).",
-)
-@click.option(
     "--direct-cap",
     "direct_cap",
     type=int,
@@ -99,9 +72,11 @@ def _input_errors_exit_2(fn):
 )
 @click.pass_context
 @_input_errors_exit_2
-def main(ctx: click.Context, workers: int, direct_cap: int) -> None:
+def main(ctx: click.Context, direct_cap: int) -> None:
     """Exact mod-2 characteristic-class computations and verifiers."""
-    ctx.obj = RunConfig(workers=workers, direct_method_cap=direct_cap)
+    if direct_cap < 1:
+        raise ValueError(f"direct-cap must be >= 1, got {direct_cap}")
+    ctx.obj = direct_cap  # the run-wide direct-method cap
 
 
 def _load_matrix(n: int | None, matrix_path: str | None) -> BottMatrix:
@@ -140,10 +115,10 @@ def _load_matrix(n: int | None, matrix_path: str | None) -> BottMatrix:
 @click.pass_obj
 @_input_errors_exit_2
 def cmd_verify_main(
-    cfg: RunConfig, n: int, method: str, direct_cap: int | None, fmt: str
+    run_cap: int, n: int, method: str, direct_cap: int | None, fmt: str
 ) -> None:
     """Verify orientability and dual-class nonvanishing in dimension n."""
-    cap = cfg.direct_method_cap if direct_cap is None else direct_cap
+    cap = run_cap if direct_cap is None else direct_cap
     if method == "auto":
         if n % 4 == 1:
             method = "both" if n <= cap else "steenrod"
@@ -215,7 +190,7 @@ def cmd_chi_sq(
 @click.pass_obj
 @_input_errors_exit_2
 def cmd_class_table(
-    cfg: RunConfig,
+    cap: int,
     n: int | None,
     matrix_path: str | None,
     dual: bool,
@@ -223,10 +198,10 @@ def cmd_class_table(
 ) -> None:
     """CSV table of w_i (or dual w_i) normal forms, degrees 0..up-to."""
     matrix = _load_matrix(n, matrix_path)
-    if matrix.n > cfg.direct_method_cap:
+    if matrix.n > cap:
         raise FeasibilityError(
             f"dimension {matrix.n} exceeds the direct-method cap "
-            f"{cfg.direct_method_cap}; raise --direct-cap to force the computation"
+            f"{cap}; raise --direct-cap to force the computation"
         )
     if up_to is None:
         up_to = matrix.n
@@ -276,7 +251,7 @@ def cmd_class_table(
 @click.pass_obj
 @_input_errors_exit_2
 def cmd_scan_bott(
-    cfg: RunConfig,
+    run_cap: int,
     dim: int,
     family: str,
     bandwidth: int,
@@ -289,7 +264,7 @@ def cmd_scan_bott(
     Emits a JSON list with one record per candidate; a record is a hit when
     the matrix is orientable and the critical dual class does not vanish.
     """
-    cap = cfg.direct_method_cap if direct_cap is None else direct_cap
+    cap = run_cap if direct_cap is None else direct_cap
     if dim < 1:
         raise ValueError(f"--dim must be >= 1, got {dim}")
     if budget < 1:
@@ -335,15 +310,14 @@ def qm_group() -> None:
 @qm_group.command("check-key")
 @click.option("--p", type=int, required=True, help="Exponent: m = 2^p - 1.")
 @click.option("--stats", is_flag=True, help="Emit the full ledger as JSON.")
-@click.pass_obj
 @_input_errors_exit_2
-def cmd_check_key(cfg: RunConfig, p: int, stats: bool) -> None:
+def cmd_check_key(p: int, stats: bool) -> None:
     """Count the key-identity expansion in Q_{2^p-1} and check its parity.
 
     The ledger comes from an exact counting DP; for p <= 4 it is
     cross-checked against the streamed expansion.  p >= 11 is refused.
     """
-    report = verify_key(p, workers=cfg.workers)
+    report = verify_key(p)
     if stats:
         click.echo(json.dumps(report.to_json_dict()))
     else:

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bott import FeasibilityError, alpha_hat
+from .bott import FeasibilityError, _is_int, alpha_hat
 
 __all__ = [
     "DoldReport",
@@ -59,7 +59,7 @@ class DoldSpec:
 
     def __init__(self, n: int, ms: Iterable[int]) -> None:
         ms_t = tuple(int(m) for m in ms)
-        if not isinstance(n, int) or n < 0:
+        if not _is_int(n) or n < 0:
             raise ValueError(f"n must be a nonnegative integer, got {n!r}")
         if len(ms_t) < 1:
             raise ValueError("at least one projective factor is required (r >= 1)")
@@ -91,7 +91,13 @@ class DoldSpec:
             raise ValueError(f"invalid spec JSON: {exc}") from exc
         if not isinstance(data, dict) or "n" not in data or "ms" not in data:
             raise ValueError('spec JSON must be {"n": ..., "ms": [...]}')
-        return cls(data["n"], data["ms"])
+        ms = data["ms"]
+        if not isinstance(ms, list) or not all(map(_is_int, ms)):
+            raise ValueError(
+                'spec JSON field "ms" must be a list of integers, '
+                f"got {json.dumps(ms)}"
+            )
+        return cls(data["n"], ms)
 
 
 @lru_cache(maxsize=None)

@@ -22,18 +22,16 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bott import FeasibilityError, chain_matrix, main_matrix, normal_form, top_class_bit
-from .poly2 import Monomial, Poly
+from .bott import FeasibilityError, main_matrix, top_class_bit
 from .steenrod import _two_adic_parts
 
 __all__ = [
     "Decomposition",
-    "ExcessSequence",
     "KeyReport",
     "decompose",
     "excess",
@@ -62,31 +60,13 @@ def _check_degree(e: Sequence[int]) -> tuple[int, ...]:
     return exps
 
 
-@dataclass(frozen=True)
-class ExcessSequence:
-    """Partial sums minus index: Delta_i = e_1 + ... + e_i - i."""
+def excess(e: Sequence[int]) -> tuple[int, ...]:
+    """Excess sequence of a degree-m exponent sequence (Delta_m is always 0).
 
-    deltas: tuple[int, ...]
-
-    def __iter__(self):
-        return iter(self.deltas)
-
-    def __getitem__(self, i: int) -> int:
-        return self.deltas[i]
-
-    def __len__(self) -> int:
-        return len(self.deltas)
-
-
-def excess(e: Sequence[int]) -> ExcessSequence:
-    """Excess sequence of a degree-m exponent sequence (Delta_m is always 0)."""
+    Partial sums minus index: Delta_i = e_1 + ... + e_i - i.
+    """
     exps = _check_degree(e)
-    deltas = []
-    acc = 0
-    for i, v in enumerate(exps, start=1):
-        acc += v
-        deltas.append(acc - i)
-    return ExcessSequence(tuple(deltas))
+    return tuple(acc - i for i, acc in enumerate(accumulate(exps), start=1))
 
 
 def is_zero_monomial(e: Sequence[int]) -> bool:
@@ -342,10 +322,9 @@ def verify_key(p: int, workers: int = 1) -> KeyReport:
     p <= 10 runs).  Every nonzero monomial equals the top class, so the
     identity holds iff the nonzero count is even; the gap ledger refines the
     zero count.  The counted zero and nonzero items must add up to the
-    closed-form total; for p <= 4 the ledger is cross-checked against the streamed fold
-    ``_fold_range`` over all items, and for p <= 3 against the normal form of
-    ``(x_1 + ... + x_m)^m`` in the chain matrix.  ``workers`` is validated
-    and otherwise unused: the count runs in one thread.
+    closed-form total, and for p <= 4 the ledger is cross-checked against
+    the streamed fold ``_fold_range`` over all items.  ``workers`` is
+    validated and otherwise unused: the count runs in one thread.
     """
     if p < 2:
         raise ValueError(
@@ -375,14 +354,6 @@ def verify_key(p: int, workers: int = 1) -> KeyReport:
                 f"counted ledger disagrees with the streamed fold at p = {p}: "
                 f"zero {zero} vs {fold_zero}, gaps {gaps} vs {fold_gaps}"
             )
-    if p <= 3:
-        full_sum = Poly.of(Monomial.var(v) for v in range(1, m + 1))
-        nf = normal_form(full_sum ** m, chain_matrix(m))
-        if nf.is_zero() != report.sum_is_zero:
-            raise RuntimeError(
-                f"stream parity ({report.sum_is_zero}) disagrees with the "
-                f"squarefree-basis normal form ({nf.is_zero()}) at p = {p}"
-            )
     return report
 
 
@@ -403,17 +374,6 @@ def gap_count(m: int, D: int) -> int:
 # the vanishing-product verifiers (parts a and b)
 
 
-def _parts_and_totals(n: int) -> tuple[list[int], list[int]]:
-    parts = _two_adic_parts(n)
-    powers = [1 << p for p in parts]
-    totals = []
-    acc = 0
-    for P in powers:
-        acc += P
-        totals.append(acc)
-    return powers, totals
-
-
 def verify_zero_a(
     n: int, i: int, j: int, budget: int = DEFAULT_ZERO_BUDGET
 ) -> bool:
@@ -427,11 +387,11 @@ def verify_zero_a(
 
     Refuses (FeasibilityError) when the multiset count exceeds ``budget``.
     """
-    powers, totals = _parts_and_totals(n)
-    r = len(powers)
+    parts, totals = _two_adic_parts(n)
+    r = len(parts)
     if not (1 <= i < j <= r):
         raise ValueError(f"need 1 <= i < j <= r = {r}, got (i, j) = ({i}, {j})")
-    P_i, P_j, T_j = powers[i - 1], powers[j - 1], totals[j - 1]
+    P_i, P_j, T_j = 1 << parts[i - 1], 1 << parts[j - 1], totals[j - 1]
     l_degree = T_j - P_i - P_j + 1
     l_top = T_j - P_i - 1
     count = math.comb(l_top + l_degree - 1, l_degree)
@@ -457,11 +417,11 @@ def verify_zero_b(n: int, j: int) -> bool:
 
     Same conventions as part a, with T_0 = 0 (empty leading block for j = 1).
     """
-    powers, totals = _parts_and_totals(n)
-    r = len(powers)
+    parts, totals = _two_adic_parts(n)
+    r = len(parts)
     if not 1 <= j <= r:
         raise ValueError(f"need 1 <= j <= r = {r}, got j = {j}")
-    P_j = powers[j - 1]
+    P_j = 1 << parts[j - 1]
     T_j = totals[j - 1]
     T_prev = totals[j - 2] if j >= 2 else 0
     exps = {v: 1 for v in range(1, T_prev + 1)}

@@ -16,10 +16,16 @@ two routes that are cross-checked in the test suite.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterator, Sequence
+from itertools import accumulate, combinations
+from typing import Iterable, Iterator, Sequence
 
-from .bott import BottMatrix, main_matrix, normal_form, top_class_bit
+from .bott import (
+    BottMatrix,
+    _check_top_class_cost,
+    main_matrix,
+    normal_form,
+    top_class_bit,
+)
 from .poly2 import Monomial, Poly
 
 __all__ = [
@@ -104,12 +110,17 @@ def enumerate_tuples(k: int, max_weight: int | None = None) -> list[tuple[int, .
     return sorted(results)
 
 
-def _two_adic_parts(n: int) -> list[int]:
-    """Ascending 2-adic exponents of n - 1 for n = 1 (mod 4); all are >= 2."""
+def _two_adic_parts(n: int) -> tuple[list[int], list[int]]:
+    """The ascending 2-adic exponents p_1 < ... < p_r of n - 1, n = 1 (mod 4).
+
+    Returns them (all >= 2) with their running totals T_j = 2^p_1 + ... + 2^p_j.
+    """
     if n < 1 or n % 4 != 1:
         raise ValueError(f"requires n = 1 (mod 4), got n = {n}")
     rest = n - 1
-    return [p for p in range(rest.bit_length()) if (rest >> p) & 1]
+    parts = [p for p in range(rest.bit_length()) if (rest >> p) & 1]
+    totals = list(accumulate(1 << p for p in parts))
+    return parts, totals
 
 
 def beta_tuple(n: int) -> tuple[int, ...]:
@@ -118,7 +129,7 @@ def beta_tuple(n: int) -> tuple[int, ...]:
     It has grading n - alpha(n) and weight alpha(n) - 1, and is asserted (via
     :func:`enumerate_tuples`) to be the unique such tuple.
     """
-    parts = _two_adic_parts(n)
+    parts, _ = _two_adic_parts(n)
     t = [0] * (parts[-1] if parts else 0)
     for p in parts:
         t[p - 1] = 1
@@ -135,14 +146,8 @@ def beta_tuple(n: int) -> tuple[int, ...]:
 
 def canonical_z(n: int) -> Monomial:
     """The class ``x_{T_1} x_{T_2} ... x_{T_r} x_n`` with T_j the partial part sums."""
-    parts = _two_adic_parts(n)
-    variables = []
-    total = 0
-    for p in parts:
-        total += 1 << p
-        variables.append(total)
-    variables.append(n)
-    return Monomial(tuple((v, 1) for v in variables))
+    _, totals = _two_adic_parts(n)
+    return Monomial(tuple((v, 1) for v in totals + [n]))
 
 
 def _assignments(
@@ -174,18 +179,22 @@ def _assignments(
     return rec(0, variables, {})
 
 
-def _reduce_exponents(exps: dict[int, int], M: BottMatrix) -> Poly:
-    """Normal form of the monomial with the given exponents, fast path included."""
-    degree = sum(exps.values())
-    if M.is_main_pattern and degree == M.n:
-        if top_class_bit(M, exps):
-            return Poly(frozenset({Monomial.from_mask((1 << M.n) - 1)}))
-        return Poly.zero()
-    return normal_form(Poly(frozenset({Monomial.from_exponents(exps)})), M)
+def _top_class_sum(M: BottMatrix, monomials: Iterable[dict[int, int]]) -> Poly:
+    """Sum of full-degree monomials (exponent maps) in the main family: the
+    top class times the parity of their top-class bits."""
+    bit = 0
+    for exps in monomials:
+        bit ^= top_class_bit(M, exps)
+    return Poly.of([Monomial.from_mask((1 << M.n) - 1)] if bit else [])
 
 
 def act(t: Sequence[int], m: Monomial, M: BottMatrix) -> Poly:
-    """Milnor element action on a squarefree monomial, reduced in the ring of M."""
+    """Milnor element action on a squarefree monomial, reduced in the ring of M.
+
+    Every assignment has degree deg m + grading(t), so the route is chosen
+    once: in the main family at full degree the top-class bits of the
+    assignments are summed, otherwise their sum takes one `normal_form`.
+    """
     t = normalize_tuple(t)
     if not m.is_squarefree():
         raise ValueError(f"act requires a squarefree monomial, got {m}")
@@ -194,10 +203,10 @@ def act(t: Sequence[int], m: Monomial, M: BottMatrix) -> Poly:
         raise ValueError(f"monomial {m} uses a variable beyond x{M.n}")
     if weight(t) > len(variables):
         return Poly.zero()
-    result = Poly.zero()
-    for exps in _assignments(variables, t):
-        result = result + _reduce_exponents(exps, M)
-    return result
+    assignments = _assignments(variables, t)
+    if M.is_main_pattern and m.degree() + grading(t) == M.n:
+        return _top_class_sum(M, assignments)
+    return normal_form(Poly.of(map(Monomial.from_exponents, assignments)), M)
 
 
 def chi_sq(k: int, z: Poly, M: BottMatrix) -> Poly:
@@ -242,13 +251,8 @@ def _admissible_bijections(r: int) -> list[tuple[int, ...]]:
 
 def permsum_terms(n: int) -> list[Monomial]:
     """The 2^r unreduced summands of :func:`permsum`, in deterministic order."""
-    parts = _two_adic_parts(n)
+    parts, totals = _two_adic_parts(n)
     r = len(parts)
-    totals = []
-    acc = 0
-    for p in parts:
-        acc += 1 << p
-        totals.append(acc)
     variables = totals + [n]
     powers = [1] + [1 << p for p in parts]
     terms = []
@@ -264,10 +268,11 @@ def permsum(n: int) -> Poly:
     """Sum over the 2^r admissible bijections of the reduced power products.
 
     Evaluated in ``main_matrix(n)``; each summand has full degree n, so the
-    reduction goes through the exact top-class evaluator.
+    sum is the parity of the summands' exact top-class bits.  Refused with
+    FeasibilityError, before any summand is evaluated, when their summed
+    cost exceeds ``TOP_CLASS_BUDGET``.
     """
     M = main_matrix(n)
-    result = Poly.zero()
-    for term in permsum_terms(n):
-        result = result + _reduce_exponents(term.exponents(), M)
-    return result
+    terms = permsum_terms(n)
+    _check_top_class_cost(n, [term.exponent(n) for term in terms])
+    return _top_class_sum(M, (term.exponents() for term in terms))

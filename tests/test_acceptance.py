@@ -21,7 +21,6 @@ from charclass.bott import (
     is_orientable,
     main_matrix,
     normal_form,
-    power_closed_form,
     top_coefficient,
     total_sw,
     verify_main,
@@ -41,6 +40,7 @@ from charclass.qring import is_zero_monomial, verify_key, verify_zero_a, verify_
 from charclass.steenrod import beta_tuple, chi_sq, enumerate_tuples
 
 from conftest import ALL_BOTT_FIXTURES, ALL_DOLD_FIXTURES
+from oracles import power_closed_form
 
 X = Poly.var
 
@@ -267,7 +267,8 @@ def test_criterion_10_oracle_equivalences():
             nf = normal_form(Poly.of([mono]), M)
             assert nf == (Poly.zero() if is_zero_monomial(e) else top)
 
-    # closed-form powers (token packing) == normal_form up to n = 13
+    # closed-form powers (token packing, in tests/oracles.py) == normal_form
+    # up to n = 13
     for n in range(1, 14):
         M = main_matrix(n)
         for i in range(1, n):

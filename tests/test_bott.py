@@ -24,7 +24,6 @@ from charclass.bott import (
     is_orientable,
     main_matrix,
     normal_form,
-    power_closed_form,
     random_orientable_matrix,
     top_class_bit,
     top_coefficient,
@@ -37,7 +36,7 @@ from charclass.poly2 import Monomial, Poly, parse_poly
 from charclass.steenrod import permsum
 
 from conftest import ALL_BOTT_FIXTURES
-from oracles import rewrite_normal_form
+from oracles import power_closed_form, rewrite_normal_form
 
 X = Poly.var
 
@@ -191,6 +190,14 @@ def test_matrix_json_round_trip():
 def test_matrix_json_malformed():
     for text in ("{", "[]", '{"n": 3}', '{"n": 3, "ones": [[1,1]]}',
                  '{"n": 0, "ones": []}', '{"n": 3, "ones": [[1]]}'):
+        with pytest.raises(ValueError):
+            BottMatrix.from_json(text)
+
+
+def test_matrix_json_accepts_only_integers():
+    for text in ('{"n": true, "ones": []}', '{"n": 3.0, "ones": []}',
+                 '{"n": 3, "ones": [[1.7, 2.2]]}', '{"n": 3, "ones": [[true, 2]]}',
+                 '{"n": 3, "ones": [["1", 2]]}', '{"n": 3, "ones": "12"}'):
         with pytest.raises(ValueError):
             BottMatrix.from_json(text)
 

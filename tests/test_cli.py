@@ -199,6 +199,18 @@ def test_class_table_malformed_matrix(tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("ones", ["[[1.7, 2.2]]", "[[true, 2]]"])
+def test_class_table_matrix_entries_must_be_integers(tmp_path, ones):
+    path = tmp_path / "m.json"
+    path.write_text(f'{{"n": 3, "ones": {ones}}}')
+    res = invoke("class-table", "--matrix", str(path))
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == (
+        'error: matrix JSON field "ones" must be a list of [i, j] integer pairs\n'
+    )
+
+
 def test_class_table_up_to_out_of_range():
     res = invoke("class-table", "--n", "5", "--up-to", "9")
     assert res.exit_code == 2
@@ -294,25 +306,6 @@ def test_check_key_stats_json():
     }
 
 
-def test_check_key_output_independent_of_workers():
-    runs = [
-        invoke("--workers", str(w), "qm", "check-key", "--p", "4", "--stats")
-        for w in (1, 2, 5)
-    ]
-    assert all(r.exit_code == 0 for r in runs)
-    assert len({r.stdout for r in runs}) == 1
-
-
-def test_check_key_env_var_workers():
-    res = invoke(
-        "qm", "check-key", "--p", "4", "--stats",
-        env={"CHARCLASS_THREADS": "3"},
-    )
-    base = invoke("qm", "check-key", "--p", "4", "--stats")
-    assert res.exit_code == 0
-    assert res.stdout == base.stdout
-
-
 def test_check_key_plain_verdict():
     res = invoke("qm", "check-key", "--p", "2")
     assert res.exit_code == 0
@@ -354,6 +347,18 @@ def test_check_zero_five_and_thirteen():
     assert data["a"] == [{"i": 1, "j": 2, "ok": True}]
     assert data["b"] == [{"j": 1, "ok": True}, {"j": 2, "ok": True}]
     assert data["all_ok"] is True
+
+
+def test_steenrod_requests_over_budget_are_refused_fast():
+    # 512 permutation-sum terms at n = 2045 sum to ~3.7e10 top-class steps,
+    # and part b at n = 4097 needs one call of ~2.2e9
+    for args in (("verify-main", "--n", "2045"), ("qm", "check-zero", "--n", "4097")):
+        start = time.perf_counter()
+        res = invoke(*args)
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "(> budget 500000000)" in res.stderr
 
 
 def test_check_zero_rejects_bad_dimension():
@@ -421,6 +426,18 @@ def test_dold_verify_input_errors(tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("ms", ['"22"', "2"])
+def test_dold_verify_spec_ms_must_be_a_list_of_integers(tmp_path, ms):
+    path = tmp_path / "spec.json"
+    path.write_text(f'{{"n": 1, "ms": {ms}}}')
+    res = invoke("dold", "verify", "--spec", str(path))
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == (
+        f'error: spec JSON field "ms" must be a list of integers, got {ms}\n'
+    )
+
+
 def test_dold_scan():
     res = invoke("dold", "scan", "--dim", "15", "--max-r", "2")
     assert res.exit_code == 0
@@ -431,9 +448,16 @@ def test_dold_scan():
 # group-level config
 
 
-def test_workers_must_be_positive():
-    res = invoke("--workers", "0", "qm", "check-key", "--p", "2")
+def test_workers_option_is_gone():
+    res = invoke("--workers", "2", "qm", "check-key", "--p", "2")
     assert res.exit_code == 2
+    assert res.stdout == ""
+
+
+def test_direct_cap_must_be_positive():
+    res = invoke("--direct-cap", "0", "qm", "check-key", "--p", "2")
+    assert res.exit_code == 2
+    assert res.stderr == "error: direct-cap must be >= 1, got 0\n"
 
 
 def test_help_screens():

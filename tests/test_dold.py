@@ -79,6 +79,14 @@ def test_spec_json_round_trip():
         DoldSpec.from_json('{"n": 1}')
 
 
+def test_spec_json_accepts_only_integers():
+    for text in ('{"n": 1, "ms": "22"}', '{"n": 1, "ms": 2}', '{"n": true, "ms": [2]}',
+                 '{"n": 1.0, "ms": [2]}', '{"n": 1, "ms": [2.0]}',
+                 '{"n": 1, "ms": [false]}'):
+        with pytest.raises(ValueError):
+            DoldSpec.from_json(text)
+
+
 def test_trunc_poly_validation():
     with pytest.raises(ValueError):
         TruncPoly(P12, np.zeros((2, 2), dtype=np.uint8))

@@ -242,6 +242,16 @@ def test_verify_key_workers_equivalent():
         assert verify_key(4, workers=workers) == base
 
 
+def test_key_parity_matches_normal_form():
+    # the stream parity against the squarefree-basis normal form of
+    # (x_1 + ... + x_m)^m in the chain matrix, p = 2 and 3
+    for p in (2, 3):
+        m = 2 ** p - 1
+        full_sum = Poly.of(Monomial.var(v) for v in range(1, m + 1))
+        nf = normal_form(full_sum ** m, chain_matrix(m))
+        assert verify_key(p).sum_is_zero == nf.is_zero()
+
+
 def test_verify_key_rejects_bad_p():
     with pytest.raises(ValueError):
         verify_key(1)

@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from charclass.bott import main_matrix, top_coefficient
+from charclass import steenrod
+from charclass.bott import (
+    BottMatrix,
+    alpha,
+    dual_sw,
+    main_matrix,
+    random_orientable_matrix,
+    top_coefficient,
+    verify_main,
+)
 from charclass.poly2 import Monomial, Poly, parse_poly
 from charclass.steenrod import (
     act,
@@ -21,6 +33,8 @@ from charclass.steenrod import (
     permsum_terms,
     weight,
 )
+
+from oracles import rewrite_normal_form
 
 X = Poly.var
 
@@ -100,8 +114,6 @@ def test_beta_tuple_examples():
 
 
 def test_beta_tuple_is_unique_solution():
-    from charclass.bott import alpha
-
     for n in (5, 9, 13, 17, 21, 25, 29):
         b = beta_tuple(n)
         assert grading(b) == n - alpha(n)
@@ -122,8 +134,6 @@ def test_canonical_z_examples():
 
 
 def test_canonical_z_degree_is_alpha():
-    from charclass.bott import alpha
-
     for n in (1, 5, 9, 13, 17, 21, 25, 29):
         assert canonical_z(n).degree() == alpha(n)
 
@@ -164,6 +174,88 @@ def test_act_identity_reduces():
     M = main_matrix(5)
     m = Monomial.from_exponents({2: 1, 3: 1})
     assert act((), m, M) == Poly.of([m])
+
+
+def _assignment_monomials(t: tuple[int, ...], m: Monomial) -> list[Monomial]:
+    """Every way to raise t_i of the variables of m to the 2^i, by brute force."""
+    variables = m.variables()
+    out = []
+    for slots in itertools.product(range(len(t) + 1), repeat=len(variables)):
+        if all(slots.count(i + 1) == c for i, c in enumerate(t)):
+            out.append(Monomial.from_exponents(
+                {v: 1 << s for v, s in zip(variables, slots)}
+            ))
+    return out
+
+
+@st.composite
+def _act_cases(draw) -> tuple[tuple[int, ...], Monomial, BottMatrix]:
+    """A matrix (main, random orientable or any) with n <= 8, a squarefree
+    monomial, and a tuple that often brings it to full degree."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["main", "orientable", "any"]))
+    if kind == "main":
+        M = main_matrix(n)
+    elif kind == "orientable":
+        M = random_orientable_matrix(n, draw(st.integers(0, 2**16)))
+    else:
+        cells = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        M = BottMatrix(n, [c for c in cells if draw(st.booleans())])
+    variables = draw(st.lists(st.integers(1, n), unique=True, max_size=n))
+    m = Monomial.from_exponents(dict.fromkeys(variables, 1))
+    k = n - m.degree() if draw(st.booleans()) else draw(st.integers(0, n))
+    tuples = enumerate_tuples(k, m.degree())
+    t = draw(st.sampled_from(tuples)) if tuples else ()
+    return t, m, M
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_act_cases())
+@example(((0, 1), Monomial.from_exponents({4: 1, 5: 1}), main_matrix(5)))
+@example(((1,), Monomial.from_exponents({2: 1, 3: 1, 4: 1, 5: 1}), main_matrix(5)))
+@example(((2,), Monomial.from_exponents({1: 1, 2: 1, 3: 1}), main_matrix(5)))
+@example(((1,), Monomial.from_exponents({1: 1, 4: 1, 5: 1}), main_matrix(5)))
+@example(((1, 1), Monomial.from_exponents({2: 1, 4: 1, 5: 1}), main_matrix(5)))
+@example(((3,), Monomial.from_exponents({2: 1, 3: 1, 5: 1, 7: 1}), main_matrix(7)))
+def test_act_matches_rewriting_per_assignment(case):
+    t, m, M = case
+    expected = Poly.zero()
+    for mono in _assignment_monomials(t, m):
+        expected = expected + rewrite_normal_form(Poly.of([mono]), M)
+    assert act(t, m, M) == expected
+
+
+def test_act_full_degree_main_pattern_takes_no_normal_form(monkeypatch):
+    def refuse(p, M):
+        raise AssertionError("normal_form called on the top-class route")
+
+    monkeypatch.setattr(steenrod, "normal_form", refuse)
+    for n in (9, 13, 29):
+        z = Poly.of([canonical_z(n)])
+        top = Poly.of([Monomial.from_mask((1 << n) - 1)])
+        assert chi_sq(n - alpha(n), z, main_matrix(n)) == permsum(n) == top
+
+
+@st.composite
+def _kronecker_cases(draw) -> tuple[BottMatrix, int, Poly]:
+    n = draw(st.integers(1, 10))
+    M = random_orientable_matrix(n, draw(st.integers(0, 2**16)))
+    k = draw(st.integers(0, n))
+    variables = draw(st.lists(
+        st.integers(1, n), unique=True, min_size=n - k, max_size=n - k
+    ))
+    return M, k, Poly.of([Monomial.from_exponents(dict.fromkeys(variables, 1))])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_kronecker_cases())
+@example((random_orientable_matrix(10, 13), 7, parse_poly("x1*x5*x9")))
+def test_kronecker_duality_on_random_orientable_matrices(case):
+    # <chi(Sq^k) z, [M]> = <wbar_k z, [M]> for z of degree n - k
+    M, k, z = case
+    assert top_coefficient(chi_sq(k, z, M), M) == top_coefficient(
+        dual_sw(M, k)[k] * z, M
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +324,6 @@ def test_permsum_five_reduces_to_top():
 
 
 def test_permsum_matches_chi_sq():
-    from charclass.bott import alpha
-
     for n in (1, 5, 9, 13):
         M = main_matrix(n)
         z = Poly.of([canonical_z(n)])
@@ -243,3 +333,7 @@ def test_permsum_matches_chi_sq():
 def test_permsum_top_coefficient():
     for n in (5, 9, 13):
         assert top_coefficient(permsum(n), main_matrix(n)) == 1
+
+
+def test_steenrod_route_verifies_n125():
+    assert verify_main(125, "steenrod").verified
