@@ -14,12 +14,15 @@ This module provides:
   (`normal_form`): a monomial starts as the bitmask of its variables and
   takes its repeated factors one sweep at a time,
 * a fast exact evaluator for the top-class coefficient of a full-degree
-  monomial in the main family (`top_class_bit`),
+  monomial in the main family (`top_class_bit`), the parity of a chain-ring
+  placement count (`_placements`, which also counts the key-identity ledger
+  of `qring`),
 * total and dual Stiefel-Whitney classes over the dense squarefree basis
   (`total_sw`, `dual_sw`): 2^n GF(2) coefficients bit-packed into uint64
   words, multiplied by sweeps that move whole words for x_7..x_n and shift
   bits inside words for x_1..x_6; a grade becomes a `Poly` only when it is
-  read,
+  read, and a request over ``DENSE_BUDGET`` is refused before any
+  allocation,
 * the end-to-end verifier `verify_main`.
 
 All arithmetic is over GF(2); there are no tolerances anywhere.
@@ -30,8 +33,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from random import Random
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -58,11 +62,13 @@ __all__ = [
     "total_sw",
     "verify_main",
     "DEFAULT_DIRECT_CAP",
+    "DENSE_BUDGET",
     "TOP_CLASS_BUDGET",
 ]
 
 DEFAULT_DIRECT_CAP = 17
 TOP_CLASS_BUDGET = 500_000_000  # n * 3^popcount(E-1) steps of top_class_bit
+DENSE_BUDGET = 200_000_000  # (sweeps + 1) * 2^(n-6) word operations of _DenseRing
 
 
 class UnsupportedDimensionError(ValueError):
@@ -315,16 +321,60 @@ def _check_top_class_cost(n: int, last_exponents: Iterable[int]) -> None:
         )
 
 
+def _placements(q: int, base: Sequence[int]) -> Iterator[list[int]]:
+    """Count the placements of the binary digits of ``q`` on a chain, backward.
+
+    Each digit 2^t of ``q`` goes to one of the positions 1..L, on top of the
+    exponents ``base`` there (L = len(base)); a placement counts when no
+    prefix over-fills: base and digits at positions <= v add up to at most v.
+    A state is a bitmask U over the digits of ``q`` (bit i for its i-th
+    lowest digit), of weight the sum of those digits; for q = 2^p - 1 the
+    mask is its own weight.  Yields, for d = L, L-1, ..., 0, the list g_d:
+    g_d[U] counts the ways to place the digits outside U after position d,
+    with U placed at or before d and every prefix from d+1 on legal; g_0[0]
+    is the count.  A step pushes each present U whose weight fits position
+    v, weight[U] <= v - (base_1 + ... + base_v), to its submasks S, the
+    digits U - S sitting at v.  About L * 3^popcount(q) steps; only the list
+    in hand is kept.
+    """
+    weight = [0]
+    for t in range(q.bit_length()):
+        if q >> t & 1:
+            weight += [w + (1 << t) for w in weight]
+    g = [0] * len(weight)
+    g[-1] = 1
+    yield g
+    prefix = sum(base)
+    for v in range(len(base), 0, -1):
+        room = v - prefix
+        prefix -= base[v - 1]
+        nxt = [0] * len(g)
+        for U, c in enumerate(g):
+            if not c or weight[U] > room:
+                continue
+            S = U
+            while True:
+                nxt[S] += c
+                if not S:
+                    break
+                S = (S - 1) & U
+        g = nxt
+        yield g
+
+
 def top_class_bit(M: BottMatrix, exponents: Mapping[int, int]) -> int:
     """Coefficient of the top class in the normal form of a full-degree monomial.
 
     ``exponents`` maps variables to exponents with total degree exactly n;
     ``M`` must be the main-family pattern.  Writing E = exponents[n], the
     monomial equals ``(x_1+...+x_{n-2})^(E-1) * x_n`` times the chain part,
-    and the top coefficient is the mod-2 count of ways to distribute the
-    binary digits of E-1 over the chain variables without over-filling any
-    prefix.  Runs in O(n * 3^popcount(E-1)) -- exact and fast even at n = 29;
-    refused with FeasibilityError above ``TOP_CLASS_BUDGET`` steps.
+    and the top coefficient is the parity of the number of ways to place the
+    binary digits of E-1 on x_1..x_{n-2}, on top of e_1..e_{n-2}, without
+    over-filling any prefix (`_placements`, which counts the key identity
+    too; the prefix through x_{n-1} is the whole degree n - 1 and always
+    fits).  A chain part that over-fills by itself gives 0 at once.  Runs in
+    O(n * 3^popcount(E-1)) -- exact and fast even at n = 29; refused with
+    FeasibilityError above ``TOP_CLASS_BUDGET`` steps.
     """
     if not M.is_main_pattern:
         raise ValueError("top_class_bit requires the main-family matrix pattern")
@@ -342,35 +392,12 @@ def top_class_bit(M: BottMatrix, exponents: Mapping[int, int]) -> int:
     if e_n == 0:
         return 0
     _check_top_class_cost(n, (e_n,))
-    q = e_n - 1
-    tbits = [t for t in range(q.bit_length()) if (q >> t) & 1]
-    k = len(tbits)
-    weight = [0] * (1 << k)
-    for mask in range(1, 1 << k):
-        low = mask & (-mask)
-        weight[mask] = weight[mask ^ low] + (1 << tbits[low.bit_length() - 1])
-    full = (1 << k) - 1
-    states = {0}  # subsets (as bitmasks over tbits) with odd count, all prefixes legal
-    prefix = 0
-    for d in range(1, n):
-        prefix += exponents.get(d, 0)
-        nxt: set[int] = set()
-        for A in states:
-            if d <= n - 2:
-                rem = full & ~A
-                B = rem
-                while True:
-                    S = A | B
-                    if prefix + weight[S] <= d:
-                        nxt.symmetric_difference_update({S})
-                    if B == 0:
-                        break
-                    B = (B - 1) & rem
-            else:
-                if prefix + weight[A] <= d:
-                    nxt.symmetric_difference_update({A})
-        states = nxt
-    return 1 if full in states else 0
+    chain = [exponents.get(v, 0) for v in range(1, n - 1)]
+    if any(acc > d for d, acc in enumerate(accumulate(chain), start=1)):
+        return 0
+    for g in _placements(e_n - 1, chain):
+        pass
+    return g[0] & 1
 
 
 def top_coefficient(p: Poly, M: BottMatrix) -> int:
@@ -430,10 +457,24 @@ class _DenseRing:
     is first read.
     """
 
-    def __init__(self, M: BottMatrix) -> None:
+    def __init__(self, M: BottMatrix, sweeps: int) -> None:
+        """A ring for ``sweeps`` sweeps, refused before any allocation when
+        it costs more than DENSE_BUDGET.
+
+        The cost is (sweeps + 1) * words: the +1 prices the vectors that are
+        allocated and read outside the sweeps.
+        """
+        shift = max(M.n - 6, 0)  # a vector holds 2^shift words
+        # past shift 64 the budget is long exceeded; skip the bignum
+        if shift > 64 or (sweeps + 1) << shift > DENSE_BUDGET:
+            raise FeasibilityError(
+                f"the dense engine at n = {M.n} needs (sweeps + 1) * words = "
+                f"{sweeps + 1} * 2^{shift} word operations "
+                f"(> budget {DENSE_BUDGET})"
+            )
         self.M = M
         self.n = M.n
-        self.words = 1 << max(M.n - 6, 0)
+        self.words = 1 << shift
 
     def unit(self) -> np.ndarray:
         v = np.zeros(self.words, dtype=np.uint64)
@@ -558,8 +599,11 @@ class GradedClasses:
 
 
 def total_sw(M: BottMatrix) -> GradedClasses:
-    """Total Stiefel-Whitney class: normal form of prod_j (1 + Lambda_j)."""
-    ring = _DenseRing(M)
+    """Total Stiefel-Whitney class: normal form of prod_j (1 + Lambda_j).
+
+    Makes n sweeps; refused with FeasibilityError above ``DENSE_BUDGET``.
+    """
+    ring = _DenseRing(M, sweeps=M.n)
     v = ring.mul_total(ring.unit())
     return GradedClasses._packed(
         ring, [ring.grade_piece(v, k) for k in range(M.n + 1)]
@@ -572,11 +616,12 @@ def dual_sw(M: BottMatrix, up_to: int) -> GradedClasses:
     Defined by wbar_0 = 1 and wbar_k = sum_{j=1..k} w_j * wbar_{k-j}; computed
     grade by grade on the dense basis, multiplying by the total class factor
     by factor.  The convolution sum_{j} w_j * wbar_{k-j} = 0 for 1 <= k <=
-    up_to is then automatic and is property-tested separately.
+    up_to is then automatic and is property-tested separately.  Makes
+    up_to * n sweeps; refused with FeasibilityError above ``DENSE_BUDGET``.
     """
     if not 0 <= up_to <= M.n:
         raise ValueError(f"up_to must lie in 0..{M.n}, got {up_to}")
-    ring = _DenseRing(M)
+    ring = _DenseRing(M, sweeps=up_to * M.n)
     inverse_so_far = ring.unit()
     pieces = [ring.unit()]
     for k in range(1, up_to + 1):

@@ -12,14 +12,16 @@ Subcommands map one-to-one onto the library verifiers and class computations:
     dold scan     enumerate Dold specs of a target dimension that verify
 
 Exit codes are uniform: 0 verified/success, 1 falsified, 2 invalid input or
-refused (infeasible) computation.  Data goes to stdout, progress and error
-text to stderr, so piped JSON/CSV stays clean.
+refused (infeasible) computation, 141 stdout closed by its reader.  Data goes
+to stdout, progress and error text to stderr, so piped JSON/CSV stays clean.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import os
+import sys
 from pathlib import Path
 
 import click
@@ -48,12 +50,20 @@ DEFAULT_SCAN_SEED = 0x5EED_2026
 
 
 def _input_errors_exit_2(fn):
-    """Map invalid input / refused computation to exit code 2 with a message."""
+    """Map invalid input / refused computation to exit code 2 with a message.
+
+    A closed stdout (``| head``) is not an input error: the command ends
+    quietly with 141, the status of a writer killed by SIGPIPE.
+    """
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
+        except BrokenPipeError:
+            # the flush at exit would fail again on the closed pipe
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise SystemExit(141) from None
         except (ValueError, FeasibilityError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             raise SystemExit(2) from exc

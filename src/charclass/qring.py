@@ -7,9 +7,12 @@ reduces to the top product ``x_1 ... x_m``.  That test decides the identity
 ``(x_1 + ... + x_m)^m = 0`` for ``m = 2^p - 1``, whose expansion follows the
 factorization ``prod_{i=0}^{p-1} (x_{2^i}^{2^i} + ... + x_m^{2^i})`` -- about
 10 million summands at p = 5, 2 * 10^10 at p = 6.  The ledger of zero and
-nonzero summands is counted by an exact DP over the positions of the placed
-factors (about m * 3^p steps, p <= 10 within budget); for p <= 4 it is
-cross-checked against a vectorized fold over the streamed summands.
+nonzero summands is counted exactly by the placement DP of
+`bott._placements` over the positions of the placed factors, the count
+behind `top_class_bit` too (about m * 3^p steps, p <= 10 within budget); for
+p <= 4 it is cross-checked against a vectorized fold over the streamed
+summands.  The zero test and the decomposition read the prefix rule from
+`excess`.
 
 The second half verifies the two families of vanishing products (parts a and
 b) in the main-family Bott ring, converting each product-with-S-power into a
@@ -27,7 +30,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bott import FeasibilityError, main_matrix, top_class_bit
+from .bott import FeasibilityError, _placements, main_matrix, top_class_bit
 from .steenrod import _two_adic_parts
 
 __all__ = [
@@ -71,13 +74,7 @@ def excess(e: Sequence[int]) -> tuple[int, ...]:
 
 def is_zero_monomial(e: Sequence[int]) -> bool:
     """True iff the monomial is 0 in Q_m; false means it reduces to x_1...x_m."""
-    exps = _check_degree(e)
-    acc = 0
-    for i, v in enumerate(exps, start=1):
-        acc += v
-        if acc > i:
-            return True
-    return False
+    return any(delta > 0 for delta in excess(e))
 
 
 @dataclass(frozen=True)
@@ -100,18 +97,12 @@ class Decomposition:
 def decompose(e: Sequence[int]) -> Decomposition | None:
     """Decompose a zero monomial; None when the monomial is nonzero in Q_m."""
     exps = _check_degree(e)
-    m = len(exps)
-    d = 0
-    acc = 0
-    prefix = [0]
-    for i, v in enumerate(exps, start=1):
-        acc += v
-        prefix.append(acc)
-        if acc > i:
-            d = i
-    if d == 0:
+    deltas = excess(exps)
+    over = [i for i, delta in enumerate(deltas, start=1) if delta > 0]
+    if not over:
         return None
-    degree = prefix[d]
+    d = over[-1]
+    degree = d + deltas[d - 1]
     if degree != d + 1:
         raise AssertionError(
             f"head degree {degree} != d+1 = {d + 1} for {exps}; "
@@ -121,13 +112,11 @@ def decompose(e: Sequence[int]) -> Decomposition | None:
     if exps[gap - 1] != 0:
         raise AssertionError(f"no gap at position {gap} for {exps}")
     tail = exps[gap:]
-    acc_tail = 0
-    for offset, v in enumerate(tail, start=1):
-        acc_tail += v
-        if acc_tail > offset:
-            raise AssertionError(
-                f"tail of {exps} is not equivalent to x_{gap + 1}..x_{m}"
-            )
+    # a tail prefix e_{D+1} + ... + e_{D+k} exceeds k iff Delta_{D+k} > Delta_D
+    if any(delta > deltas[gap - 1] for delta in deltas[gap:]):
+        raise AssertionError(
+            f"tail of {exps} is not equivalent to x_{gap + 1}..x_{len(exps)}"
+        )
     return Decomposition(head=exps[:d], d=d, degree=degree, gap=gap, tail=tail)
 
 
@@ -231,37 +220,22 @@ def _count_key(m: int, p: int) -> tuple[int, dict[int, int]]:
     """Count the expansion of (x_1 + ... + x_m)^m exactly, without walking it.
 
     Returns (nonzero, {D: zero items whose gap sits at D}).  Factor i of the
-    factorization sits at a position J_i in [2^i, m], so after position d the
-    prefix weight is the bitmask S_d = {i : J_i <= d} read as an integer; an
-    item is zero iff S_d > d for some d, and its gap is d + 1 for the largest
-    such d.  ``g[S]`` counts the ways to place the factors outside S on
-    positions d+1..m with S_v <= v at every v > d; one step back places the
-    set T of factors that sit exactly at position v = d + 1.  A state S with
-    S > d + 1 cannot be completed (S_{d+1} >= S), so the zero items with gap
-    v = d + 1 all have S_d = v: there are g_d(v) * prod_{i in v} (v - 2^i) of
-    them, factor i taking one of the positions 2^i..d.  About m * 3^p steps
-    on exact ints.
+    factorization places the digit 2^i of m at a position J_i in [2^i, m], so
+    the nonzero items are the placements of the digits of m on positions
+    1..m that over-fill no prefix: `bott._placements` counts them, with the
+    set S_d = {i : J_i <= d} of placed factors as state, read as an integer
+    (its own weight).  An item is zero iff S_d > d for some d, and its gap is
+    d + 1 for the largest such d.  A state S with S > d + 1 cannot be
+    completed (S_{d+1} >= S), so the zero items with gap v = d + 1 all have
+    S_d = v: there are g_d(v) * prod_{i in v} (v - 2^i) of them, g_d(v)
+    completions after d and factor i taking one of the positions 2^i..d.
+    About m * 3^p steps on exact ints.
     """
-    g = [0] * (m + 1)
-    g[m] = 1  # after position m every factor is placed
+    counts = _placements(m, (0,) * m)
+    next(counts)  # g_m: every factor placed
     gaps: dict[int, int] = {}
-    for v in range(m, 0, -1):
-        prev = [0] * (m + 1)
-        for S in range(v + 1):
-            room = v - S  # S | T <= v, and S | T = S + T for disjoint T
-            # a factor i in T has 2^i <= T <= room <= v, so it may sit at v
-            free = ~S & ((1 << room.bit_length()) - 1)
-            acc = 0
-            T = free
-            while True:
-                if T <= room:
-                    acc += g[S | T]
-                if not T:
-                    break
-                T = (T - 1) & free
-            prev[S] = acc
-        g = prev  # g now counts completions after position d = v - 1
-        ways = g[v]  # zero items with gap v
+    for v, g in zip(range(m, 0, -1), counts):
+        ways = g[v]  # g is g_{v-1}
         for i in range(p):
             if v >> i & 1:
                 ways *= v - (1 << i)

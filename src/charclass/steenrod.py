@@ -192,8 +192,9 @@ def act(t: Sequence[int], m: Monomial, M: BottMatrix) -> Poly:
     """Milnor element action on a squarefree monomial, reduced in the ring of M.
 
     Every assignment has degree deg m + grading(t), so the route is chosen
-    once: in the main family at full degree the top-class bits of the
-    assignments are summed, otherwise their sum takes one `normal_form`.
+    once: above degree n the action is 0 (the ring vanishes there), in the
+    main family at full degree the top-class bits of the assignments are
+    summed, otherwise their sum takes one `normal_form`.
     """
     t = normalize_tuple(t)
     if not m.is_squarefree():
@@ -201,10 +202,11 @@ def act(t: Sequence[int], m: Monomial, M: BottMatrix) -> Poly:
     variables = m.variables()
     if variables and variables[-1] > M.n:
         raise ValueError(f"monomial {m} uses a variable beyond x{M.n}")
-    if weight(t) > len(variables):
+    degree = m.degree() + grading(t)
+    if weight(t) > len(variables) or degree > M.n:
         return Poly.zero()
     assignments = _assignments(variables, t)
-    if M.is_main_pattern and m.degree() + grading(t) == M.n:
+    if M.is_main_pattern and degree == M.n:
         return _top_class_sum(M, assignments)
     return normal_form(Poly.of(map(Monomial.from_exponents, assignments)), M)
 

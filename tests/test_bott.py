@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -541,6 +543,26 @@ def test_lazy_graded_classes_equal_rendered_ones():
             assert lazy != GradedClasses(M.n, ())
 
 
+def test_dense_engine_is_priced_before_any_allocation(monkeypatch):
+    def refuse(self):
+        raise AssertionError("allocated before the price check")
+
+    monkeypatch.setattr(_DenseRing, "unit", refuse)
+    M = main_matrix(40)
+    for compute in (total_sw, lambda M: dual_sw(M, 0), lambda M: dual_sw(M, 40)):
+        with pytest.raises(FeasibilityError, match=r"\(> budget 200000000\)"):
+            compute(M)
+    with pytest.raises(FeasibilityError, match="budget"):
+        dual_sw(BottMatrix(10**6), 1)
+    # n <= 24 fits at every grade (24 * 24 + 1 sweeps of 2^18 words); n = 25
+    # fits up to grade 15 (15 * 25 + 1 sweeps of 2^19 words), not 16
+    for M, up_to in ((main_matrix(24), 24), (main_matrix(25), 15)):
+        with pytest.raises(AssertionError, match="allocated"):
+            dual_sw(M, up_to)
+    with pytest.raises(FeasibilityError):
+        dual_sw(main_matrix(25), 16)
+
+
 # ---------------------------------------------------------------------------
 # top-class evaluation
 
@@ -596,6 +618,95 @@ def test_top_class_bit_random_degree_n_monomials():
             expected = normal_form(Poly.of([mono]), M)
             bit = top_class_bit(M, exps)
             assert bit == (0 if expected.is_zero() else 1)
+
+
+@st.composite
+def _full_degree_main_cases(draw):
+    n = draw(st.integers(1, 9))
+    # n factors, each a variable: chain parts that over-fill a prefix are
+    # common (x1 drawn twice already over-fills position 1)
+    picks = draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
+    exps: dict[int, int] = {}
+    for v in picks:
+        exps[v] = exps.get(v, 0) + 1
+    return n, exps
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_full_degree_main_cases())
+@example((1, {1: 1}))
+@example((2, {2: 2}))
+@example((5, {1: 2, 5: 3}))  # over-full at position 1, x5^3 present
+@example((7, {2: 3, 3: 1, 7: 3}))  # over-full at position 2 only
+@example((9, {4: 4, 8: 1, 9: 4}))
+@example((9, {9: 9}))
+def test_top_class_bit_matches_rewriting(case):
+    n, exps = case
+    M = main_matrix(n)
+    reduced = rewrite_normal_form(Poly.of([Monomial.from_exponents(exps)]), M)
+    assert top_class_bit(M, exps) == (0 if reduced.is_zero() else 1)
+
+
+def test_top_class_bit_refuses_before_the_over_full_shortcut():
+    # x1^2 over-fills position 1, so the count is 0, but the request costs
+    # 4097 * 3^popcount(4094) = 4097 * 3^11 steps and stays refused
+    M = main_matrix(4097)
+    with pytest.raises(FeasibilityError, match="budget"):
+        top_class_bit(M, {1: 2, 4097: 4095})
+    # admitted and answered at once: x_2048 takes one degree, so the digits
+    # of 2045 fit the later prefixes, and a full walk would spend seconds on
+    # positions 2047..2 before it reached the dead x1^2
+    M = main_matrix(2049)
+    start = time.perf_counter()
+    assert top_class_bit(M, {1: 2, 2048: 1, 2049: 2046}) == 0
+    assert time.perf_counter() - start < 0.5
+
+
+def _brute_force_completions(q, base, d=0, inside=0):
+    """Ways to place the binary digits of q outside ``inside`` (digits of q
+    already placed at or before d) on positions d+1..len(base) over
+    ``base``, with no prefix from d+1 on over-filled; enumerates every
+    position tuple.  The defaults count the placements of all of q."""
+    free = [1 << t for t in range(q.bit_length()) if (q & ~inside) >> t & 1]
+    count = 0
+    later = range(d + 1, len(base) + 1)
+    for positions in itertools.product(later, repeat=len(free)):
+        filled = list(base)
+        for digit, v in zip(free, positions):
+            filled[v - 1] += digit
+        prefix = list(itertools.accumulate(filled))
+        count += all(inside + prefix[v - 1] <= v for v in later)
+    return count
+
+
+@st.composite
+def _placement_cases(draw):
+    length = draw(st.integers(0, 9))
+    base = draw(st.lists(st.integers(0, 3), min_size=length, max_size=length))
+    return draw(st.integers(0, 2 * length + 2)), base
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_placement_cases())
+@example((0, []))
+@example((7, [0] * 7))
+@example((11, [0, 1, 0, 0, 2, 0, 0, 0, 0]))
+@example((5, [1, 0, 2, 0, 0, 0, 0, 0]))
+def test_placements_match_brute_force(case):
+    q, base = case
+    # the count on every leading part of the base
+    for length in range(len(base) + 1):
+        for g in bott._placements(q, base[:length]):
+            pass
+        assert g[0] == _brute_force_completions(q, base[:length])
+    # every per-position list: g_d[U] for the digit set U placed by d
+    digits = [1 << t for t in range(q.bit_length()) if q >> t & 1]
+    lists = bott._placements(q, base)
+    for d, g in zip(range(len(base), -1, -1), lists, strict=True):
+        assert len(g) == 1 << len(digits)
+        for U, count in enumerate(g):
+            inside = sum(w for i, w in enumerate(digits) if U >> i & 1)
+            assert count == _brute_force_completions(q, base, d, inside)
 
 
 def test_top_coefficient_is_binary_on_random_matrices():

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from charclass import steenrod
 from charclass.bott import main_matrix
 from charclass.cli import main
 
@@ -134,6 +139,23 @@ def test_chi_sq_verbose_lists_no_tuple_heavier_than_the_input():
     assert res.stderr == ""
 
 
+def test_chi_sq_above_the_top_degree_is_zero_at_once(monkeypatch):
+    # Sq(1,...,1) of weight 8 lifts the degree-8 class to 510 > 509: the
+    # ring vanishes there, so none of its 40320 assignments is evaluated
+    def refuse(variables, t):
+        raise AssertionError("assignments enumerated above the top degree")
+
+    monkeypatch.setattr(steenrod, "_assignments", refuse)
+    start = time.perf_counter()
+    res = invoke(
+        "chi-sq", "--n", "509", "--k", "502",
+        "--z", "x4*x12*x28*x60*x124*x252*x508*x509",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 0
+    assert res.stdout == "0\n"
+
+
 def test_chi_sq_requires_exactly_one_matrix_source(tmp_path):
     res = invoke("chi-sq", "--k", "1", "--z", "x1")
     assert res.exit_code == 2
@@ -228,6 +250,36 @@ def test_class_table_honours_direct_cap():
     assert res.stderr.startswith("error: ")
     res = invoke("--direct-cap", "6", "class-table", "--n", "6")
     assert res.exit_code == 0
+
+
+def test_class_table_dense_budget_is_refused_fast():
+    # 41 sweeps over 2^34 words, refused before any allocation
+    start = time.perf_counter()
+    res = invoke("--direct-cap", "40", "class-table", "--n", "40")
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == (
+        "error: the dense engine at n = 40 needs (sweeps + 1) * words = "
+        "41 * 2^34 word operations (> budget 200000000)\n"
+    )
+
+
+def test_closed_stdout_ends_quietly_with_141():
+    # about 200 KB of CSV, more than a pipe holds, so a write must fail
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "charclass.cli", "class-table", "--n", "16"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"degree,class\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 # ---------------------------------------------------------------------------

@@ -264,7 +264,7 @@ def test_key_sum_vanishes_in_dense_chain_ring():
     from charclass.bott import _DenseRing
 
     m = 15
-    ring = _DenseRing(chain_matrix(m))
+    ring = _DenseRing(chain_matrix(m), sweeps=m)
     v = ring.unit()
     for _ in range(m):
         v = ring._mul_by_seeds({i: v.copy() for i in range(1, m + 1)})
@@ -375,7 +375,7 @@ def _dense_product_is_zero(n: int, exps: dict[int, int]) -> bool:
     """Multiply out the monomial on the dense main-family basis."""
     from charclass.bott import _DenseRing
 
-    ring = _DenseRing(main_matrix(n))
+    ring = _DenseRing(main_matrix(n), sweeps=sum(exps.values()))
     v = ring.unit()
     for var, e in sorted(exps.items()):
         for _ in range(e):
