@@ -18,7 +18,8 @@ This module provides:
   placement count (`_placements`, which also counts the key-identity ledger
   of `qring`),
 * total and dual Stiefel-Whitney classes over the dense squarefree basis
-  (`total_sw`, `dual_sw`): 2^n GF(2) coefficients bit-packed into uint64
+  (`total_sw`, `dual_sw`), as products of the factors (1 + Lambda_j) and of
+  their inverses: 2^n GF(2) coefficients bit-packed into uint64
   words, multiplied by sweeps that move whole words for x_7..x_n and shift
   bits inside words for x_1..x_6; a grade becomes a `Poly` only when it is
   read, and a request over ``DENSE_BUDGET`` is refused before any
@@ -511,12 +512,6 @@ class _DenseRing:
         """v * Lambda_j where Lambda_j is the column-j variable sum."""
         return self._mul_by_seeds({i: v.copy() for i in self.M.col(j)})
 
-    def mul_total(self, v: np.ndarray) -> np.ndarray:
-        """v times the total class, evaluated factor by factor."""
-        for j in range(1, self.n + 1):
-            v = v ^ self.mul_lambda(v, j)
-        return v
-
     def grade_piece(self, v: np.ndarray, k: int) -> np.ndarray:
         """The degree-k part of v: an AND with the packed popcount-k mask."""
         # word j's elements have popcount(j) ones above the in-word bits, so
@@ -604,31 +599,39 @@ def total_sw(M: BottMatrix) -> GradedClasses:
     Makes n sweeps; refused with FeasibilityError above ``DENSE_BUDGET``.
     """
     ring = _DenseRing(M, sweeps=M.n)
-    v = ring.mul_total(ring.unit())
+    v = ring.unit()
+    for j in range(1, M.n + 1):
+        v = v ^ ring.mul_lambda(v, j)
     return GradedClasses._packed(
         ring, [ring.grade_piece(v, k) for k in range(M.n + 1)]
     )
 
 
 def dual_sw(M: BottMatrix, up_to: int) -> GradedClasses:
-    """Dual classes wbar_0..wbar_up_to: the graded formal inverse of total_sw.
+    """Dual classes wbar_0..wbar_up_to: the formal inverse of total_sw.
 
-    Defined by wbar_0 = 1 and wbar_k = sum_{j=1..k} w_j * wbar_{k-j}; computed
-    grade by grade on the dense basis, multiplying by the total class factor
-    by factor.  The convolution sum_{j} w_j * wbar_{k-j} = 0 for 1 <= k <=
-    up_to is then automatic and is property-tested separately.  Makes
-    up_to * n sweeps; refused with FeasibilityError above ``DENSE_BUDGET``.
+    The inverse is the product of the inverted factors, (1 + Lambda_j)^-1 =
+    sum_i Lambda_j^i, multiplied in factor by factor on the dense basis.
+    Lambda_j^i lies in grades >= i, so each series stops after up_to terms
+    (or once a power vanishes) and is still exact in grades <= up_to.  The
+    convolution sum_{j} w_j * wbar_{k-j} = 0 for 1 <= k <= up_to is
+    property-tested separately.  Makes at most up_to * n sweeps; refused
+    with FeasibilityError above ``DENSE_BUDGET``.
     """
     if not 0 <= up_to <= M.n:
         raise ValueError(f"up_to must lie in 0..{M.n}, got {up_to}")
     ring = _DenseRing(M, sweeps=up_to * M.n)
-    inverse_so_far = ring.unit()
-    pieces = [ring.unit()]
-    for k in range(1, up_to + 1):
-        piece = ring.grade_piece(ring.mul_total(inverse_so_far), k)
-        pieces.append(piece)
-        inverse_so_far ^= piece
-    return GradedClasses._packed(ring, pieces)
+    v = ring.unit()
+    for j in range(1, M.n + 1):
+        t = v
+        for _ in range(up_to):
+            t = ring.mul_lambda(t, j)
+            if not t.any():
+                break
+            v ^= t
+    return GradedClasses._packed(
+        ring, [ring.grade_piece(v, k) for k in range(up_to + 1)]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@
 ``N = n + 2*sum(m_i)``.
 
 Polynomials are stored as dense GF(2) coefficient grids over the exponent box
-(a, b_1, ..., b_r); truncation is just slicing.  The total class is built with
-Frobenius squaring (char 2) plus Lucas parity for the pure ``(1+c)`` power, and
-the dual class comes from the graded Whitney convolution, accumulated
-incrementally so each grade costs one sparse-times-dense product.
+(a, b_1, ..., b_r); truncation is just slicing.  The total class and the dual
+class are both products of powers of the factors ``1+c`` and ``1+c+d_i``: in
+char 2 a power takes one sparse factor ``1 + c^(2^t) (+ d_i^(2^t))`` per binary
+digit 2^t of its exponent.  The dual class raises each factor to ``2^L - e``
+in place of ``-e``, since every factor to the power ``2^L`` is 1 once ``2^L``
+covers the box.  A class costs the cells times the digits of its exponents.
 """
 
 from __future__ import annotations
@@ -102,9 +104,10 @@ class DoldSpec:
 
 @lru_cache(maxsize=None)
 def _degree_grid(spec: DoldSpec) -> np.ndarray:
-    """Total grading a + 2*sum(b_i) per grid cell."""
-    idx = np.indices(spec.shape, dtype=np.int32)
-    deg = idx[0] + 2 * sum(idx[i] for i in range(1, spec.r + 1))
+    """Total grading a + 2*sum(b_i) per grid cell, as an outer sum of ranges."""
+    deg = np.arange(spec.n + 1, dtype=np.int32)
+    for m in spec.ms:
+        deg = np.add.outer(deg, 2 * np.arange(m + 1, dtype=np.int32))
     deg.flags.writeable = False
     return deg
 
@@ -211,33 +214,13 @@ def trunc_mul(a: TruncPoly, b: TruncPoly, spec: DoldSpec) -> TruncPoly:
     return TruncPoly(spec, _mul_grids(a.grid, b.grid, spec.shape))
 
 
-def _frobenius(grid: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Square over GF(2): every exponent doubles; truncation keeps the box."""
-    out = np.zeros(shape, dtype=np.uint8)
-    src = grid[tuple(slice(0, (extent - 1) // 2 + 1) for extent in shape)]
-    out[tuple(slice(0, 2 * extent - 1, 2) for extent in src.shape)] = src
-    return out
+def _class_grid(spec: DoldSpec, exponents: Sequence[int]) -> np.ndarray:
+    """Grid of (1+c)^e_0 * prod_i (1+c+d_i)^e_i for ``exponents`` (e_0, e_1..e_r).
 
-
-def _pow_in_ring(base: np.ndarray, e: int, shape: tuple[int, ...]) -> np.ndarray:
-    """base**e in the truncated ring by square (Frobenius) and multiply."""
-    if e == 0:
-        result = np.zeros(shape, dtype=np.uint8)
-        result[(0,) * len(shape)] = 1
-        return result
-    result = None
-    for bit in bin(e)[2:]:
-        if result is None:
-            result = base.copy()
-            continue
-        result = _frobenius(result, shape)
-        if bit == "1":
-            result = _mul_grids(result, base, shape)
-    return result
-
-
-def total_sw_dold(spec: DoldSpec) -> TruncPoly:
-    """Total class (1+c)^(n+1-r) * prod_i (1+c+d_i)^(m_i+1) in the ring."""
+    In characteristic 2, (1+c+d_i)^(2^t) = 1 + c^(2^t) + d_i^(2^t), so the
+    product takes one sparse factor per binary digit 2^t of each exponent;
+    cells past the box are dropped.
+    """
     if spec.r > spec.n + 1:
         raise ValueError(
             f"r = {spec.r} exceeds n + 1 = {spec.n + 1}; the class formula "
@@ -245,20 +228,29 @@ def total_sw_dold(spec: DoldSpec) -> TruncPoly:
         )
     _check_cells(spec)
     shape = spec.shape
+    origin = (0,) * len(shape)
     grid = np.zeros(shape, dtype=np.uint8)
-    origin = (0,) * spec.r
-    for k in range(spec.n + 1):
-        grid[(k, *origin)] = binom_parity(spec.n + 1 - spec.r, k)
-    for i, m in enumerate(spec.ms, start=1):
-        base = np.zeros(shape, dtype=np.uint8)
-        base[(0, *origin)] = 1
-        if spec.n >= 1:  # for n = 0 the class c itself is truncated away
-            base[(1, *origin)] = 1
-        d_cell = [0] * (spec.r + 1)
-        d_cell[i] = 1
-        base[tuple(d_cell)] = 1
-        grid = _mul_grids(grid, _pow_in_ring(base, m + 1, shape), shape)
-    return TruncPoly(spec, grid)
+    grid[origin] = 1
+    for i, e in enumerate(exponents):
+        for t in range(e.bit_length()):
+            if e >> t & 1:
+                factor = np.zeros(shape, dtype=np.uint8)
+                factor[origin] = 1
+                for axis in {0, i}:
+                    if 1 << t < shape[axis]:
+                        factor[origin[:axis] + (1 << t,) + origin[axis + 1:]] = 1
+                grid = _mul_grids(grid, factor, shape)
+    return grid
+
+
+def total_sw_dold(spec: DoldSpec) -> TruncPoly:
+    """Total class (1+c)^(n+1-r) * prod_i (1+c+d_i)^(m_i+1) in the ring.
+
+    One sparse product per binary digit of the exponents (`_class_grid`).
+    """
+    return TruncPoly(
+        spec, _class_grid(spec, (spec.n + 1 - spec.r, *(m + 1 for m in spec.ms)))
+    )
 
 
 def graded_piece(p: TruncPoly, k: int) -> TruncPoly:
@@ -270,24 +262,21 @@ def graded_piece(p: TruncPoly, k: int) -> TruncPoly:
 def dual_sw_dold(spec: DoldSpec, up_to: int) -> TruncPoly:
     """Sum of the dual classes wbar_0 + ... + wbar_up_to.
 
-    Graded Whitney inversion: wbar_0 = 1 and wbar_k = sum_{j>=1} w_j *
-    wbar_{k-j}, read off grade by grade from the running product w * (wbar_0 +
-    ... + wbar_{k-1}), which is updated incrementally with one w * wbar_k
-    product per grade.
+    The inverse of the total class is the product of its inverted factors.
+    With 2^L at least every extent of the box, (1+c)^(2^L) = 1 + c^(2^L) = 1
+    and likewise (1+c+d_i)^(2^L) = 1 in the ring, so a factor to the power
+    -e is the same factor to the power 2^L - e (`_class_grid`); grades above
+    ``up_to`` are then cleared.
     """
     if not 0 <= up_to <= spec.dimension:
         raise ValueError(f"up_to must lie in 0..{spec.dimension}, got {up_to}")
-    w = total_sw_dold(spec).grid
-    shape = spec.shape
-    deg = _degree_grid(spec)
-    result = TruncPoly.one(spec).grid.copy()
-    running = w.copy()  # w * (accumulated inverse)
-    for k in range(1, up_to + 1):
-        piece = np.where(deg == k, running, np.uint8(0))
-        if piece.any():
-            result ^= piece
-            running ^= _mul_grids(w, piece, shape)
-    return TruncPoly(spec, result)
+    period = 1 << (max(spec.shape) - 1).bit_length()
+    grid = _class_grid(
+        spec,
+        (period - (spec.n + 1 - spec.r), *(period - (m + 1) for m in spec.ms)),
+    )
+    grid[_degree_grid(spec) > up_to] = 0
+    return TruncPoly(spec, grid)
 
 
 def coefficient(p: TruncPoly, a: int, bs: Sequence[int]) -> int:

@@ -10,10 +10,13 @@ import heapq
 from itertools import product as _iter_product
 from typing import Mapping
 
+import numpy as np
+
 from charclass.bott import BottMatrix
+from charclass.dold import DoldSpec, TruncPoly, _degree_grid, _mul_grids, total_sw_dold
 from charclass.poly2 import Monomial, Poly
 
-__all__ = ["power_closed_form", "rewrite_normal_form"]
+__all__ = ["power_closed_form", "rewrite_normal_form", "whitney_dual_dold"]
 
 
 def rewrite_normal_form(p: Poly, M: BottMatrix) -> Poly:
@@ -117,3 +120,27 @@ def power_closed_form(i: int, e: int, n: int) -> Poly:
         if packed is not None:
             masks.symmetric_difference_update({packed | top_bit})
     return Poly(frozenset(Monomial.from_mask(m) for m in masks))
+
+
+def whitney_dual_dold(spec: DoldSpec, up_to: int) -> TruncPoly:
+    """Sum of the dual classes wbar_0 + ... + wbar_up_to of a Dold manifold.
+
+    Graded Whitney inversion: wbar_0 = 1 and wbar_k = sum_{j>=1} w_j *
+    wbar_{k-j}, read off grade by grade from the running product w * (wbar_0 +
+    ... + wbar_{k-1}), which is updated incrementally with one w * wbar_k
+    product per grade.  The package inverts the factors of w instead, so this
+    recursion serves as an independent oracle for `dual_sw_dold`.
+    """
+    if not 0 <= up_to <= spec.dimension:
+        raise ValueError(f"up_to must lie in 0..{spec.dimension}, got {up_to}")
+    w = total_sw_dold(spec).grid
+    shape = spec.shape
+    deg = _degree_grid(spec)
+    result = TruncPoly.one(spec).grid.copy()
+    running = w.copy()  # w * (accumulated inverse)
+    for k in range(1, up_to + 1):
+        piece = np.where(deg == k, running, np.uint8(0))
+        if piece.any():
+            result ^= piece
+            running ^= _mul_grids(w, piece, shape)
+    return TruncPoly(spec, result)

@@ -530,6 +530,27 @@ def test_dual_sw_renders_only_the_grade_read(monkeypatch):
         assert len(rendered) == 1
 
 
+def test_dual_sw_stays_within_its_priced_sweeps(monkeypatch):
+    # the dense engine is priced at up_to * n sweeps; each truncated series
+    # must still be exact in every grade it returns
+    sweeps = []
+    mul_by_seeds = _DenseRing._mul_by_seeds
+
+    def counting(self, seeds):
+        sweeps.append(1)
+        return mul_by_seeds(self, seeds)
+
+    monkeypatch.setattr(_DenseRing, "_mul_by_seeds", counting)
+    for M in (main_matrix(12), random_orientable_matrix(12, 5),
+              random_orientable_matrix(11, 8)):
+        full = dual_sw(M, M.n).by_degree
+        for k in range(M.n + 1):
+            sweeps.clear()
+            classes = dual_sw(M, k)
+            assert len(sweeps) <= k * M.n
+            assert classes.by_degree == full[: k + 1]
+
+
 def test_lazy_graded_classes_equal_rendered_ones():
     for M in (main_matrix(9), random_orientable_matrix(8, 12), chain_matrix(7)):
         for compute in (total_sw, lambda M: dual_sw(M, M.n)):

@@ -7,7 +7,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from charclass import dold
 from charclass.bott import FeasibilityError
 from charclass.dold import (
     DoldReport,
@@ -22,8 +25,10 @@ from charclass.dold import (
     trunc_mul,
     verify_dold,
 )
+from charclass.dold import _degree_grid
 
 from conftest import ALL_DOLD_FIXTURES
+from oracles import whitney_dual_dold
 
 P12 = DoldSpec(1, (2,))
 
@@ -67,6 +72,17 @@ def test_spec_dimension_and_shape():
     assert spec.dimension == 15
     assert spec.r == 2
     assert spec.shape == (4, 3, 5)
+
+
+def test_degree_grid_matches_index_formula():
+    for spec in (P12, DoldSpec(0, (3,)), DoldSpec(3, (2, 4)), DoldSpec(2, (1, 3, 2))):
+        idx = np.indices(spec.shape)
+        expected = idx[0] + 2 * idx[1:].sum(axis=0)
+        deg = _degree_grid(spec)
+        assert deg.shape == spec.shape and deg.dtype == np.int32
+        assert np.array_equal(deg, expected)
+        assert not deg.flags.writeable
+        assert _degree_grid(spec) is deg  # cached
 
 
 def test_spec_json_round_trip():
@@ -246,6 +262,67 @@ def test_dual_matches_stabilized_power_oracle():
         assert dual_sw_dold(spec, spec.dimension) == _stabilized_inverse(spec)
 
 
+@st.composite
+def _small_specs(draw) -> DoldSpec:
+    n = draw(st.integers(0, 10))
+    r = draw(st.integers(1, min(3, n + 1)))
+    return DoldSpec(n, draw(st.lists(st.integers(1, 6), min_size=r, max_size=r)))
+
+
+def _literal_total(spec: DoldSpec) -> TruncPoly:
+    """(1+c)^(n+1-r) filled by Lucas parity, times each (1+c+d_i) m_i+1 times."""
+    grid = np.zeros(spec.shape, dtype=np.uint8)
+    for a in range(spec.n + 1):
+        grid[(a,) + (0,) * spec.r] = binom_parity(spec.n + 1 - spec.r, a)
+    w = TruncPoly(spec, grid)
+    for i, m in enumerate(spec.ms):
+        bs = [0] * spec.r
+        factor = [(0, bs), (0, bs[:i] + [1] + bs[i + 1:])]
+        if spec.n >= 1:
+            factor.append((1, bs))
+        for _ in range(m + 1):
+            w = trunc_mul(w, TruncPoly.from_terms(spec, factor), spec)
+    return w
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_small_specs())
+@example(DoldSpec(0, (1,)))
+@example(DoldSpec(0, (6,)))
+@example(DoldSpec(1, (3, 2)))  # r = n + 1
+@example(DoldSpec(2, (1, 5, 6)))  # r = n + 1
+@example(DoldSpec(10, (6, 6, 6)))
+def test_classes_match_literal_product_and_whitney_oracle(spec):
+    assert total_sw_dold(spec) == _literal_total(spec)
+    for k in range(spec.dimension + 1):
+        assert dual_sw_dold(spec, k) == whitney_dual_dold(spec, k)
+
+
+def test_dual_sw_dold_products_per_exponent_digit(monkeypatch):
+    # one sparse product per binary digit of the inverted exponents, however
+    # many grades are asked for (the Whitney recursion makes one per grade)
+    products = []
+    mul_grids = dold._mul_grids
+
+    def counting(a, b, shape):
+        products.append(1)
+        return mul_grids(a, b, shape)
+
+    monkeypatch.setattr(dold, "_mul_grids", counting)
+    for spec in (P12, DoldSpec(7, (2, 4)), DoldSpec(1023, (255,))):
+        period = 1 << (max(spec.shape) - 1).bit_length()
+        exponents = (spec.n + 1 - spec.r, *(m + 1 for m in spec.ms))
+        digits = sum((period - e).bit_count() for e in exponents)
+        N = spec.dimension
+        grades = range(N + 1) if N < 100 else (0, 1, N // 2, N)
+        counts = set()
+        for k in grades:
+            products.clear()
+            dual_sw_dold(spec, k)
+            counts.add(len(products))
+        assert len(counts) == 1 and counts.pop() <= digits
+
+
 def test_dual_convolution_is_one():
     for spec in (P12, DoldSpec(3, (2, 4)), DoldSpec(7, (2, 8))):
         w = total_sw_dold(spec)
@@ -320,6 +397,13 @@ def test_scan_dold_frozen():
     assert scan_dold(4, 2) == [DoldSpec(0, (2,))]
     assert scan_dold(9, 2) == [DoldSpec(1, (4,)), DoldSpec(5, (2,))]
     assert DoldSpec(3, (2, 4)) in scan_dold(15, 2)
+
+
+def test_scan_dold_dimensions_divisible_by_four():
+    for D in (12, 20, 24, 28):
+        assert scan_dold(D, D // 2) == []
+    for D in (4, 8, 16):
+        assert scan_dold(D, D // 2) == [DoldSpec(0, (D // 2,))]
 
 
 def test_scan_dold_validation():
