@@ -304,7 +304,7 @@ def normal_form(p: Poly, M: BottMatrix) -> Poly:
             for _ in range(times):
                 elems = _mul_var(elems, var, M)
         out ^= elems
-    return Poly(frozenset(Monomial.from_mask(mask) for mask in out))
+    return Poly(frozenset(map(Monomial.from_mask, out)))
 
 
 def _check_top_class_cost(n: int, last_exponents: Iterable[int]) -> None:
@@ -455,7 +455,9 @@ class _DenseRing:
     Each sweep costs O(n + #ones) word-vector operations regardless of matrix
     density.  Vectors become `Poly` only through `to_poly`, which unpacks the
     bits of the one grade it is given; `GradedClasses` calls it when a grade
-    is first read.
+    is first read.  Past the sweeps, rendering is the cost: one
+    `Monomial.from_mask` per term (a step per byte of the mask) and the
+    canonical sort of `format_poly`.
     """
 
     def __init__(self, M: BottMatrix, sweeps: int) -> None:
@@ -523,14 +525,18 @@ class _DenseRing:
         return v & np.array(by_index_ones, dtype=np.uint64)[index_ones]
 
     def to_poly(self, v: np.ndarray) -> Poly:
-        """The Poly of v, unpacking only the words that hold a term."""
+        """The Poly of v, unpacking only the words that hold a term.
+
+        Each set bit becomes a mask, and each mask a validated monomial
+        through `Monomial.from_mask`.
+        """
         nonzero = np.flatnonzero(v)
         bits = np.unpackbits(
             v[nonzero].astype("<u8").view(np.uint8), bitorder="little"
         )
         positions = np.flatnonzero(bits)
         masks = (nonzero[positions >> 6] << 6) | (positions & 63)
-        return Poly(frozenset(Monomial.from_mask(m) for m in masks.tolist()))
+        return Poly(frozenset(map(Monomial.from_mask, masks.tolist())))
 
 
 class GradedClasses:

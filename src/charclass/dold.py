@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,9 +40,11 @@ __all__ = [
     "trunc_mul",
     "verify_dold",
     "MAX_GRID_CELLS",
+    "SCAN_BUDGET",
 ]
 
 MAX_GRID_CELLS = 1 << 24
+SCAN_BUDGET = 1_000_000_000  # summed cells * exponent digits of a scan_dold
 
 
 def binom_parity(p: int, q: int) -> int:
@@ -102,9 +104,13 @@ class DoldSpec:
         return cls(data["n"], ms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _degree_grid(spec: DoldSpec) -> np.ndarray:
-    """Total grading a + 2*sum(b_i) per grid cell, as an outer sum of ranges."""
+    """Total grading a + 2*sum(b_i) per grid cell, as an outer sum of ranges.
+
+    Cached for the few reads of one `verify_dold`; a scan moves on to the
+    next spec, so a small bound keeps it from holding every grid it visits.
+    """
     deg = np.arange(spec.n + 1, dtype=np.int32)
     for m in spec.ms:
         deg = np.add.outer(deg, 2 * np.arange(m + 1, dtype=np.int32))
@@ -118,6 +124,14 @@ def _check_cells(spec: DoldSpec) -> None:
         raise FeasibilityError(
             f"ring of {spec} needs {cells} dense cells (> {MAX_GRID_CELLS})"
         )
+
+
+def _verify_price(spec: DoldSpec) -> int:
+    """Cells times the exponent digits of the two classes `verify_dold` builds."""
+    period = 1 << (max(spec.shape) - 1).bit_length()
+    exponents = (spec.n + 1 - spec.r, *(m + 1 for m in spec.ms))
+    digits = sum(e.bit_length() + (period - e).bit_length() for e in exponents)
+    return math.prod(spec.shape) * digits
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,12 +376,17 @@ def scan_dold(target_dim: int, max_r: int) -> list[DoldSpec]:
     Factor multisets are canonicalized ascending; specs with r > n + 1 are
     skipped (the class formula does not apply).  Deterministic order by
     (n, ms).  Exploratory: no completeness claim is attached to the output.
+
+    The specs are enumerated and priced (`_verify_price`) before any is
+    verified; a scan over ``SCAN_BUDGET`` is refused with FeasibilityError
+    as soon as its running price passes the budget.
     """
     if target_dim < 1:
         raise ValueError(f"target_dim must be >= 1, got {target_dim}")
     if max_r < 1:
         raise ValueError(f"max_r must be >= 1, got {max_r}")
-    hits = []
+    specs = []
+    price = 0
     for r in range(1, max_r + 1):
         for total in range(r, target_dim // 2 + 1):
             n = target_dim - 2 * total
@@ -375,17 +394,26 @@ def scan_dold(target_dim: int, max_r: int) -> list[DoldSpec]:
                 continue
             for ms in _ascending_multisets(total, r):
                 spec = DoldSpec(n, ms)
-                if verify_dold(spec).verified:
-                    hits.append(spec)
+                price += _verify_price(spec)
+                if price > SCAN_BUDGET:
+                    raise FeasibilityError(
+                        f"the scan of dimension {target_dim} with r <= {max_r} "
+                        f"needs more than {SCAN_BUDGET} cells * exponent digits "
+                        f"(over budget after {len(specs) + 1} specs)"
+                    )
+                specs.append(spec)
+    hits = [spec for spec in specs if verify_dold(spec).verified]
     return sorted(hits, key=lambda s: (s.n, s.ms))
 
 
-def _ascending_multisets(total: int, r: int, minimum: int = 1) -> list[tuple[int, ...]]:
+def _ascending_multisets(
+    total: int, r: int, minimum: int = 1
+) -> Iterator[tuple[int, ...]]:
     """All ascending r-tuples of integers >= minimum summing to total."""
     if r == 1:
-        return [(total,)] if total >= minimum else []
-    result = []
+        if total >= minimum:
+            yield (total,)
+        return
     for first in range(minimum, total // r + 1):
         for rest in _ascending_multisets(total - first, r - 1, first):
-            result.append((first, *rest))
-    return result
+            yield (first, *rest)

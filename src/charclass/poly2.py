@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -20,6 +21,28 @@ __all__ = [
     "format_poly",
     "parse_poly",
 ]
+
+_EXPONENT = itemgetter(1)
+
+
+class _ByteFactors(dict):
+    """Row k maps a byte b to the factors of the squarefree monomial b << 8k.
+
+    Fixed data, independent of any input; a row is built on first use, so
+    importing the module builds none.  Every row of offset k shares the
+    same eight ``(v, 1)`` pairs.
+    """
+
+    def __missing__(self, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        pairs = [(8 * k + i + 1, 1) for i in range(8)]
+        row = self[k] = tuple(
+            tuple(pair for i, pair in enumerate(pairs) if b >> i & 1)
+            for b in range(256)
+        )
+        return row
+
+
+_BYTE_FACTORS = _ByteFactors()
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,18 +81,24 @@ class Monomial:
 
     @classmethod
     def from_mask(cls, mask: int) -> "Monomial":
-        """Squarefree monomial whose variable set is the bitmask (bit i-1 <-> x_i)."""
-        factors = []
+        """Squarefree monomial whose variable set is the bitmask (bit i-1 <-> x_i).
+
+        One step per byte: the factors of byte k are a row of the lazily
+        built `_BYTE_FACTORS` table, so monomials share their ``(v, 1)``
+        pairs.  The result is validated like any other monomial.
+        """
+        factors: tuple[tuple[int, int], ...] = ()
+        k = 0
         while mask:
-            low = mask & -mask
-            factors.append((low.bit_length(), 1))
-            mask ^= low
-        return cls(tuple(factors))
+            factors += _BYTE_FACTORS[k][mask & 255]
+            mask >>= 8
+            k += 1
+        return cls(factors)
 
     # -- queries ------------------------------------------------------------
 
     def degree(self) -> int:
-        return sum(e for _, e in self.factors)
+        return sum(map(_EXPONENT, self.factors))
 
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
@@ -118,7 +147,7 @@ class Monomial:
 
 def canonical_key(m: Monomial) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Sort key for the canonical monomial order: by degree, then factor tuple."""
-    return (m.degree(), m.factors)
+    return (sum(map(_EXPONENT, m.factors)), m.factors)
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,16 +267,13 @@ _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 def format_monomial(m: Monomial) -> str:
     if not m.factors:
         return "1"
-    parts = []
-    for var, exp in m.factors:
-        parts.append(f"x{var}" if exp == 1 else f"x{var}^{exp}")
-    return "*".join(parts)
+    return "*".join([f"x{var}" if exp == 1 else f"x{var}^{exp}" for var, exp in m.factors])
 
 
 def format_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
-    return " + ".join(format_monomial(m) for m in p.monomials())
+    return " + ".join(map(format_monomial, p.monomials()))
 
 
 def parse_poly(text: str) -> Poly:

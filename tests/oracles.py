@@ -16,7 +16,49 @@ from charclass.bott import BottMatrix
 from charclass.dold import DoldSpec, TruncPoly, _degree_grid, _mul_grids, total_sw_dold
 from charclass.poly2 import Monomial, Poly
 
-__all__ = ["power_closed_form", "rewrite_normal_form", "whitney_dual_dold"]
+__all__ = [
+    "canonical_key",
+    "format_monomial",
+    "format_poly",
+    "mask_monomial",
+    "power_closed_form",
+    "rewrite_normal_form",
+    "whitney_dual_dold",
+]
+
+
+# -- rendering: the per-bit and per-term routes the package replaced --------
+
+
+def mask_monomial(mask: int) -> Monomial:
+    """Squarefree monomial whose variable set is the bitmask (bit i-1 <-> x_i)."""
+    factors = []
+    while mask:
+        low = mask & -mask
+        factors.append((low.bit_length(), 1))
+        mask ^= low
+    return Monomial(tuple(factors))
+
+
+def canonical_key(m: Monomial) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Sort key for the canonical monomial order: by degree, then factor tuple."""
+    return (sum(e for _, e in m.factors), m.factors)
+
+
+def format_monomial(m: Monomial) -> str:
+    if not m.factors:
+        return "1"
+    parts = []
+    for var, exp in m.factors:
+        parts.append(f"x{var}" if exp == 1 else f"x{var}^{exp}")
+    return "*".join(parts)
+
+
+def format_poly(p: Poly) -> str:
+    """The text of ``p``: its terms in the canonical order, joined by " + "."""
+    if p.is_zero():
+        return "0"
+    return " + ".join(format_monomial(m) for m in sorted(p.terms, key=canonical_key))
 
 
 def rewrite_normal_form(p: Poly, M: BottMatrix) -> Poly:

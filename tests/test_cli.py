@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -209,6 +210,27 @@ def test_class_table_b5_dual_row_three_nonzero():
     res = invoke("class-table", "--n", "5", "--dual", "--up-to", "3")
     rows = res.stdout.strip().splitlines()
     assert rows[-1] == "3,x1*x2*x3"
+
+
+# sha256 of the full tables of main(n); the canonical term order is part of
+# the output, so any change to rendering must keep these bytes
+CLASS_TABLE_SHA256 = {
+    (5, False): "6c356d98d57cd44b56271d2496aa1f53f584f9cd7dc6531b424f4d63a3a2e2cf",
+    (5, True): "6c356d98d57cd44b56271d2496aa1f53f584f9cd7dc6531b424f4d63a3a2e2cf",
+    (12, False): "701db2d1817ee2fafedb3c2ab7435b34d8eb92def6f8de28203967492a9856ee",
+    (12, True): "efc556c91c9befbca99b1c1e30f25cac3a3aa93f610614cd83e8d5d9178125dc",
+    (17, False): "561ceb6a8ee8837722888d039348b032e4199f33d366f081dd049c141f7e5c3e",
+    (17, True): "1e4a8867b37b103c85cb8d3766358c8c4b7a6e1e39ea1f1ce1c15c336189c9ab",
+}
+
+
+@pytest.mark.parametrize("n, dual", sorted(CLASS_TABLE_SHA256))
+def test_class_table_bytes_are_pinned(n, dual):
+    res = invoke("class-table", "--n", str(n), *(["--dual"] if dual else []))
+    assert res.exit_code == 0
+    assert res.stderr == ""
+    digest = hashlib.sha256(res.stdout_bytes).hexdigest()
+    assert digest == CLASS_TABLE_SHA256[n, dual]
 
 
 def test_class_table_malformed_matrix(tmp_path):
@@ -494,6 +516,19 @@ def test_dold_scan():
     res = invoke("dold", "scan", "--dim", "15", "--max-r", "2")
     assert res.exit_code == 0
     assert json.loads(res.stdout) == [{"n": 3, "ms": [2, 4]}]
+
+
+def test_dold_scan_is_priced_before_any_work():
+    # 12,075 specs; unpriced, this scan ran for minutes
+    start = time.perf_counter()
+    res = invoke("dold", "scan", "--dim", "60", "--max-r", "30")
+    assert time.perf_counter() - start < 2.0
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(
+        "error: the scan of dimension 60 with r <= 30 needs more than "
+        "1000000000 cells * exponent digits"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -406,6 +406,45 @@ def test_scan_dold_dimensions_divisible_by_four():
         assert scan_dold(D, D // 2) == [DoldSpec(0, (D // 2,))]
 
 
+class _Unverified:
+    verified = False
+
+
+def test_scan_dold_admits_the_witness_scans():
+    # the five scans of the benchmark's witness workload; each finds the
+    # witness-family specs of its dimension
+    family = [DoldSpec(5, (2,)), DoldSpec(13, (2,)), DoldSpec(3, (2, 4))]
+    family += [DoldSpec(3, (2, 8)), DoldSpec(3, (2, 4, 8))]
+    found = set()
+    for D, max_r in ((9, 2), (15, 2), (17, 2), (23, 2), (31, 3)):
+        hits = scan_dold(D, max_r)
+        assert all(spec.dimension == D for spec in hits)
+        found.update(hits)
+    assert set(family) <= found
+
+
+def test_scan_dold_price_refuses_before_verifying(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        dold, "verify_dold", lambda spec: calls.append(spec) or _Unverified
+    )
+    with pytest.raises(FeasibilityError, match="scan of dimension 44"):
+        scan_dold(44, 22)
+    assert calls == []
+    # the largest admitted full scan: 1,259 specs, a few seconds unstubbed
+    assert scan_dold(40, 20) == []
+    assert len(calls) == 1259
+
+
+def test_degree_grid_cache_stays_bounded():
+    _degree_grid.cache_clear()
+    scan_dold(24, 12)
+    info = _degree_grid.cache_info()
+    assert info.maxsize is not None and info.maxsize <= 8
+    assert info.currsize <= info.maxsize
+    assert info.hits > 0
+
+
 def test_scan_dold_validation():
     with pytest.raises(ValueError):
         scan_dold(0, 1)

@@ -7,11 +7,21 @@ integer multiplicities and reduces mod 2 at the end, so the fast paths in
 """
 
 from collections import Counter
+import os
+from pathlib import Path
 import random
+import subprocess
+import sys
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
-from charclass.poly2 import Monomial, Poly, format_poly, parse_poly
+from charclass.poly2 import Monomial, Poly, format_monomial, format_poly, parse_poly
+from oracles import canonical_key as oracle_key
+from oracles import format_monomial as oracle_format_monomial
+from oracles import format_poly as oracle_format_poly
+from oracles import mask_monomial
 
 
 def _oracle_mul(a: Poly, b: Poly) -> Poly:
@@ -85,9 +95,13 @@ class TestMonomial:
         rng = random.Random(2029)
         masks = list(range(1 << 10)) + [rng.getrandbits(29) for _ in range(500)]
         masks += [(1 << 29) - 1, 1 << 28]
-        for mask in masks:
+        # past 64 bits, byte offsets reached in any order: high ones first
+        wide = [1 << 200, 1 << 65, (1 << 64) | 1, 1 << 9, 1 << 8, 0b10]
+        wide += [sum(1 << b for b in (1, 8, 9, 64, 65, 200)), (1 << 201) - 1]
+        wide += [rng.getrandbits(rng.randrange(1, 260)) for _ in range(300)]
+        for mask in masks + wide:
             m = Monomial.from_mask(mask)
-            assert m == reference(mask)
+            assert m == reference(mask) == mask_monomial(mask)
             assert m.mask() == mask
 
     def test_degree_and_queries(self):
@@ -199,3 +213,37 @@ class TestTextGrammar:
         for bad in ["", "x0", "x1^0", "y2", "x1**x2", "x1 +", "x-3"]:
             with pytest.raises(ValueError):
                 parse_poly(bad)
+
+
+_monomials = st.dictionaries(
+    st.integers(1, 70), st.integers(1, 4), max_size=6
+).map(Monomial.from_exponents)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.frozensets(_monomials, max_size=12))
+def test_rendering_matches_the_per_term_oracle(terms):
+    p = Poly(terms)
+    assert format_poly(p) == oracle_format_poly(p)
+    assert p.monomials() == sorted(p.terms, key=oracle_key)
+    assert p.degree() == max((oracle_key(m)[0] for m in terms), default=-1)
+    for m in terms:
+        assert m.degree() == oracle_key(m)[0]
+        assert format_monomial(m) == oracle_format_monomial(m)
+
+
+def test_import_builds_no_byte_factor_rows():
+    # the table is built row by row on first use; an eager one slows every
+    # command-line start
+    code = (
+        "import charclass.cli, charclass.poly2 as p; "
+        "print(len(p._BYTE_FACTORS)); p.Monomial.from_mask(1 << 100); "
+        "print(sorted(p._BYTE_FACTORS))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    ).stdout
+    assert out.split("\n")[:2] == ["0", str(list(range(13)))]
