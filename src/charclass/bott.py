@@ -19,11 +19,10 @@ This module provides:
   of `qring`),
 * total and dual Stiefel-Whitney classes over the dense squarefree basis
   (`total_sw`, `dual_sw`), as products of the factors (1 + Lambda_j) and of
-  their inverses: 2^n GF(2) coefficients bit-packed into uint64
-  words, multiplied by sweeps that move whole words for x_7..x_n and shift
-  bits inside words for x_1..x_6; a grade becomes a `Poly` only when it is
-  read, and a request over ``DENSE_BUDGET`` is refused before any
-  allocation,
+  their inverses: 2^n GF(2) coefficients as the bits of one Python int,
+  multiplied by sweeps that take the same shift-and-mask step for every
+  variable; a grade becomes a `Poly` only when it is read, and a request
+  over ``DENSE_BUDGET`` is refused before any allocation,
 * the end-to-end verifier `verify_main`.
 
 All arithmetic is over GF(2); there are no tolerances anywhere.
@@ -69,7 +68,7 @@ __all__ = [
 
 DEFAULT_DIRECT_CAP = 17
 TOP_CLASS_BUDGET = 500_000_000  # n * 3^popcount(E-1) steps of top_class_bit
-DENSE_BUDGET = 200_000_000  # (sweeps + 1) * 2^(n-6) word operations of _DenseRing
+DENSE_BUDGET = 200_000_000  # (sweeps + 1) * 2^(n-6) 64-bit words swept by _DenseRing
 
 
 class UnsupportedDimensionError(ValueError):
@@ -426,36 +425,21 @@ def top_coefficient(p: Poly, M: BottMatrix) -> int:
 # dense engine over the squarefree basis
 
 
-# Per-word constants for the six variables that live inside a word: bit p of
-# _LOW[l] is set iff basis element p lacks x_l (bit l-1 of p is clear).
-_LOW = (None,) + tuple(
-    np.uint64(sum(1 << p for p in range(64) if not p >> (l - 1) & 1))
-    for l in range(1, 7)
-)
-# Bit p of _IN_WORD_GRADE[t] is set iff p has t ones.
-_IN_WORD_GRADE = tuple(
-    sum(1 << p for p in range(64) if p.bit_count() == t) for t in range(7)
-)
-
-
 class _DenseRing:
-    """GF(2) vectors over the 2^n squarefree basis, bit-packed into uint64 words.
+    """GF(2) vectors over the 2^n squarefree basis, one Python int per vector.
 
-    Basis element ``m`` (the bitmask of its variables) is bit ``m & 63`` of
-    word ``m >> 6``; below n = 6 one word holds all 2^n bits.  Multiplication
-    by x_l is one downward sweep over pending carries: basis elements without
-    x_l just gain it, and those with x_l re-emit along column l
-    (x_l^2 = Lambda_l x_l).  A variable is handled in one of two ways:
+    Bit ``m`` of a vector is the coefficient of basis element ``m`` (the
+    bitmask of its variables).  Multiplication by x_l is one downward sweep
+    over pending carries: basis elements without x_l just gain it, and those
+    with x_l re-emit along column l (x_l^2 = Lambda_l x_l).  Every variable
+    takes the same step, with ``low = _low(l)``::
 
-    * l >= 7: x_l is bit l-7 of the word index, so the words fall into blocks
-      of ``half = 2^(l-7)`` without and with x_l, split by a reshape;
-    * l <= 6: x_l is bit l-1 inside every word, so ``(w & LOW_l) << 2^(l-1)``
-      gains x_l and ``w & ~LOW_l`` is the carrier.
+        gain = w & low; out ^= gain << 2^(l-1); w ^= gain
 
-    Each sweep costs O(n + #ones) word-vector operations regardless of matrix
-    density.  Vectors become `Poly` only through `to_poly`, which unpacks the
-    bits of the one grade it is given; `GradedClasses` calls it when a grade
-    is first read.  Past the sweeps, rendering is the cost: one
+    Each sweep costs O(n + #ones) operations on 2^n-bit ints regardless of
+    matrix density.  Vectors become `Poly` only through `to_poly`, which
+    unpacks the bits of the one grade it is given; `GradedClasses` calls it
+    when a grade is first read.  Past the sweeps, rendering is the cost: one
     `Monomial.from_mask` per term (a step per byte of the mask) and the
     canonical sort of `format_poly`.
     """
@@ -464,10 +448,11 @@ class _DenseRing:
         """A ring for ``sweeps`` sweeps, refused before any allocation when
         it costs more than DENSE_BUDGET.
 
-        The cost is (sweeps + 1) * words: the +1 prices the vectors that are
-        allocated and read outside the sweeps.
+        The cost is (sweeps + 1) * words, a vector spanning 2^(n-6) 64-bit
+        words: the +1 prices the vectors that are built and read outside the
+        sweeps.
         """
-        shift = max(M.n - 6, 0)  # a vector holds 2^shift words
+        shift = max(M.n - 6, 0)  # a vector spans 2^shift words
         # past shift 64 the budget is long exceeded; skip the bignum
         if shift > 64 or (sweeps + 1) << shift > DENSE_BUDGET:
             raise FeasibilityError(
@@ -477,65 +462,70 @@ class _DenseRing:
             )
         self.M = M
         self.n = M.n
-        self.words = 1 << shift
+        self._lows: dict[int, int] = {}
 
-    def unit(self) -> np.ndarray:
-        v = np.zeros(self.words, dtype=np.uint64)
-        v[0] = 1
-        return v
+    def _low(self, l: int) -> int:
+        """The 2^n-bit mask of the basis elements without x_l, built on the
+        first sweep that reaches x_l: blocks of 2^(l-1) ones and zeros."""
+        low = self._lows.get(l)
+        if low is None:
+            half = 1 << (l - 1)
+            low, period = (1 << half) - 1, 2 * half
+            while period < 1 << self.n:
+                low |= low << period
+                period *= 2
+            self._lows[l] = low
+        return low
 
-    def _mul_by_seeds(self, seeds: dict[int, np.ndarray]) -> np.ndarray:
-        """Sum of ``seeds[i] * x_i``; consumes the seeds (distinct arrays)."""
-        out = np.zeros(self.words, dtype=np.uint64)
+    def _mul_by_seeds(self, seeds: dict[int, int]) -> int:
+        """Sum of ``seeds[i] * x_i``; consumes the seeds dict."""
+        out = 0
         pend = seeds
         for l in range(self.n, 0, -1):
-            w = pend.pop(l, None)
-            if w is None or not w.any():
+            w = pend.pop(l, 0)
+            if not w:
                 continue
-            if l > 6:
-                w3 = w.reshape(-1, 2, 1 << (l - 7))
-                out.reshape(w3.shape)[:, 1, :] ^= w3[:, 0, :]
-                w3[:, 0, :] = 0
-            else:
-                out ^= (w & _LOW[l]) << np.uint64(1 << (l - 1))
-                w &= ~_LOW[l]
-            cols = self.M.col(l)
-            if not cols or not w.any():
-                continue
-            for i in cols:
-                prev = pend.get(i)
-                if prev is None:
-                    pend[i] = w.copy()
-                else:
-                    prev ^= w
+            gain = w & self._low(l)
+            out ^= gain << (1 << (l - 1))
+            w ^= gain
+            if w:
+                for i in self.M.col(l):
+                    pend[i] = pend.get(i, 0) ^ w
         return out
 
-    def mul_lambda(self, v: np.ndarray, j: int) -> np.ndarray:
+    def mul_lambda(self, v: int, j: int) -> int:
         """v * Lambda_j where Lambda_j is the column-j variable sum."""
-        return self._mul_by_seeds({i: v.copy() for i in self.M.col(j)})
+        return self._mul_by_seeds(dict.fromkeys(self.M.col(j), v))
 
-    def grade_piece(self, v: np.ndarray, k: int) -> np.ndarray:
-        """The degree-k part of v: an AND with the packed popcount-k mask."""
-        # word j's elements have popcount(j) ones above the in-word bits, so
-        # its mask depends on that count alone
-        index_ones = np.bitwise_count(np.arange(self.words, dtype=np.uint64))
-        by_index_ones = [0] * (self.n + 1)
-        for c in range(max(k - 6, 0), k + 1):
-            by_index_ones[c] = _IN_WORD_GRADE[k - c]
-        return v & np.array(by_index_ones, dtype=np.uint64)[index_ones]
+    def grade_piece(self, v: int, k: int) -> int:
+        """The degree-k part of v: an AND with the popcount-k mask.
 
-    def to_poly(self, v: np.ndarray) -> Poly:
-        """The Poly of v, unpacking only the words that hold a term.
+        The mask doubles one variable at a time: over x_1..x_l, popcount j
+        holds the popcount-j elements over x_1..x_{l-1} and the popcount-
+        (j-1) ones with x_l added.  Only the counts that can still reach k
+        are kept, so the masks in hand span about 2^(n+1) bits.
+        """
+        masks = {0: 1}  # popcount -> mask over x_1..x_l
+        for l in range(1, self.n + 1):
+            half = 1 << (l - 1)
+            masks = {
+                j: masks.get(j, 0) | masks.get(j - 1, 0) << half
+                for j in range(max(k - self.n + l, 0), min(k, l) + 1)
+            }
+        return v & masks[k]
+
+    def to_poly(self, v: int) -> Poly:
+        """The Poly of v, unpacking only the bytes that hold a term.
 
         Each set bit becomes a mask, and each mask a validated monomial
         through `Monomial.from_mask`.
         """
-        nonzero = np.flatnonzero(v)
-        bits = np.unpackbits(
-            v[nonzero].astype("<u8").view(np.uint8), bitorder="little"
+        data = np.frombuffer(
+            v.to_bytes((v.bit_length() + 7) // 8, "little"), dtype=np.uint8
         )
-        positions = np.flatnonzero(bits)
-        masks = (nonzero[positions >> 6] << 6) | (positions & 63)
+        nonzero = np.flatnonzero(data)
+        positions = np.flatnonzero(np.unpackbits(data[nonzero], bitorder="little"))
+        masks = (nonzero[positions >> 3] << 3) | (positions & 7)
         return Poly(frozenset(map(Monomial.from_mask, masks.tolist())))
 
 
@@ -543,12 +533,12 @@ class GradedClasses:
     """Graded classes by degree (index k holds the degree-k piece, normalized).
 
     ``GradedClasses(n, by_degree)`` validates explicit pieces.  `total_sw`
-    and `dual_sw` instead hand over the packed grade vectors of the dense
-    engine; a grade is rendered as a `Poly` on first access and cached, so a
+    and `dual_sw` instead hand over one vector of the dense engine; grade k
+    is cut from it and rendered as a `Poly` on first access and cached, so a
     caller that reads one grade converts only that one.
     """
 
-    __slots__ = ("_n", "_pieces", "_ring")
+    __slots__ = ("_n", "_pieces", "_ring", "_vector")
 
     def __init__(self, n: int, by_degree: Iterable[Poly]) -> None:
         pieces = tuple(by_degree)
@@ -559,15 +549,17 @@ class GradedClasses:
                         f"degree-{k} entry contains invalid monomial {m}"
                     )
         self._n = n
-        self._pieces: list[Poly | np.ndarray] = list(pieces)  # arrays not yet rendered
+        self._pieces: list[Poly | None] = list(pieces)  # None: not yet rendered
         self._ring: _DenseRing | None = None
+        self._vector = 0
 
     @classmethod
-    def _packed(cls, ring: _DenseRing, vectors: list[np.ndarray]) -> "GradedClasses":
-        """Classes backed by grade vectors; entry k must hold only degree-k bits."""
+    def _packed(cls, ring: _DenseRing, vector: int, top: int) -> "GradedClasses":
+        """Grades 0..top of a dense vector, exact in those grades."""
         self = cls(ring.n, ())
-        self._pieces = list(vectors)
+        self._pieces = [None] * (top + 1)
         self._ring = ring
+        self._vector = vector
         return self
 
     @property
@@ -580,8 +572,11 @@ class GradedClasses:
 
     def __getitem__(self, k: int) -> Poly:
         piece = self._pieces[k]
-        if isinstance(piece, np.ndarray):
-            piece = self._pieces[k] = self._ring.to_poly(piece)
+        if piece is None:
+            k %= len(self)  # the grade of a negative index
+            piece = self._pieces[k] = self._ring.to_poly(
+                self._ring.grade_piece(self._vector, k)
+            )
         return piece
 
     def __len__(self) -> int:
@@ -605,12 +600,10 @@ def total_sw(M: BottMatrix) -> GradedClasses:
     Makes n sweeps; refused with FeasibilityError above ``DENSE_BUDGET``.
     """
     ring = _DenseRing(M, sweeps=M.n)
-    v = ring.unit()
+    v = 1  # the unit, basis element 0
     for j in range(1, M.n + 1):
-        v = v ^ ring.mul_lambda(v, j)
-    return GradedClasses._packed(
-        ring, [ring.grade_piece(v, k) for k in range(M.n + 1)]
-    )
+        v ^= ring.mul_lambda(v, j)
+    return GradedClasses._packed(ring, v, M.n)
 
 
 def dual_sw(M: BottMatrix, up_to: int) -> GradedClasses:
@@ -627,17 +620,15 @@ def dual_sw(M: BottMatrix, up_to: int) -> GradedClasses:
     if not 0 <= up_to <= M.n:
         raise ValueError(f"up_to must lie in 0..{M.n}, got {up_to}")
     ring = _DenseRing(M, sweeps=up_to * M.n)
-    v = ring.unit()
+    v = 1  # the unit, basis element 0
     for j in range(1, M.n + 1):
         t = v
         for _ in range(up_to):
             t = ring.mul_lambda(t, j)
-            if not t.any():
+            if not t:
                 break
             v ^= t
-    return GradedClasses._packed(
-        ring, [ring.grade_piece(v, k) for k in range(up_to + 1)]
-    )
+    return GradedClasses._packed(ring, v, up_to)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -494,9 +498,9 @@ def test_graded_classes_validation():
         GradedClasses(2, (Poly.one(), X(1) ** 2))  # non-squarefree entry
 
 
-# The packed engine stores 64 basis elements per word: n <= 5 fills part of
-# one word, n = 6 exactly one, and n = 7 is the first variable that moves
-# whole words instead of bits inside them.
+# The dense engine keeps one bit per basis element in an int and takes the
+# same step for every variable; n = 5..7 cover shifts of 1 to 64 bits, up
+# to blocks of a whole 64-bit word.
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(_bott_matrices())
 @example(main_matrix(5))
@@ -555,6 +559,7 @@ def test_lazy_graded_classes_equal_rendered_ones():
     for M in (main_matrix(9), random_orientable_matrix(8, 12), chain_matrix(7)):
         for compute in (total_sw, lambda M: dual_sw(M, M.n)):
             rendered = GradedClasses(M.n, compute(M).by_degree)
+            assert compute(M)[-1] == rendered[-1]  # read before any other grade
             lazy = compute(M)
             assert lazy == rendered and rendered == lazy
             assert len(lazy) == len(rendered) == M.n + 1
@@ -565,10 +570,11 @@ def test_lazy_graded_classes_equal_rendered_ones():
 
 
 def test_dense_engine_is_priced_before_any_allocation(monkeypatch):
-    def refuse(self):
+    # the sweep masks are the first 2^n-bit allocation of the engine
+    def refuse(self, l):
         raise AssertionError("allocated before the price check")
 
-    monkeypatch.setattr(_DenseRing, "unit", refuse)
+    monkeypatch.setattr(_DenseRing, "_low", refuse)
     M = main_matrix(40)
     for compute in (total_sw, lambda M: dual_sw(M, 0), lambda M: dual_sw(M, 40)):
         with pytest.raises(FeasibilityError, match=r"\(> budget 200000000\)"):
@@ -582,6 +588,40 @@ def test_dense_engine_is_priced_before_any_allocation(monkeypatch):
             dual_sw(M, up_to)
     with pytest.raises(FeasibilityError):
         dual_sw(main_matrix(25), 16)
+
+
+
+def _run_with_address_space(args: list[str], limit: int) -> subprocess.CompletedProcess:
+    """Run ``python args`` with the address space of the child capped."""
+    import resource  # POSIX only, like preexec_fn
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
+def test_admitted_grade_zero_dual_allocates_nothing_large():
+    # (0 + 1) * 2^27 words fits DENSE_BUDGET at n = 33; grade 0 needs no
+    # sweep, so neither the API nor the CLI may touch a 2^33-bit vector
+    limit = 256 << 20
+    api = _run_with_address_space(
+        ["-c", "from charclass.bott import dual_sw, main_matrix; "
+               "print(dual_sw(main_matrix(33), 0).by_degree)"],
+        limit,
+    )
+    assert (api.returncode, api.stdout, api.stderr) == (
+        0, "(Poly(terms=frozenset({Monomial(factors=())})),)\n", "",
+    )
+    cli = _run_with_address_space(
+        ["-m", "charclass.cli", "--direct-cap", "33", "class-table", "--n", "33",
+         "--dual", "--up-to", "0"],
+        limit,
+    )
+    assert (cli.returncode, cli.stdout, cli.stderr) == (0, "degree,class\n0,1\n", "")
 
 
 # ---------------------------------------------------------------------------
