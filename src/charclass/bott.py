@@ -23,7 +23,9 @@ This module provides:
   multiplied by sweeps that take the same shift-and-mask step for every
   variable; a grade becomes a `Poly` only when it is read, and a request
   over ``DENSE_BUDGET`` is refused before any allocation,
-* the end-to-end verifier `verify_main`.
+* the end-to-end verifier `verify_main`, whose witness for every
+  n != 0 mod 4 is a main-family manifold M_m (m = 1 mod 4) times circles,
+  and whose Steenrod route pairs on M_m.
 
 All arithmetic is over GF(2); there are no tolerances anywhere.
 """
@@ -437,9 +439,10 @@ class _DenseRing:
         gain = w & low; out ^= gain << 2^(l-1); w ^= gain
 
     Each sweep costs O(n + #ones) operations on 2^n-bit ints regardless of
-    matrix density.  Vectors become `Poly` only through `to_poly`, which
-    unpacks the bits of the one grade it is given; `GradedClasses` calls it
-    when a grade is first read.  Past the sweeps, rendering is the cost: one
+    matrix density.  The ring, and the masks it caches, live only while a
+    product is swept: `grade_piece` and `to_poly` need no ring, so
+    `GradedClasses` keeps just the product int and cuts and converts one
+    grade when it is first read.  Past the sweeps, rendering is the cost: one
     `Monomial.from_mask` per term (a step per byte of the mask) and the
     canonical sort of `format_poly`.
     """
@@ -497,8 +500,9 @@ class _DenseRing:
         """v * Lambda_j where Lambda_j is the column-j variable sum."""
         return self._mul_by_seeds(dict.fromkeys(self.M.col(j), v))
 
-    def grade_piece(self, v: int, k: int) -> int:
-        """The degree-k part of v: an AND with the popcount-k mask.
+    @staticmethod
+    def grade_piece(v: int, n: int, k: int) -> int:
+        """The degree-k part of v over x_1..x_n: an AND with the popcount-k mask.
 
         The mask doubles one variable at a time: over x_1..x_l, popcount j
         holds the popcount-j elements over x_1..x_{l-1} and the popcount-
@@ -506,15 +510,16 @@ class _DenseRing:
         are kept, so the masks in hand span about 2^(n+1) bits.
         """
         masks = {0: 1}  # popcount -> mask over x_1..x_l
-        for l in range(1, self.n + 1):
+        for l in range(1, n + 1):
             half = 1 << (l - 1)
             masks = {
                 j: masks.get(j, 0) | masks.get(j - 1, 0) << half
-                for j in range(max(k - self.n + l, 0), min(k, l) + 1)
+                for j in range(max(k - n + l, 0), min(k, l) + 1)
             }
         return v & masks[k]
 
-    def to_poly(self, v: int) -> Poly:
+    @staticmethod
+    def to_poly(v: int) -> Poly:
         """The Poly of v, unpacking only the bytes that hold a term.
 
         Each set bit becomes a mask, and each mask a validated monomial
@@ -538,7 +543,7 @@ class GradedClasses:
     caller that reads one grade converts only that one.
     """
 
-    __slots__ = ("_n", "_pieces", "_ring", "_vector")
+    __slots__ = ("_n", "_pieces", "_vector")
 
     def __init__(self, n: int, by_degree: Iterable[Poly]) -> None:
         pieces = tuple(by_degree)
@@ -550,15 +555,13 @@ class GradedClasses:
                     )
         self._n = n
         self._pieces: list[Poly | None] = list(pieces)  # None: not yet rendered
-        self._ring: _DenseRing | None = None
         self._vector = 0
 
     @classmethod
-    def _packed(cls, ring: _DenseRing, vector: int, top: int) -> "GradedClasses":
-        """Grades 0..top of a dense vector, exact in those grades."""
-        self = cls(ring.n, ())
+    def _packed(cls, n: int, vector: int, top: int) -> "GradedClasses":
+        """Grades 0..top of a dense vector over x_1..x_n, exact in those grades."""
+        self = cls(n, ())
         self._pieces = [None] * (top + 1)
-        self._ring = ring
         self._vector = vector
         return self
 
@@ -574,8 +577,8 @@ class GradedClasses:
         piece = self._pieces[k]
         if piece is None:
             k %= len(self)  # the grade of a negative index
-            piece = self._pieces[k] = self._ring.to_poly(
-                self._ring.grade_piece(self._vector, k)
+            piece = self._pieces[k] = _DenseRing.to_poly(
+                _DenseRing.grade_piece(self._vector, self._n, k)
             )
         return piece
 
@@ -603,7 +606,7 @@ def total_sw(M: BottMatrix) -> GradedClasses:
     v = 1  # the unit, basis element 0
     for j in range(1, M.n + 1):
         v ^= ring.mul_lambda(v, j)
-    return GradedClasses._packed(ring, v, M.n)
+    return GradedClasses._packed(M.n, v, M.n)
 
 
 def dual_sw(M: BottMatrix, up_to: int) -> GradedClasses:
@@ -628,7 +631,7 @@ def dual_sw(M: BottMatrix, up_to: int) -> GradedClasses:
             if not t:
                 break
             v ^= t
-    return GradedClasses._packed(ring, v, up_to)
+    return GradedClasses._packed(M.n, v, up_to)
 
 
 # ---------------------------------------------------------------------------
@@ -683,15 +686,16 @@ def verify_main(
 ) -> MainReport:
     """Check orientability and nonvanishing of the dual class in grade n - alpha_hat(n).
 
-    For n = 1 mod 4 the manifold is the main-family Bott manifold; for
-    n = 2, 3 mod 4 it is the largest main-family manifold of dimension
-    m = 1 mod 4 extended by n - m circles (classes pull back unchanged).
-    n = 0 mod 4 is rejected: no construction is provided there.
+    The witness is M_m x (S^1)^(n-m): the main-family Bott manifold of the
+    largest dimension m <= n with m = 1 mod 4, extended by n - m circles
+    (m = n for n = 1 mod 4).  n = 0 mod 4 is rejected: no construction is
+    provided there.
 
-    method "direct" materializes dual classes on the squarefree basis (capped
-    at ``direct_cap``); "steenrod" evaluates the permutation-sum pairing
-    against the top class (requires n = 1 mod 4); "both" runs and records
-    both.
+    method "direct" materializes the dual classes of the witness on its
+    squarefree basis (capped at ``direct_cap``); "steenrod" evaluates the
+    permutation-sum pairing against the top class of the base M_m, which
+    decides every n: n - alpha_hat(n) = m - alpha_hat(m), and classes pull
+    back injectively along the extension; "both" runs and records both.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -703,33 +707,25 @@ def verify_main(
             "orientable construction meeting the bound"
         )
     run_direct = method in ("direct", "both")
-    run_steenrod = method in ("steenrod", "both")
-    if run_steenrod and n % 4 != 1:
-        raise ValueError(
-            f"steenrod method requires n = 1 (mod 4), got n = {n}; use method='direct'"
-        )
     if run_direct and n > direct_cap:
-        hint = (
-            "raise direct_cap or use the steenrod method"
-            if n % 4 == 1
-            else "raise direct_cap; the steenrod method needs n = 1 (mod 4)"
-        )
         raise FeasibilityError(
             f"direct method materializes a 2^{n}-dimensional basis; n = {n} "
-            f"exceeds the cap {direct_cap} ({hint})"
+            f"exceeds the cap {direct_cap} (raise direct_cap or use the "
+            "steenrod method)"
         )
     m = n - (n % 4 - 1)  # largest m <= n with m = 1 mod 4
-    matrix = extend_with_circles(main_matrix(m), n - m)
+    base = main_matrix(m)
+    matrix = extend_with_circles(base, n - m)
     grade = n - alpha_hat(n)
     orientable = is_orientable(matrix)
     direct_bit: bool | None = None
     steenrod_bit: bool | None = None
     if run_direct:
         direct_bit = not dual_sw(matrix, grade)[grade].is_zero()
-    if run_steenrod:
+    if method in ("steenrod", "both"):
         from .steenrod import permsum
 
-        steenrod_bit = top_coefficient(permsum(n), matrix) == 1
+        steenrod_bit = top_coefficient(permsum(m), base) == 1
     return MainReport(
         n=n,
         alpha_hat=alpha_hat(n),

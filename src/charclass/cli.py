@@ -11,6 +11,12 @@ Subcommands map one-to-one onto the library verifiers and class computations:
     dold verify   orientability + dual-class nonvanishing for a Dold manifold
     dold scan     enumerate Dold specs of a target dimension that verify
 
+``--direct-cap N`` is one run-wide option, placed before the subcommand: the
+largest n whose 2^n squarefree basis is materialized (the direct route of
+verify-main, class-table, scan-bott).  verify-main runs the direct and the
+Steenrod route up to the cap and the Steenrod route alone above it, for
+every n != 0 mod 4.
+
 Exit codes are uniform: 0 verified/success, 1 falsified, 2 invalid input or
 refused (infeasible) computation, 141 stdout closed by its reader.  Data goes
 to stdout, progress and error text to stderr, so piped JSON/CSV stays clean.
@@ -106,14 +112,7 @@ def _load_matrix(n: int | None, matrix_path: str | None) -> BottMatrix:
     type=click.Choice(["auto", "direct", "steenrod", "both"]),
     default="auto",
     show_default=True,
-    help="auto picks every method that fits the dimension and the cap.",
-)
-@click.option(
-    "--direct-cap",
-    "direct_cap",
-    type=int,
-    default=None,
-    help="Override the run-wide cap for the direct method.",
+    help="auto runs both up to --direct-cap and steenrod above it.",
 )
 @click.option(
     "--format",
@@ -124,16 +123,10 @@ def _load_matrix(n: int | None, matrix_path: str | None) -> BottMatrix:
 )
 @click.pass_obj
 @_input_errors_exit_2
-def cmd_verify_main(
-    run_cap: int, n: int, method: str, direct_cap: int | None, fmt: str
-) -> None:
+def cmd_verify_main(cap: int, n: int, method: str, fmt: str) -> None:
     """Verify orientability and dual-class nonvanishing in dimension n."""
-    cap = run_cap if direct_cap is None else direct_cap
     if method == "auto":
-        if n % 4 == 1:
-            method = "both" if n <= cap else "steenrod"
-        else:
-            method = "direct"
+        method = "both" if n <= cap else "steenrod"
     report = verify_main(n, method=method, direct_cap=cap)
     if fmt == "json":
         click.echo(report.to_json())
@@ -251,30 +244,16 @@ def cmd_class_table(
     show_default=True,
     help="Base seed for the random family (recorded per candidate).",
 )
-@click.option(
-    "--direct-cap",
-    "direct_cap",
-    type=int,
-    default=None,
-    help="Override the run-wide cap for class-table materialization.",
-)
 @click.pass_obj
 @_input_errors_exit_2
 def cmd_scan_bott(
-    run_cap: int,
-    dim: int,
-    family: str,
-    bandwidth: int,
-    budget: int,
-    seed: int,
-    direct_cap: int | None,
+    cap: int, dim: int, family: str, bandwidth: int, budget: int, seed: int
 ) -> None:
     """Evaluate the dual class at grade dim - alpha_hat(dim) over a family.
 
     Emits a JSON list with one record per candidate; a record is a hit when
     the matrix is orientable and the critical dual class does not vanish.
     """
-    cap = run_cap if direct_cap is None else direct_cap
     if dim < 1:
         raise ValueError(f"--dim must be >= 1, got {dim}")
     if budget < 1:

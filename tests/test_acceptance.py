@@ -93,9 +93,10 @@ def test_criterion_02_main_theorem_both_methods():
 
 def test_criterion_03_circle_extension_corollary():
     for n in (2, 3, 6, 7, 10, 11, 14, 15, 18, 19):
-        report = verify_main(n, method="direct", direct_cap=19)
+        report = verify_main(n, method="both", direct_cap=19)
         assert report.orientable
         assert report.direct is True
+        assert report.steenrod == report.direct  # the pairing on the base M_m
         assert report.verified
         m = n - (n % 4 - 1)  # largest 1-mod-4 dimension <= n
         assert alpha_hat(n) - alpha_hat(m) == n - m
@@ -109,7 +110,8 @@ def test_criterion_03_circle_extension_corollary():
             assert ext_dual[k].is_zero()
     print(
         "PASS criterion 3: circle extensions verified for "
-        "n=2,3,6,7,10,11,14,15,18,19; dual classes pull back unchanged"
+        "n=2,3,6,7,10,11,14,15,18,19; direct and steenrod (on the base) "
+        "routes agree; dual classes pull back unchanged"
     )
 
 

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -518,9 +519,9 @@ def test_dual_sw_renders_only_the_grade_read(monkeypatch):
     rendered = []
     to_poly = _DenseRing.to_poly
 
-    def counting(self, v):
+    def counting(v):
         rendered.append(v)
-        return to_poly(self, v)
+        return to_poly(v)
 
     monkeypatch.setattr(_DenseRing, "to_poly", counting)
     for n in (5, 9, 13):
@@ -532,6 +533,23 @@ def test_dual_sw_renders_only_the_grade_read(monkeypatch):
         assert len(rendered) == 1
         assert classes[k] is classes[k]  # cached, not rendered again
         assert len(rendered) == 1
+
+
+def test_graded_classes_do_not_keep_the_dense_ring(monkeypatch):
+    # the ring caches a 2^n-bit mask per variable; once the product is
+    # swept, the classes hold only the product int
+    rings = []
+    init = _DenseRing.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        rings.append(weakref.ref(self))
+
+    monkeypatch.setattr(_DenseRing, "__init__", recording)
+    for classes_of in (lambda M: dual_sw(M, 5), total_sw):
+        classes = classes_of(main_matrix(9))
+        assert rings.pop()() is None
+        assert not classes[5].is_zero()
 
 
 def test_dual_sw_stays_within_its_priced_sweeps(monkeypatch):
@@ -815,8 +833,6 @@ def test_verify_main_rejects_multiples_of_four():
 
 def test_verify_main_method_constraints():
     with pytest.raises(ValueError):
-        verify_main(6, method="steenrod")  # needs n = 1 mod 4
-    with pytest.raises(ValueError):
         verify_main(5, method="frobnicate")
     with pytest.raises(FeasibilityError):
         verify_main(21, method="direct")  # beyond the default cap
@@ -826,6 +842,24 @@ def test_verify_main_methods_agree():
     for n in (5, 9, 13):
         report = verify_main(n, method="both")
         assert report.direct == report.steenrod == True  # noqa: E712
+
+
+def test_verify_main_routes_agree_on_every_supported_dimension():
+    # the Steenrod route pairs on the base M_m, the direct route reads the
+    # dual class of M_m x (S^1)^(n-m)
+    for n in range(1, 20):
+        if n % 4:
+            report = verify_main(n, method="both", direct_cap=19)
+            assert report.direct == report.steenrod == True, n  # noqa: E712
+            assert report.verified
+
+
+def test_circle_extension_keeps_the_boundary_grade():
+    # n - alpha_hat(n) = m - alpha_hat(m) for the base m = 1 (mod 4) of n
+    for n in range(1, 4097):
+        if n % 4:
+            m = n - (n % 4 - 1)
+            assert n - alpha_hat(n) == m - alpha_hat(m), n
 
 
 def test_main_report_json_round_trip():

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 from charclass import steenrod
-from charclass.bott import main_matrix
+from charclass.bott import _check_top_class_cost, main_matrix
 from charclass.cli import main
 
 runner = CliRunner()
@@ -67,30 +67,35 @@ def test_verify_main_direct_cap_override():
     res = invoke("verify-main", "--n", "18", "--method", "direct")
     assert res.exit_code == 2  # beyond the default cap of 17
     res = invoke(
-        "verify-main", "--n", "18", "--method", "direct", "--direct-cap", "19"
+        "--direct-cap", "19", "verify-main", "--n", "18", "--method", "direct"
     )
     assert res.exit_code == 0
 
 
 def test_verify_main_over_cap_hint_fits_the_dimension():
-    # n = 18 = 2 (mod 4): the steenrod method does not apply there
+    # n = 18 = 2 (mod 4): auto falls back to the steenrod route on the base
     res = invoke("verify-main", "--n", "18")
-    assert res.exit_code == 2
-    assert res.stdout == ""
-    assert res.stderr == (
-        "error: direct method materializes a 2^18-dimensional basis; n = 18 "
-        "exceeds the cap 17 (raise direct_cap; the steenrod method needs "
-        "n = 1 (mod 4))\n"
-    )
-    res = invoke("verify-main", "--n", "21", "--method", "direct")
-    assert res.exit_code == 2
-    assert res.stdout == ""
-    assert res.stderr == (
-        "error: direct method materializes a 2^21-dimensional basis; n = 21 "
-        "exceeds the cap 17 (raise direct_cap or use the steenrod method)\n"
-    )
+    assert res.exit_code == 0
+    assert json.loads(res.stdout)["methods"] == {"direct": None, "steenrod": True}
+    for n in ("18", "21"):
+        res = invoke("verify-main", "--n", n, "--method", "direct")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == (
+            f"error: direct method materializes a 2^{n}-dimensional basis; n = {n} "
+            "exceeds the cap 17 (raise direct_cap or use the steenrod method)\n"
+        )
     # and the suggested route does run at n = 21
     assert invoke("verify-main", "--n", "21", "--method", "steenrod").exit_code == 0
+
+
+def test_verify_main_auto_verifies_circle_extensions_above_the_cap():
+    for n in range(18, 128):
+        if n % 4 in (2, 3):
+            res = invoke("verify-main", "--n", str(n))
+            assert res.exit_code == 0, (n, res.stderr)
+            data = json.loads(res.stdout)
+            assert data["methods"] == {"direct": None, "steenrod": True}, n
 
 
 def test_verify_main_text_format():
@@ -433,6 +438,20 @@ def test_steenrod_requests_over_budget_are_refused_fast():
         assert res.exit_code == 2
         assert res.stdout == ""
         assert "(> budget 500000000)" in res.stderr
+
+
+def test_verify_main_refuses_from_the_base_749():
+    # the budget first refuses the base at m = 749; n = 750, 751 share it
+    for n in ("750", "751"):
+        start = time.perf_counter()
+        res = invoke("verify-main", "--n", n)
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "at n = 749 " in res.stderr
+        assert "(> budget 500000000)" in res.stderr
+    terms = steenrod.permsum_terms(745)  # the base below is admitted
+    _check_top_class_cost(745, [t.exponent(745) for t in terms])
 
 
 def test_check_zero_rejects_bad_dimension():
