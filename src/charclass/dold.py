@@ -13,6 +13,12 @@ char 2 a power takes one sparse factor ``1 + c^(2^t) (+ d_i^(2^t))`` per binary
 digit 2^t of its exponent.  The dual class raises each factor to ``2^L - e``
 in place of ``-e``, since every factor to the power ``2^L`` is 1 once ``2^L``
 covers the box.  A class costs the cells times the digits of its exponents.
+
+The verdicts of `verify_dold` also have a grid-free closed form,
+`_lucas_verdict`: each coefficient of the dual class is a product of r + 1
+binomial parities read by Lucas's theorem.  `scan_dold` decides every spec
+by it and confirms each hit on the grids; `verify_dold` runs both routes and
+requires them to agree.
 """
 
 from __future__ import annotations
@@ -257,6 +263,38 @@ def _class_grid(spec: DoldSpec, exponents: Sequence[int]) -> np.ndarray:
     return grid
 
 
+def _lucas_verdict(spec: DoldSpec) -> tuple[bool, bool]:
+    """(orientable, nonvanishing) of `verify_dold` by binomial parities alone.
+
+    w_1 is (n+1-r + sum(m_i+1))*c, and c = 0 in the box when n = 0.  With
+    E_0 = 2^L - (n+1-r) and E_i = 2^L - (m_i+1) as in `dual_sw_dold`,
+    (1+c+d_i)^E_i = sum_B C(E_i, B) d_i^B (1+c)^(E_i-B), so the coefficient
+    of c^A * prod d_i^B_i in wbar is C(E_0 + sum(E_i - B_i), A) * prod
+    C(E_i, B_i) mod 2.  Grade N - alpha_hat(N) is nonzero iff that parity is
+    1 at some cell top/z with deg z = alpha_hat(N).  The walk places z one
+    d-axis at a time, keeping (degree of z still to place, accumulated
+    (1+c)-exponent) pairs and dropping a branch once C(E_i, B_i) is even;
+    the rest of z goes on c, and C(acc, n - rest) decides (Lucas).
+    """
+    n, ms = spec.n, spec.ms
+    orientable = n == 0 or (n + 1 + sum(ms)) % 2 == 0  # (n+1-r) + sum(m_i+1)
+    period = 1 << max(n, *ms).bit_length()  # as in dual_sw_dold
+    states = {(alpha_hat(spec.dimension), period - (n + 1 - len(ms)))}
+    for m in ms:
+        e = period - (m + 1)
+        nxt = set()
+        for rest, acc in states:
+            for z in range(min(m, rest // 2) + 1):
+                b = m - z
+                if e & b == b:
+                    nxt.add((rest - 2 * z, acc + e - b))
+        states = nxt
+    nonvanishing = any(
+        rest <= n and acc & (n - rest) == n - rest for rest, acc in states
+    )
+    return orientable, nonvanishing
+
+
 def total_sw_dold(spec: DoldSpec) -> TruncPoly:
     """Total class (1+c)^(n+1-r) * prod_i (1+c+d_i)^(m_i+1) in the ring.
 
@@ -351,7 +389,12 @@ class DoldReport:
 
 
 def verify_dold(spec: DoldSpec) -> DoldReport:
-    """Orientability (vanishing w_1) and nonvanishing of wbar_{N - alpha_hat(N)}."""
+    """Orientability (vanishing w_1) and nonvanishing of wbar_{N - alpha_hat(N)}.
+
+    Two routes: the class grids (`total_sw_dold`, `dual_sw_dold`, refused
+    above ``MAX_GRID_CELLS``) and the Lucas-parity closed form
+    (`_lucas_verdict`); RuntimeError if they disagree.
+    """
     N = spec.dimension
     a_hat = alpha_hat(N)
     grade = N - a_hat
@@ -359,6 +402,13 @@ def verify_dold(spec: DoldSpec) -> DoldReport:
     orientable = graded_piece(w, 1).is_zero()
     dual = dual_sw_dold(spec, grade)
     nonvanishing = not graded_piece(dual, grade).is_zero()
+    closed = _lucas_verdict(spec)
+    if closed != (orientable, nonvanishing):
+        raise RuntimeError(
+            f"class grids and Lucas parities disagree on {spec}: "
+            f"(orientable, nonvanishing) = {(orientable, nonvanishing)} "
+            f"vs {closed}"
+        )
     return DoldReport(
         n=spec.n,
         ms=spec.ms,
@@ -375,10 +425,12 @@ def scan_dold(target_dim: int, max_r: int) -> list[DoldSpec]:
 
     Factor multisets are canonicalized ascending; specs with r > n + 1 are
     skipped (the class formula does not apply).  Deterministic order by
-    (n, ms).  Exploratory: no completeness claim is attached to the output.
+    (n, ms).  Every enumerated spec is decided by the Lucas-parity closed
+    form (`_lucas_verdict`), and every hit is confirmed by the grid route
+    of `verify_dold`; RuntimeError if a hit is not confirmed.
 
     The specs are enumerated and priced (`_verify_price`) before any is
-    verified; a scan over ``SCAN_BUDGET`` is refused with FeasibilityError
+    screened; a scan over ``SCAN_BUDGET`` is refused with FeasibilityError
     as soon as its running price passes the budget.
     """
     if target_dim < 1:
@@ -402,7 +454,10 @@ def scan_dold(target_dim: int, max_r: int) -> list[DoldSpec]:
                         f"(over budget after {len(specs) + 1} specs)"
                     )
                 specs.append(spec)
-    hits = [spec for spec in specs if verify_dold(spec).verified]
+    hits = [spec for spec in specs if _lucas_verdict(spec) == (True, True)]
+    for spec in hits:
+        if not verify_dold(spec).verified:
+            raise RuntimeError(f"the grid route does not confirm the hit {spec}")
     return sorted(hits, key=lambda s: (s.n, s.ms))
 
 

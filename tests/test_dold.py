@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -298,6 +299,41 @@ def test_classes_match_literal_product_and_whitney_oracle(spec):
         assert dual_sw_dold(spec, k) == whitney_dual_dold(spec, k)
 
 
+def _lucas_coefficient(spec: DoldSpec, a: int, bs: tuple[int, ...]) -> int:
+    """C(E_0 + sum(E_i - B_i), A) * prod C(E_i, B_i) mod 2, each by Lucas.
+
+    E_0 = 2^L - (n+1-r) and E_i = 2^L - (m_i+1) for any 2^L covering the
+    box; this takes 2^L > N, past what the package uses.
+    """
+    period = 1 << (spec.dimension.bit_length() + 1)
+    e0 = period - (spec.n + 1 - spec.r)
+    es = [period - (m + 1) for m in spec.ms]
+    bit = binom_parity(e0 + sum(e - b for e, b in zip(es, bs)), a)
+    for e, b in zip(es, bs):
+        bit &= binom_parity(e, b)
+    return bit
+
+
+@st.composite
+def _lucas_specs(draw) -> DoldSpec:
+    n = draw(st.integers(0, 12))
+    r = draw(st.integers(1, min(3, n + 1)))
+    return DoldSpec(n, draw(st.lists(st.integers(1, 8), min_size=r, max_size=r)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_lucas_specs())
+@example(DoldSpec(0, (1,)))
+@example(DoldSpec(0, (8,)))
+@example(DoldSpec(1, (8, 3)))  # r = n + 1
+@example(DoldSpec(2, (1, 5, 8)))  # r = n + 1
+@example(DoldSpec(12, (8, 8, 8)))
+def test_dual_coefficients_are_lucas_products(spec):
+    wbar = dual_sw_dold(spec, spec.dimension)
+    for a, *bs in np.ndindex(spec.shape):
+        assert coefficient(wbar, a, bs) == _lucas_coefficient(spec, a, tuple(bs))
+
+
 def test_dual_sw_dold_products_per_exponent_digit(monkeypatch):
     # one sparse product per binary digit of the inverted exponents, however
     # many grades are asked for (the Whitney recursion makes one per grade)
@@ -399,15 +435,62 @@ def test_scan_dold_frozen():
     assert DoldSpec(3, (2, 4)) in scan_dold(15, 2)
 
 
-def test_scan_dold_dimensions_divisible_by_four():
-    for D in (12, 20, 24, 28):
-        assert scan_dold(D, D // 2) == []
-    for D in (4, 8, 16):
-        assert scan_dold(D, D // 2) == [DoldSpec(0, (D // 2,))]
+def _specs_up_to(dim: int, max_r: int):
+    """Every spec of dimension 1..dim with r <= min(max_r, n + 1)."""
+    for n in range(dim + 1):
+        for r in range(1, min(max_r, n + 1) + 1):
+            for ms in combinations_with_replacement(range(1, dim // 2 + 1), r):
+                if n + 2 * sum(ms) <= dim:
+                    yield DoldSpec(n, ms)
+
+
+def test_lucas_verdict_matches_grids_exhaustively():
+    specs = list(_specs_up_to(32, 3))
+    assert len(specs) == 1652
+    for spec in specs:
+        report = verify_dold(spec)
+        assert dold._lucas_verdict(spec) == (report.orientable, report.nonvanishing)
+
+
+def test_verify_dold_raises_when_the_routes_disagree(monkeypatch):
+    assert verify_dold(P12).verified
+    for tampered in ((False, True), (True, False)):
+        monkeypatch.setattr(dold, "_lucas_verdict", lambda spec, t=tampered: t)
+        with pytest.raises(RuntimeError, match="disagree"):
+            verify_dold(P12)
 
 
 class _Unverified:
     verified = False
+
+
+def test_scan_dold_raises_on_an_unconfirmed_hit(monkeypatch):
+    monkeypatch.setattr(dold, "verify_dold", lambda spec: _Unverified)
+    with pytest.raises(RuntimeError, match="does not confirm"):
+        scan_dold(5, 1)
+
+
+def _recording(monkeypatch, name: str) -> list[DoldSpec]:
+    """Record the spec (first argument) of every call to ``dold.<name>``."""
+    calls = []
+    original = getattr(dold, name)
+    monkeypatch.setattr(
+        dold, name, lambda spec, *rest: calls.append(spec) or original(spec, *rest)
+    )
+    return calls
+
+
+def test_scan_dold_dimensions_divisible_by_four():
+    for D in (12, 20, 24, 28, 36, 40):
+        assert scan_dold(D, D // 2) == []
+    for D in (4, 8, 16, 32):
+        assert scan_dold(D, D // 2) == [DoldSpec(0, (D // 2,))]
+
+
+def test_scan_dold_builds_grids_only_for_hits(monkeypatch):
+    grids = _recording(monkeypatch, "_class_grid")
+    hits = scan_dold(31, 3)
+    assert hits and len(grids) == 2 * len(hits)
 
 
 def test_scan_dold_admits_the_witness_scans():
@@ -424,21 +507,27 @@ def test_scan_dold_admits_the_witness_scans():
 
 
 def test_scan_dold_price_refuses_before_verifying(monkeypatch):
-    calls = []
-    monkeypatch.setattr(
-        dold, "verify_dold", lambda spec: calls.append(spec) or _Unverified
-    )
+    calls = _recording(monkeypatch, "verify_dold")
+    screens = _recording(monkeypatch, "_lucas_verdict")
     with pytest.raises(FeasibilityError, match="scan of dimension 44"):
         scan_dold(44, 22)
-    assert calls == []
-    # the largest admitted full scan: 1,259 specs, a few seconds unstubbed
+    assert screens == [] and calls == []
+    # the largest admitted full scan: 1,259 specs, each screened, no hit
     assert scan_dold(40, 20) == []
-    assert len(calls) == 1259
+    assert len(screens) == 1259 and calls == []
+    # one verify_dold per hit
+    hits = scan_dold(31, 3)
+    assert hits and sorted(calls, key=lambda s: (s.n, s.ms)) == hits
 
 
-def test_degree_grid_cache_stays_bounded():
+def test_degree_grid_cache_stays_bounded(monkeypatch):
+    screens = _recording(monkeypatch, "_lucas_verdict")
     _degree_grid.cache_clear()
-    scan_dold(24, 12)
+    assert scan_dold(24, 12) == []
+    assert _degree_grid.cache_info().misses == 0  # no hit, no grid
+    monkeypatch.undo()
+    for spec in screens:
+        verify_dold(spec)
     info = _degree_grid.cache_info()
     assert info.maxsize is not None and info.maxsize <= 8
     assert info.currsize <= info.maxsize
