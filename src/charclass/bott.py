@@ -284,9 +284,10 @@ def normal_form(p: Poly, M: BottMatrix) -> Poly:
     prod x_v^e_v starts as the basis element prod x_v (a bitmask, already its
     own normal form) and is then multiplied by x_v, e_v - 1 times per
     variable, with `_mul_var`.  Terms that need the same extra factors share
-    those sweeps, so squarefree terms cost none.  The working set never
-    exceeds the 2^n basis, and monomials are built only for the output.
-    Idempotent, additive, and multiplicative up to renormalization.
+    those sweeps, so squarefree terms cost none, and terms above degree n,
+    where the ring is zero, are dropped before any sweep.  The working set
+    never exceeds the 2^n basis, and monomials are built only for the
+    output.  Idempotent, additive, and multiplicative up to renormalization.
     """
     by_extra: dict[tuple[tuple[int, int], ...], set[int]] = {}
     for m in p.terms:
@@ -298,6 +299,8 @@ def normal_form(p: Poly, M: BottMatrix) -> Poly:
         for var, _ in m.factors:
             base |= 1 << (var - 1)
         extra = tuple((var, exp - 1) for var, exp in m.factors if exp > 1)
+        if extra and base.bit_count() + sum(t for _, t in extra) > M.n:
+            continue
         by_extra.setdefault(extra, set()).symmetric_difference_update({base})
     out: set[int] = set()
     for extra, elems in by_extra.items():
@@ -308,14 +311,16 @@ def normal_form(p: Poly, M: BottMatrix) -> Poly:
     return Poly(frozenset(map(Monomial.from_mask, out)))
 
 
-def _check_top_class_cost(n: int, last_exponents: Iterable[int]) -> None:
+def _check_top_class_cost(
+    n: int, last_exponents: Iterable[int], calls: int = 1
+) -> None:
     """Refuse, before any work, `top_class_bit` calls over TOP_CLASS_BUDGET.
 
     A call on a degree-n monomial with x_n^E costs about n * 3^popcount(E-1)
-    steps; ``last_exponents`` lists E for each planned call, and their costs
-    add up.
+    steps; ``last_exponents`` lists E for each planned call, ``calls`` times
+    over, and their costs add up.
     """
-    cost = sum(n * 3 ** (e - 1).bit_count() for e in last_exponents if e)
+    cost = calls * sum(n * 3 ** (e - 1).bit_count() for e in last_exponents if e)
     if cost > TOP_CLASS_BUDGET:
         raise FeasibilityError(
             f"top-class evaluation at n = {n} needs n * 3^popcount(E-1) = "

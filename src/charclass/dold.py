@@ -17,8 +17,8 @@ covers the box.  A class costs the cells times the digits of its exponents.
 The verdicts of `verify_dold` also have a grid-free closed form,
 `_lucas_verdict`: each coefficient of the dual class is a product of r + 1
 binomial parities read by Lucas's theorem.  `scan_dold` decides every spec
-by it and confirms each hit on the grids; `verify_dold` runs both routes and
-requires them to agree.
+by it, so a scan costs the specs it screens, and confirms each hit on the
+grids; `verify_dold` runs both routes and requires them to agree.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 MAX_GRID_CELLS = 1 << 24
-SCAN_BUDGET = 1_000_000_000  # summed cells * exponent digits of a scan_dold
+SCAN_BUDGET = 50_000  # specs one scan_dold screens
 
 
 def binom_parity(p: int, q: int) -> int:
@@ -114,8 +114,8 @@ class DoldSpec:
 def _degree_grid(spec: DoldSpec) -> np.ndarray:
     """Total grading a + 2*sum(b_i) per grid cell, as an outer sum of ranges.
 
-    Cached for the few reads of one `verify_dold`; a scan moves on to the
-    next spec, so a small bound keeps it from holding every grid it visits.
+    Cached for the few reads of one `verify_dold`; a scan builds grids only
+    to confirm its hits, one after another, so a small bound suffices.
     """
     deg = np.arange(spec.n + 1, dtype=np.int32)
     for m in spec.ms:
@@ -132,12 +132,9 @@ def _check_cells(spec: DoldSpec) -> None:
         )
 
 
-def _verify_price(spec: DoldSpec) -> int:
-    """Cells times the exponent digits of the two classes `verify_dold` builds."""
-    period = 1 << (max(spec.shape) - 1).bit_length()
-    exponents = (spec.n + 1 - spec.r, *(m + 1 for m in spec.ms))
-    digits = sum(e.bit_length() + (period - e).bit_length() for e in exponents)
-    return math.prod(spec.shape) * digits
+def _period(spec: DoldSpec) -> int:
+    """The least 2^L above n and every m_i, so 2^L covers every box extent."""
+    return 1 << max(spec.n, *spec.ms).bit_length()
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,7 +275,7 @@ def _lucas_verdict(spec: DoldSpec) -> tuple[bool, bool]:
     """
     n, ms = spec.n, spec.ms
     orientable = n == 0 or (n + 1 + sum(ms)) % 2 == 0  # (n+1-r) + sum(m_i+1)
-    period = 1 << max(n, *ms).bit_length()  # as in dual_sw_dold
+    period = _period(spec)
     states = {(alpha_hat(spec.dimension), period - (n + 1 - len(ms)))}
     for m in ms:
         e = period - (m + 1)
@@ -322,7 +319,7 @@ def dual_sw_dold(spec: DoldSpec, up_to: int) -> TruncPoly:
     """
     if not 0 <= up_to <= spec.dimension:
         raise ValueError(f"up_to must lie in 0..{spec.dimension}, got {up_to}")
-    period = 1 << (max(spec.shape) - 1).bit_length()
+    period = _period(spec)
     grid = _class_grid(
         spec,
         (period - (spec.n + 1 - spec.r), *(period - (m + 1) for m in spec.ms)),
@@ -423,37 +420,33 @@ def verify_dold(spec: DoldSpec) -> DoldReport:
 def scan_dold(target_dim: int, max_r: int) -> list[DoldSpec]:
     """All specs of the target dimension (r <= max_r) that verify_dold accepts.
 
-    Factor multisets are canonicalized ascending; specs with r > n + 1 are
-    skipped (the class formula does not apply).  Deterministic order by
-    (n, ms).  Every enumerated spec is decided by the Lucas-parity closed
-    form (`_lucas_verdict`), and every hit is confirmed by the grid route
-    of `verify_dold`; RuntimeError if a hit is not confirmed.
+    Factor multisets are canonicalized ascending.  The class formula needs
+    r <= n + 1, so with every m_i >= 1 the loops stop at r <= (N + 1) // 3
+    and at factor totals leaving n >= r - 1; every iteration yields a spec.
+    Deterministic order by (n, ms).  Every enumerated spec is decided by the
+    Lucas-parity closed form (`_lucas_verdict`), and every hit is confirmed
+    by the grid route of `verify_dold` (refused above ``MAX_GRID_CELLS``);
+    RuntimeError if a hit is not confirmed.
 
-    The specs are enumerated and priced (`_verify_price`) before any is
-    screened; a scan over ``SCAN_BUDGET`` is refused with FeasibilityError
-    as soon as its running price passes the budget.
+    The specs are enumerated before any is screened; a scan of more than
+    ``SCAN_BUDGET`` specs is refused with FeasibilityError as soon as its
+    count passes the budget.
     """
     if target_dim < 1:
         raise ValueError(f"target_dim must be >= 1, got {target_dim}")
     if max_r < 1:
         raise ValueError(f"max_r must be >= 1, got {max_r}")
     specs = []
-    price = 0
-    for r in range(1, max_r + 1):
-        for total in range(r, target_dim // 2 + 1):
+    for r in range(1, min(max_r, (target_dim + 1) // 3) + 1):
+        for total in range(r, (target_dim - r + 1) // 2 + 1):
             n = target_dim - 2 * total
-            if n < 0 or r > n + 1:
-                continue
             for ms in _ascending_multisets(total, r):
-                spec = DoldSpec(n, ms)
-                price += _verify_price(spec)
-                if price > SCAN_BUDGET:
+                if len(specs) == SCAN_BUDGET:
                     raise FeasibilityError(
                         f"the scan of dimension {target_dim} with r <= {max_r} "
-                        f"needs more than {SCAN_BUDGET} cells * exponent digits "
-                        f"(over budget after {len(specs) + 1} specs)"
+                        f"screens more specs than the budget of {SCAN_BUDGET}"
                     )
-                specs.append(spec)
+                specs.append(DoldSpec(n, ms))
     hits = [spec for spec in specs if _lucas_verdict(spec) == (True, True)]
     for spec in hits:
         if not verify_dold(spec).verified:

@@ -85,8 +85,11 @@ class Monomial:
 
         One step per byte: the factors of byte k are a row of the lazily
         built `_BYTE_FACTORS` table, so monomials share their ``(v, 1)``
-        pairs.  The result is validated like any other monomial.
+        pairs.  The result is validated like any other monomial; a negative
+        mask has no variable set and raises ValueError.
         """
+        if mask < 0:
+            raise ValueError(f"mask must be >= 0, got {mask}")
         factors: tuple[tuple[int, int], ...] = ()
         k = 0
         while mask:

@@ -30,7 +30,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bott import FeasibilityError, _placements, main_matrix, top_class_bit
+from .bott import (
+    FeasibilityError, _check_top_class_cost, _placements, main_matrix, top_class_bit
+)
 from .steenrod import _two_adic_parts
 
 __all__ = [
@@ -44,10 +46,8 @@ __all__ = [
     "verify_key",
     "verify_zero_a",
     "verify_zero_b",
-    "DEFAULT_ZERO_BUDGET",
 ]
 
-DEFAULT_ZERO_BUDGET = 2_000_000
 KEY_DP_BUDGET = 100_000_000  # m * 3^p steps of the key-identity count
 
 
@@ -348,9 +348,7 @@ def gap_count(m: int, D: int) -> int:
 # the vanishing-product verifiers (parts a and b)
 
 
-def verify_zero_a(
-    n: int, i: int, j: int, budget: int = DEFAULT_ZERO_BUDGET
-) -> bool:
+def verify_zero_a(n: int, i: int, j: int) -> bool:
     """Part a: every product L * x_{T_j - P_i + 1}...x_n * S^(P_j - 1) vanishes.
 
     Here P_1 < ... < P_r are the 2-adic parts of n - 1, T_j their partial
@@ -359,7 +357,8 @@ def verify_zero_a(
     Evaluated in main_matrix(n) by collapsing S^(P_j - 1) * x_n into x_n^{P_j}
     and reading the top-class coefficient, which must be 0 in every case.
 
-    Refuses (FeasibilityError) when the multiset count exceeds ``budget``.
+    One `top_class_bit` call per multiset; all are priced before the first
+    and refused with FeasibilityError above ``TOP_CLASS_BUDGET``.
     """
     parts, totals = _two_adic_parts(n)
     r = len(parts)
@@ -369,11 +368,7 @@ def verify_zero_a(
     l_degree = T_j - P_i - P_j + 1
     l_top = T_j - P_i - 1
     count = math.comb(l_top + l_degree - 1, l_degree)
-    if count > budget:
-        raise FeasibilityError(
-            f"verify_zero_a(n={n}, i={i}, j={j}) needs {count} multisets "
-            f"(> budget {budget}); raise the budget to run exhaustively"
-        )
+    _check_top_class_cost(n, (P_j,), calls=count)
     M = main_matrix(n)
     base = {v: 1 for v in range(T_j - P_i + 1, n)}
     base[n] = P_j

@@ -353,6 +353,23 @@ def test_squarefree_terms_cost_no_sweep(monkeypatch):
     assert sweeps == [2]
 
 
+def test_terms_above_degree_n_cost_no_sweep(monkeypatch):
+    sweeps = []
+    mul_var = bott._mul_var
+
+    def counting(elems, l, M):
+        sweeps.append(l)
+        return mul_var(elems, l, M)
+
+    monkeypatch.setattr(bott, "_mul_var", counting)
+    M = main_matrix(5)
+    for exp in (6, 10**6, 10**8):
+        assert normal_form(Poly.of([Monomial.var(3, exp)]), M).is_zero()
+    above = Poly.of([Monomial.var(3, 6), Monomial(((1, 2), (4, 1), (5, 3)))])
+    assert normal_form(above + X(2) ** 2, M) == parse_poly("x1*x2")
+    assert sweeps == [2]
+
+
 def test_power_closed_form_examples():
     assert power_closed_form(4, 4, 5) == parse_poly("x1*x2*x3*x4")
     assert power_closed_form(3, 4, 5) == Poly.zero()

@@ -454,6 +454,25 @@ def test_verify_main_refuses_from_the_base_749():
     _check_top_class_cost(745, [t.exponent(745) for t in terms])
 
 
+def test_check_zero_is_priced_by_its_top_class_calls():
+    # part a (1, 3) at n = 29 plans 20,160,075 calls of 29 * 3^4 steps
+    start = time.perf_counter()
+    res = invoke("qm", "check-zero", "--n", "29")
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.endswith(
+        "error: top-class evaluation at n = 29 needs n * 3^popcount(E-1) = "
+        "47356016175 steps (> budget 500000000)\n"
+    )
+
+
+def test_check_zero_budget_option_is_gone():
+    res = invoke("qm", "check-zero", "--budget", "5", "--n", "13")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+
+
 def test_check_zero_rejects_bad_dimension():
     for n in ("4", "12", "3"):
         res = invoke("qm", "check-zero", "--n", n)
@@ -538,16 +557,27 @@ def test_dold_scan():
 
 
 def test_dold_scan_is_priced_before_any_work():
-    # 12,075 specs; unpriced, this scan ran for minutes
+    # 58,498 specs, the first full scan over the budget
     start = time.perf_counter()
-    res = invoke("dold", "scan", "--dim", "60", "--max-r", "30")
-    assert time.perf_counter() - start < 2.0
+    res = invoke("dold", "scan", "--dim", "76", "--max-r", "38")
+    assert time.perf_counter() - start < 1.0
     assert res.exit_code == 2
     assert res.stdout == ""
-    assert res.stderr.startswith(
-        "error: the scan of dimension 60 with r <= 30 needs more than "
-        "1000000000 cells * exponent digits"
+    assert res.stderr == (
+        "error: the scan of dimension 76 with r <= 38 screens more specs "
+        "than the budget of 50000\n"
     )
+
+
+def test_dold_scan_huge_max_r_stops_at_the_last_spec():
+    start = time.perf_counter()
+    res = invoke("dold", "scan", "--dim", "10", "--max-r", "1000000000000")
+    assert time.perf_counter() - start < 1.0
+    ref = invoke("dold", "scan", "--dim", "10", "--max-r", "5")
+    assert (res.exit_code, res.stdout, res.stderr) == (
+        ref.exit_code, ref.stdout, ref.stderr
+    )
+    assert res.exit_code == 0
 
 
 # ---------------------------------------------------------------------------

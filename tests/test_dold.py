@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -481,9 +482,9 @@ def _recording(monkeypatch, name: str) -> list[DoldSpec]:
 
 
 def test_scan_dold_dimensions_divisible_by_four():
-    for D in (12, 20, 24, 28, 36, 40):
+    for D in (12, 20, 24, 28, 36, 40, 44, 48, 52, 56, 60):
         assert scan_dold(D, D // 2) == []
-    for D in (4, 8, 16, 32):
+    for D in (4, 8, 16, 32, 64):
         assert scan_dold(D, D // 2) == [DoldSpec(0, (D // 2,))]
 
 
@@ -509,12 +510,19 @@ def test_scan_dold_admits_the_witness_scans():
 def test_scan_dold_price_refuses_before_verifying(monkeypatch):
     calls = _recording(monkeypatch, "verify_dold")
     screens = _recording(monkeypatch, "_lucas_verdict")
-    with pytest.raises(FeasibilityError, match="scan of dimension 44"):
-        scan_dold(44, 22)
+    # the first refused full scan: 58,498 specs
+    start = time.perf_counter()
+    with pytest.raises(FeasibilityError) as info:
+        scan_dold(76, 38)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == (
+        "the scan of dimension 76 with r <= 38 screens more specs than the "
+        "budget of 50000"
+    )
     assert screens == [] and calls == []
-    # the largest admitted full scan: 1,259 specs, each screened, no hit
-    assert scan_dold(40, 20) == []
-    assert len(screens) == 1259 and calls == []
+    # the largest admitted full scan: 40,025 specs, each screened, no hit
+    assert scan_dold(72, 36) == []
+    assert len(screens) == 40025 and calls == []
     # one verify_dold per hit
     hits = scan_dold(31, 3)
     assert hits and sorted(calls, key=lambda s: (s.n, s.ms)) == hits

@@ -104,6 +104,12 @@ class TestMonomial:
             assert m == reference(mask) == mask_monomial(mask)
             assert m.mask() == mask
 
+    def test_from_mask_refuses_a_negative_mask(self):
+        # -1 >> 8 is -1: the byte loop would never end
+        for mask in (-1, -256, -(1 << 70)):
+            with pytest.raises(ValueError, match="mask must be >= 0"):
+                Monomial.from_mask(mask)
+
     def test_degree_and_queries(self):
         m = Monomial(((2, 3), (5, 1)))
         assert m.degree() == 4

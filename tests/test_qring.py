@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import math
@@ -10,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import charclass
 from charclass import qring
 from charclass.bott import chain_matrix, main_matrix, normal_form
 from charclass.poly2 import Monomial, Poly
@@ -441,9 +443,28 @@ def test_verify_zero_validation():
         verify_zero_b(12, 1)
 
 
-def test_verify_zero_a_budget_refusal():
-    with pytest.raises(FeasibilityError):
-        verify_zero_a(13, 1, 2, budget=0)
+def test_verify_zero_a_budget_refusal(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        qring, "top_class_bit", lambda *args: calls.append(args) or 1
+    )
+    # multisets * n * 3^popcount(P_j - 1): 20,160,075 * 29 * 81,
+    # 575,757 * 45 * 243 and 255 * 321 * 6561 steps, all over 5 * 10^8
+    for case in ((29, 1, 3), (45, 2, 3), (321, 1, 2)):
+        start = time.perf_counter()
+        with pytest.raises(FeasibilityError, match=r"\(> budget 500000000\)"):
+            verify_zero_a(*case)
+        assert time.perf_counter() - start < 1.0
+    assert calls == []
+
+
+def test_no_public_callable_takes_a_budget():
+    for name in charclass.__all__:
+        obj = getattr(charclass, name)
+        if isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        if callable(obj):
+            assert "budget" not in inspect.signature(obj).parameters, name
 
 
 def test_numpy_key_fold_histogram_is_consistent():
