@@ -35,13 +35,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress
 from random import Random
 from typing import Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
-from .poly2 import Monomial, Poly
+from .poly2 import _BYTE_FACTORS, Monomial, Poly
 
 __all__ = [
     "BottMatrix",
@@ -431,6 +429,9 @@ def top_coefficient(p: Poly, M: BottMatrix) -> int:
 # ---------------------------------------------------------------------------
 # dense engine over the squarefree basis
 
+# the set bit positions of each byte value, in increasing order
+_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+
 
 class _DenseRing:
     """GF(2) vectors over the 2^n squarefree basis, one Python int per vector.
@@ -448,8 +449,7 @@ class _DenseRing:
     product is swept: `grade_piece` and `to_poly` need no ring, so
     `GradedClasses` keeps just the product int and cuts and converts one
     grade when it is first read.  Past the sweeps, rendering is the cost: one
-    `Monomial.from_mask` per term (a step per byte of the mask) and the
-    canonical sort of `format_poly`.
+    validated `Monomial` per term and the canonical sort of `format_poly`.
     """
 
     def __init__(self, M: BottMatrix, sweeps: int) -> None:
@@ -525,18 +525,26 @@ class _DenseRing:
 
     @staticmethod
     def to_poly(v: int) -> Poly:
-        """The Poly of v, unpacking only the bytes that hold a term.
+        """The Poly of v, one walk over the bytes that hold a term.
 
-        Each set bit becomes a mask, and each mask a validated monomial
-        through `Monomial.from_mask`.
+        Bit 8i + j is the mask of a term.  Its low byte, 8(i mod 32) + j,
+        gives the factors x_1..x_8 from `_BYTE_FACTORS[0]`; the higher bytes
+        are i // 32 for the whole 32-byte block, so their factors are built
+        once per block by `Monomial.from_mask`.  Every term is validated by
+        the `Monomial` constructor.
         """
-        data = np.frombuffer(
-            v.to_bytes((v.bit_length() + 7) // 8, "little"), dtype=np.uint8
-        )
-        nonzero = np.flatnonzero(data)
-        positions = np.flatnonzero(np.unpackbits(data[nonzero], bitorder="little"))
-        masks = (nonzero[positions >> 3] << 3) | (positions & 7)
-        return Poly(frozenset(map(Monomial.from_mask, masks.tolist())))
+        data = v.to_bytes((v.bit_length() + 7) // 8, "little")
+        low = _BYTE_FACTORS[0]
+        terms = []
+        block = -1
+        for i in compress(range(len(data)), data):
+            if i >> 5 != block:
+                block = i >> 5
+                high = Monomial.from_mask(block << 8).factors
+            base = (i & 31) << 3
+            for j in _BYTE_BITS[data[i]]:
+                terms.append(Monomial(low[base + j] + high))
+        return Poly(frozenset(terms))
 
 
 class GradedClasses:

@@ -19,6 +19,9 @@ The verdicts of `verify_dold` also have a grid-free closed form,
 binomial parities read by Lucas's theorem.  `scan_dold` decides every spec
 by it, so a scan costs the specs it screens, and confirms each hit on the
 grids; `verify_dold` runs both routes and requires them to agree.
+
+NumPy is imported by the functions that build or read a grid, on first use:
+it costs about half of a command-line start, and the closed form needs none.
 """
 
 from __future__ import annotations
@@ -27,11 +30,12 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .bott import FeasibilityError, _is_int, alpha_hat
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DoldReport",
@@ -117,6 +121,8 @@ def _degree_grid(spec: DoldSpec) -> np.ndarray:
     Cached for the few reads of one `verify_dold`; a scan builds grids only
     to confirm its hits, one after another, so a small bound suffices.
     """
+    import numpy as np
+
     deg = np.arange(spec.n + 1, dtype=np.int32)
     for m in spec.ms:
         deg = np.add.outer(deg, 2 * np.arange(m + 1, dtype=np.int32))
@@ -145,6 +151,8 @@ class TruncPoly:
     grid: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         if self.grid.shape != self.spec.shape:
             raise ValueError(
                 f"grid shape {self.grid.shape} does not match ring {self.spec.shape}"
@@ -156,6 +164,8 @@ class TruncPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncPoly):
             return NotImplemented
+        import numpy as np
+
         return self.spec == other.spec and bool(np.array_equal(self.grid, other.grid))
 
     def is_zero(self) -> bool:
@@ -166,6 +176,8 @@ class TruncPoly:
 
     def terms(self) -> list[tuple[int, tuple[int, ...]]]:
         """Sorted (a, (b_1..b_r)) exponent tuples of the nonzero cells."""
+        import numpy as np
+
         return [
             (int(cell[0]), tuple(int(b) for b in cell[1:]))
             for cell in np.argwhere(self.grid)
@@ -190,6 +202,8 @@ class TruncPoly:
 
     @classmethod
     def zero(cls, spec: DoldSpec) -> "TruncPoly":
+        import numpy as np
+
         _check_cells(spec)
         return cls(spec, np.zeros(spec.shape, dtype=np.uint8))
 
@@ -197,6 +211,8 @@ class TruncPoly:
     def from_terms(
         cls, spec: DoldSpec, terms: Iterable[tuple[int, Sequence[int]]]
     ) -> "TruncPoly":
+        import numpy as np
+
         _check_cells(spec)
         grid = np.zeros(spec.shape, dtype=np.uint8)
         for a, bs in terms:
@@ -214,6 +230,8 @@ class TruncPoly:
 
 def _mul_grids(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Truncated GF(2) product of two grids; iterates the sparser factor."""
+    import numpy as np
+
     if np.count_nonzero(a) > np.count_nonzero(b):
         a, b = b, a
     out = np.zeros(shape, dtype=np.uint8)
@@ -238,6 +256,8 @@ def _class_grid(spec: DoldSpec, exponents: Sequence[int]) -> np.ndarray:
     product takes one sparse factor per binary digit 2^t of each exponent;
     cells past the box are dropped.
     """
+    import numpy as np
+
     if spec.r > spec.n + 1:
         raise ValueError(
             f"r = {spec.r} exceeds n + 1 = {spec.n + 1}; the class formula "
@@ -304,6 +324,8 @@ def total_sw_dold(spec: DoldSpec) -> TruncPoly:
 
 def graded_piece(p: TruncPoly, k: int) -> TruncPoly:
     """The degree-k homogeneous part (grading a + 2*sum b_i)."""
+    import numpy as np
+
     deg = _degree_grid(p.spec)
     return TruncPoly(p.spec, np.where(deg == k, p.grid, np.uint8(0)))
 

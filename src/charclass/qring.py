@@ -26,14 +26,15 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .bott import (
     FeasibilityError, _check_top_class_cost, _placements, main_matrix, top_class_bit
 )
 from .steenrod import _two_adic_parts
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Decomposition",
@@ -172,6 +173,8 @@ def _fold_range(m: int, p: int, start: int, stop: int) -> tuple[int, np.ndarray]
     running prefix at J_i, S_i = sum_k 2^k [J_k <= J_i], exceeds J_i; the
     maximal over-full index is then max_i min(next_i - 1, S_i - 1).
     """
+    import numpy as np  # on first use only: it costs half a command-line start
+
     sizes = [m + 1 - (1 << i) for i in range(p)]
     zero_count = 0
     gap_hist = np.zeros(m + 2, dtype=np.int64)
@@ -385,12 +388,15 @@ def verify_zero_b(n: int, j: int) -> bool:
     """Part b: x_1...x_{T_{j-1}} * x_{T_j}...x_n * S^(P_j - 1) vanishes.
 
     Same conventions as part a, with T_0 = 0 (empty leading block for j = 1).
+    The one `top_class_bit` call is priced before anything is built and
+    refused with FeasibilityError above ``TOP_CLASS_BUDGET``.
     """
     parts, totals = _two_adic_parts(n)
     r = len(parts)
     if not 1 <= j <= r:
         raise ValueError(f"need 1 <= j <= r = {r}, got j = {j}")
     P_j = 1 << parts[j - 1]
+    _check_top_class_cost(n, (P_j,))
     T_j = totals[j - 1]
     T_prev = totals[j - 2] if j >= 2 else 0
     exps = {v: 1 for v in range(1, T_prev + 1)}

@@ -43,7 +43,7 @@ from charclass.poly2 import Monomial, Poly, parse_poly
 from charclass.steenrod import permsum
 
 from conftest import ALL_BOTT_FIXTURES
-from oracles import power_closed_form, rewrite_normal_form
+from oracles import mask_monomial, power_closed_form, rewrite_normal_form
 
 X = Poly.var
 
@@ -550,6 +550,28 @@ def test_dual_sw_renders_only_the_grade_read(monkeypatch):
         assert len(rendered) == 1
         assert classes[k] is classes[k]  # cached, not rendered again
         assert len(rendered) == 1
+
+
+# bits on either side of each 32-byte block edge, where the factors of the
+# higher bytes change (x9 and up, so n >= 9)
+_BLOCK_EDGES = tuple(b for k in range(1, 16) for b in (256 * k - 1, 256 * k))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sets(st.integers(0, 4095) | st.sampled_from(_BLOCK_EDGES), max_size=80))
+@example(set())
+@example({255, 256})
+@example({0, 300, 4095})
+@example(set(_BLOCK_EDGES))
+def test_to_poly_matches_the_mask_oracle(bits):
+    v = sum(1 << m for m in bits)
+    assert _DenseRing.to_poly(v) == Poly.of(map(mask_monomial, bits))
+
+
+def test_to_poly_of_every_full_vector():
+    for n in range(12):
+        v = (1 << (1 << n)) - 1
+        assert _DenseRing.to_poly(v) == Poly.of(map(mask_monomial, range(1 << n)))
 
 
 def test_graded_classes_do_not_keep_the_dense_ring(monkeypatch):

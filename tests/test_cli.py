@@ -467,6 +467,24 @@ def test_check_zero_is_priced_by_its_top_class_calls():
     )
 
 
+def test_check_zero_part_b_is_priced_before_the_matrix(monkeypatch):
+    # part b at n = 2^22 + 1 is one call of ~1.3e17 steps; main_matrix(n)
+    # alone would hold 8.4M entries
+    def unbuilt(n):
+        raise AssertionError(f"main_matrix({n}) built before the price check")
+
+    monkeypatch.setattr("charclass.qring.main_matrix", unbuilt)
+    start = time.perf_counter()
+    res = invoke("qm", "check-zero", "--n", "4194305")
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.endswith(
+        "error: top-class evaluation at n = 4194305 needs n * 3^popcount(E-1) = "
+        "131621735223326745 steps (> budget 500000000)\n"
+    )
+
+
 def test_check_zero_budget_option_is_gone():
     res = invoke("qm", "check-zero", "--budget", "5", "--n", "13")
     assert res.exit_code == 2
@@ -600,3 +618,29 @@ def test_help_screens():
     for args in ([], ["qm"], ["dold"]):
         res = invoke(*args, "--help")
         assert res.exit_code == 0
+
+
+def test_numpy_loads_only_with_a_dold_grid():
+    # NumPy costs about half of a command-line start; only the Dold grids and
+    # the p <= 4 key fold import it, on first use
+    code = "\n".join([
+        "import sys",
+        "import charclass.cli",
+        "from charclass import (DoldSpec, dual_sw, format_poly, main_matrix,",
+        "    scan_dold, total_sw, verify_dold, verify_main)",
+        "M = main_matrix(9)",
+        "for classes in (total_sw(M), dual_sw(M, M.n)):",
+        "    [format_poly(classes[k]) for k in range(M.n + 1)]",
+        "assert verify_main(13).verified",
+        "assert scan_dold(24, 8) == []",
+        "print('numpy' in sys.modules)",
+        "assert verify_dold(DoldSpec(3, (2, 4))).verified",
+        "print('numpy' in sys.modules)",
+    ])
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    ).stdout
+    assert out == "False\nTrue\n"
