@@ -111,14 +111,16 @@ class BottMatrix:
     def __init__(self, n: int, ones: Iterable[tuple[int, int]] = ()) -> None:
         if not _is_int(n) or n < 1:
             raise ValueError(f"dimension must be a positive integer, got {n!r}")
-        normalized = frozenset((int(i), int(j)) for i, j in ones)
-        for i, j in normalized:
+        pairs = [(i, j) for i, j in ones]
+        for i, j in pairs:
+            if not (_is_int(i) and _is_int(j)):
+                raise ValueError(f"entry ({i!r},{j!r}) must be a pair of integers")
             if not (1 <= i < j <= n):
                 raise ValueError(
                     f"entry ({i},{j}) is not strictly upper-triangular within 1..{n}"
                 )
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ones", normalized)
+        object.__setattr__(self, "ones", frozenset(pairs))
 
     @cached_property
     def _cols(self) -> tuple[tuple[int, ...], ...]:
@@ -550,33 +552,18 @@ class _DenseRing:
 class GradedClasses:
     """Graded classes by degree (index k holds the degree-k piece, normalized).
 
-    ``GradedClasses(n, by_degree)`` validates explicit pieces.  `total_sw`
-    and `dual_sw` instead hand over one vector of the dense engine; grade k
-    is cut from it and rendered as a `Poly` on first access and cached, so a
-    caller that reads one grade converts only that one.
+    Built by `total_sw` and `dual_sw` from one vector of the dense engine
+    over x_1..x_n, exact in grades 0..top; grade k is cut from it and
+    rendered as a `Poly` on first access and cached, so a caller that reads
+    one grade converts only that one.
     """
 
     __slots__ = ("_n", "_pieces", "_vector")
 
-    def __init__(self, n: int, by_degree: Iterable[Poly]) -> None:
-        pieces = tuple(by_degree)
-        for k, piece in enumerate(pieces):
-            for m in piece.terms:
-                if m.degree() != k or not m.is_squarefree():
-                    raise ValueError(
-                        f"degree-{k} entry contains invalid monomial {m}"
-                    )
+    def __init__(self, n: int, vector: int, top: int) -> None:
         self._n = n
-        self._pieces: list[Poly | None] = list(pieces)  # None: not yet rendered
-        self._vector = 0
-
-    @classmethod
-    def _packed(cls, n: int, vector: int, top: int) -> "GradedClasses":
-        """Grades 0..top of a dense vector over x_1..x_n, exact in those grades."""
-        self = cls(n, ())
-        self._pieces = [None] * (top + 1)
         self._vector = vector
-        return self
+        self._pieces: list[Poly | None] = [None] * (top + 1)  # None: unread
 
     @property
     def n(self) -> int:
@@ -619,7 +606,7 @@ def total_sw(M: BottMatrix) -> GradedClasses:
     v = 1  # the unit, basis element 0
     for j in range(1, M.n + 1):
         v ^= ring.mul_lambda(v, j)
-    return GradedClasses._packed(M.n, v, M.n)
+    return GradedClasses(M.n, v, M.n)
 
 
 def dual_sw(M: BottMatrix, up_to: int) -> GradedClasses:
@@ -644,7 +631,7 @@ def dual_sw(M: BottMatrix, up_to: int) -> GradedClasses:
             if not t:
                 break
             v ^= t
-    return GradedClasses._packed(M.n, v, up_to)
+    return GradedClasses(M.n, v, up_to)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ to stdout, progress and error text to stderr, so piped JSON/CSV stays clean.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import sys
@@ -55,17 +54,18 @@ __all__ = ["main"]
 DEFAULT_SCAN_SEED = 0x5EED_2026
 
 
-def _input_errors_exit_2(fn):
-    """Map invalid input / refused computation to exit code 2 with a message.
+class _Main(click.Group):
+    """The top-level group; its ``invoke`` runs every subcommand, so errors
+    map to exit codes once, here.
 
+    Invalid input and refused computations exit with code 2 and a message.
     A closed stdout (``| head``) is not an input error: the command ends
     quietly with 141, the status of a writer killed by SIGPIPE.
     """
 
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx: click.Context):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except BrokenPipeError:
             # the flush at exit would fail again on the closed pipe
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -74,10 +74,8 @@ def _input_errors_exit_2(fn):
             click.echo(f"error: {exc}", err=True)
             raise SystemExit(2) from exc
 
-    return wrapper
 
-
-@click.group()
+@click.group(cls=_Main)
 @click.option(
     "--direct-cap",
     "direct_cap",
@@ -87,7 +85,6 @@ def _input_errors_exit_2(fn):
     help="Largest n for which the full dual-class table is materialized.",
 )
 @click.pass_context
-@_input_errors_exit_2
 def main(ctx: click.Context, direct_cap: int) -> None:
     """Exact mod-2 characteristic-class computations and verifiers."""
     if direct_cap < 1:
@@ -122,7 +119,6 @@ def _load_matrix(n: int | None, matrix_path: str | None) -> BottMatrix:
     show_default=True,
 )
 @click.pass_obj
-@_input_errors_exit_2
 def cmd_verify_main(cap: int, n: int, method: str, fmt: str) -> None:
     """Verify orientability and dual-class nonvanishing in dimension n."""
     if method == "auto":
@@ -160,7 +156,6 @@ def cmd_verify_main(cap: int, n: int, method: str, fmt: str) -> None:
     is_flag=True,
     help="List the contributing basis operations on stderr.",
 )
-@_input_errors_exit_2
 def cmd_chi_sq(
     k: int, z: str, n: int | None, matrix_path: str | None, verbose: bool
 ) -> None:
@@ -191,7 +186,6 @@ def cmd_chi_sq(
     help="Largest degree to emit (default: the manifold dimension).",
 )
 @click.pass_obj
-@_input_errors_exit_2
 def cmd_class_table(
     cap: int,
     n: int | None,
@@ -245,7 +239,6 @@ def cmd_class_table(
     help="Base seed for the random family (recorded per candidate).",
 )
 @click.pass_obj
-@_input_errors_exit_2
 def cmd_scan_bott(
     cap: int, dim: int, family: str, bandwidth: int, budget: int, seed: int
 ) -> None:
@@ -299,7 +292,6 @@ def qm_group() -> None:
 @qm_group.command("check-key")
 @click.option("--p", type=int, required=True, help="Exponent: m = 2^p - 1.")
 @click.option("--stats", is_flag=True, help="Emit the full ledger as JSON.")
-@_input_errors_exit_2
 def cmd_check_key(p: int, stats: bool) -> None:
     """Count the key-identity expansion in Q_{2^p-1} and check its parity.
 
@@ -325,7 +317,6 @@ def cmd_check_key(p: int, stats: bool) -> None:
 
 @qm_group.command("check-zero")
 @click.option("--n", type=int, required=True, help="Dimension, n = 1 mod 4.")
-@_input_errors_exit_2
 def cmd_check_zero(n: int) -> None:
     """Run both zero-product verifiers over every admissible case.
 
@@ -374,7 +365,6 @@ def dold_group() -> None:
     multiple=True,
     help="Projective factor size m_i (repeatable).",
 )
-@_input_errors_exit_2
 def cmd_dold_verify(
     spec_path: str | None, n: int | None, ms: tuple[int, ...]
 ) -> None:
@@ -416,7 +406,6 @@ def cmd_dold_verify(
     show_default=True,
     help="Largest number of projective factors to try.",
 )
-@_input_errors_exit_2
 def cmd_dold_scan(dim: int, max_r: int) -> None:
     """List every spec of dimension N (r <= max-r) whose verification passes.
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -72,9 +72,11 @@ class DoldSpec:
     ms: tuple[int, ...]
 
     def __init__(self, n: int, ms: Iterable[int]) -> None:
-        ms_t = tuple(int(m) for m in ms)
+        ms_t = tuple(ms)
         if not _is_int(n) or n < 0:
             raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        if not all(map(_is_int, ms_t)):
+            raise ValueError(f"every m_i must be an integer, got {ms!r}")
         if len(ms_t) < 1:
             raise ValueError("at least one projective factor is required (r >= 1)")
         if any(m < 1 for m in ms_t):
@@ -138,9 +140,9 @@ def _check_cells(spec: DoldSpec) -> None:
         )
 
 
-def _period(spec: DoldSpec) -> int:
+def _period(n: int, ms: Sequence[int]) -> int:
     """The least 2^L above n and every m_i, so 2^L covers every box extent."""
-    return 1 << max(spec.n, *spec.ms).bit_length()
+    return 1 << max(n, *ms).bit_length()
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,8 +282,9 @@ def _class_grid(spec: DoldSpec, exponents: Sequence[int]) -> np.ndarray:
     return grid
 
 
-def _lucas_verdict(spec: DoldSpec) -> tuple[bool, bool]:
-    """(orientable, nonvanishing) of `verify_dold` by binomial parities alone.
+def _lucas_verdict(n: int, ms: tuple[int, ...]) -> tuple[bool, bool]:
+    """(orientable, nonvanishing) of `verify_dold` for P(n; ms) by binomial
+    parities alone, with no `DoldSpec` and no grid.
 
     w_1 is (n+1-r + sum(m_i+1))*c, and c = 0 in the box when n = 0.  With
     E_0 = 2^L - (n+1-r) and E_i = 2^L - (m_i+1) as in `dual_sw_dold`,
@@ -293,10 +296,9 @@ def _lucas_verdict(spec: DoldSpec) -> tuple[bool, bool]:
     (1+c)-exponent) pairs and dropping a branch once C(E_i, B_i) is even;
     the rest of z goes on c, and C(acc, n - rest) decides (Lucas).
     """
-    n, ms = spec.n, spec.ms
     orientable = n == 0 or (n + 1 + sum(ms)) % 2 == 0  # (n+1-r) + sum(m_i+1)
-    period = _period(spec)
-    states = {(alpha_hat(spec.dimension), period - (n + 1 - len(ms)))}
+    period = _period(n, ms)
+    states = {(alpha_hat(n + 2 * sum(ms)), period - (n + 1 - len(ms)))}
     for m in ms:
         e = period - (m + 1)
         nxt = set()
@@ -341,7 +343,7 @@ def dual_sw_dold(spec: DoldSpec, up_to: int) -> TruncPoly:
     """
     if not 0 <= up_to <= spec.dimension:
         raise ValueError(f"up_to must lie in 0..{spec.dimension}, got {up_to}")
-    period = _period(spec)
+    period = _period(spec.n, spec.ms)
     grid = _class_grid(
         spec,
         (period - (spec.n + 1 - spec.r), *(period - (m + 1) for m in spec.ms)),
@@ -380,15 +382,7 @@ class DoldReport:
         return self.orientable and self.nonvanishing
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "ms": list(self.ms),
-            "dimension": self.dimension,
-            "alpha_hat": self.alpha_hat,
-            "grade": self.grade,
-            "orientable": self.orientable,
-            "nonvanishing": self.nonvanishing,
-        }
+        return {**asdict(self), "ms": list(self.ms)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -396,15 +390,7 @@ class DoldReport:
     @classmethod
     def from_json(cls, text: str) -> "DoldReport":
         data = json.loads(text)
-        return cls(
-            n=data["n"],
-            ms=tuple(data["ms"]),
-            dimension=data["dimension"],
-            alpha_hat=data["alpha_hat"],
-            grade=data["grade"],
-            orientable=data["orientable"],
-            nonvanishing=data["nonvanishing"],
-        )
+        return cls(**{**data, "ms": tuple(data["ms"])})
 
 
 def verify_dold(spec: DoldSpec) -> DoldReport:
@@ -421,7 +407,7 @@ def verify_dold(spec: DoldSpec) -> DoldReport:
     orientable = graded_piece(w, 1).is_zero()
     dual = dual_sw_dold(spec, grade)
     nonvanishing = not graded_piece(dual, grade).is_zero()
-    closed = _lucas_verdict(spec)
+    closed = _lucas_verdict(spec.n, spec.ms)
     if closed != (orientable, nonvanishing):
         raise RuntimeError(
             f"class grids and Lucas parities disagree on {spec}: "
@@ -450,26 +436,29 @@ def scan_dold(target_dim: int, max_r: int) -> list[DoldSpec]:
     by the grid route of `verify_dold` (refused above ``MAX_GRID_CELLS``);
     RuntimeError if a hit is not confirmed.
 
-    The specs are enumerated before any is screened; a scan of more than
-    ``SCAN_BUDGET`` specs is refused with FeasibilityError as soon as its
-    count passes the budget.
+    The (n, ms) pairs are enumerated and counted before any is screened; a
+    scan of more than ``SCAN_BUDGET`` specs is refused with FeasibilityError
+    as soon as its count passes the budget.  A `DoldSpec` is built only for
+    a hit.
     """
     if target_dim < 1:
         raise ValueError(f"target_dim must be >= 1, got {target_dim}")
     if max_r < 1:
         raise ValueError(f"max_r must be >= 1, got {max_r}")
-    specs = []
+    pairs = []
     for r in range(1, min(max_r, (target_dim + 1) // 3) + 1):
         for total in range(r, (target_dim - r + 1) // 2 + 1):
             n = target_dim - 2 * total
             for ms in _ascending_multisets(total, r):
-                if len(specs) == SCAN_BUDGET:
+                if len(pairs) == SCAN_BUDGET:
                     raise FeasibilityError(
                         f"the scan of dimension {target_dim} with r <= {max_r} "
                         f"screens more specs than the budget of {SCAN_BUDGET}"
                     )
-                specs.append(DoldSpec(n, ms))
-    hits = [spec for spec in specs if _lucas_verdict(spec) == (True, True)]
+                pairs.append((n, ms))
+    hits = [
+        DoldSpec(n, ms) for n, ms in pairs if _lucas_verdict(n, ms) == (True, True)
+    ]
     for spec in hits:
         if not verify_dold(spec).verified:
             raise RuntimeError(f"the grid route does not confirm the hit {spec}")

@@ -24,8 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, product
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .bott import (
@@ -42,7 +41,6 @@ __all__ = [
     "decompose",
     "excess",
     "expand_stream",
-    "gap_count",
     "is_zero_monomial",
     "verify_key",
     "verify_zero_a",
@@ -137,25 +135,15 @@ def expand_stream(m: int) -> Iterator[tuple[int, ...]]:
     One summand is chosen per factor of
     ``prod_{i=0}^{p-1}(x_{2^i}^{2^i} + ... + x_m^{2^i})``; the factor-i choice
     contributes 2^i to the chosen variable's exponent.  Yields lazily in
-    odometer order (factor 0 slowest); the total count is
+    `itertools.product` order (factor 0 slowest); the total count is
     ``prod_i (m + 1 - 2^i)``.
     """
     p = _stream_p(m)
-    choices = [range(1 << i, m + 1) for i in range(p)]
-    indices = [r.start for r in choices]
-
-    while True:
+    for choice in product(*(range(1 << i, m + 1) for i in range(p))):
         exps = [0] * m
-        for i, j in enumerate(indices):
+        for i, j in enumerate(choice):
             exps[j - 1] += 1 << i
         yield tuple(exps)
-        for i in range(p - 1, -1, -1):
-            indices[i] += 1
-            if indices[i] <= m:
-                break
-            indices[i] = choices[i].start
-        else:
-            return
 
 
 def stream_count(m: int) -> int:
@@ -263,19 +251,18 @@ class KeyReport:
         return self.nonzero % 2 == 0
 
     @property
-    def all_counts_even(self) -> bool:
+    def verified(self) -> bool:
+        """Every ledger entry is even, hence the GF(2) sum is zero."""
         return (
             self.total % 2 == 0
-            and self.nonzero % 2 == 0
+            and self.sum_is_zero
             and all(c % 2 == 0 for _, c in self.gap_counts)
         )
 
-    @property
-    def verified(self) -> bool:
-        """Every ledger entry is even, hence the GF(2) sum is zero."""
-        return self.all_counts_even and self.sum_is_zero
-
     def gap_count(self, D: int) -> int:
+        """Number of expansion monomials whose gap sits at D, 1 <= D <= m."""
+        if not 1 <= D <= self.m:
+            raise ValueError(f"D must lie in 1..{self.m}, got {D}")
         return dict(self.gap_counts).get(D, 0)
 
     def to_json_dict(self) -> dict:
@@ -332,19 +319,6 @@ def verify_key(p: int, workers: int = 1) -> KeyReport:
                 f"zero {zero} vs {fold_zero}, gaps {gaps} vs {fold_gaps}"
             )
     return report
-
-
-@lru_cache(maxsize=None)
-def _gap_counts_for(m: int) -> dict[int, int]:
-    return _count_key(m, _stream_p(m))[1]
-
-
-def gap_count(m: int, D: int) -> int:
-    """Number of expansion monomials of (x_1+...+x_m)^m whose gap sits at D."""
-    if not 1 <= D <= m:
-        raise ValueError(f"D must lie in 1..{m}, got {D}")
-    _check_key_budget(_stream_p(m))
-    return _gap_counts_for(m).get(D, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -67,47 +67,38 @@ def format_tuple(t: Sequence[int]) -> str:
     return "Sq(" + ",".join(str(c) for c in t) + ")"
 
 
+def _tuples(remaining: int, pos: int, budget: int) -> Iterator[tuple[int, ...]]:
+    """Canonical tuples (t_pos, t_pos+1, ...) of grading ``remaining`` and
+    weight <= ``budget``, in lexicographic order.
+
+    A branch ends once position ``pos`` is worth more than what remains, or
+    once the budget spent on the largest position that still fits
+    (2^i - 1 <= remaining) cannot reach it.
+    """
+    if not remaining:
+        yield ()
+        return
+    val = (1 << pos) - 1
+    top = (1 << ((remaining + 1).bit_length() - 1)) - 1
+    if val > remaining or budget * top < remaining:
+        return
+    for c in range(min(remaining // val, budget) + 1):
+        for rest in _tuples(remaining - c * val, pos + 1, budget - c):
+            yield (c, *rest)
+
+
 def enumerate_tuples(k: int, max_weight: int | None = None) -> list[tuple[int, ...]]:
     """All canonical tuples of grading exactly ``k`` and weight <= ``max_weight``.
 
-    Deterministic (sorted) order; complete by bounded recursion over positions
-    with pruning on the remaining grading.
+    Sorted order: one recursive pass over the positions in ascending order,
+    each count ascending.  A tuple's weight never exceeds its grading, so
+    ``max_weight=None`` is the bound k.
     """
     if k < 0:
         raise ValueError(f"grading must be >= 0, got {k}")
     if max_weight is not None and max_weight < 0:
         return []
-    results: list[tuple[int, ...]] = []
-    counts: dict[int, int] = {}
-
-    def rec(pos: int, remaining: int, budget: int | None) -> None:
-        if remaining == 0:
-            length = max((i for i, c in counts.items() if c), default=0)
-            t = [0] * length
-            for i, c in counts.items():
-                if c:
-                    t[i - 1] = c
-            results.append(tuple(t))
-            return
-        if pos < 1:
-            return
-        if budget is not None and budget * ((1 << pos) - 1) < remaining:
-            return
-        val = (1 << pos) - 1
-        max_c = remaining // val
-        if budget is not None:
-            max_c = min(max_c, budget)
-        for c in range(max_c + 1):
-            counts[pos] = c
-            rec(pos - 1, remaining - c * val, None if budget is None else budget - c)
-        counts.pop(pos, None)
-
-    top = (k + 1).bit_length() - 1 if k else 0
-    if k == 0:
-        results.append(())
-    else:
-        rec(top, k, max_weight)
-    return sorted(results)
+    return list(_tuples(k, 1, k if max_weight is None else max_weight))
 
 
 def _two_adic_parts(n: int) -> tuple[list[int], list[int]]:
@@ -151,32 +142,22 @@ def canonical_z(n: int) -> Monomial:
 
 
 def _assignments(
-    variables: tuple[int, ...], t: tuple[int, ...]
+    variables: Sequence[int], t: Sequence[int], power: int = 2
 ) -> Iterator[dict[int, int]]:
     """All ways to give each position i a disjoint t_i-set of variables.
 
     Yields variable -> exponent maps (chosen variables get 2^i, the rest 1),
-    in canonical order (positions ascending, combinations in sorted order).
+    in canonical order (positions ascending, combinations in sorted order);
+    ``power`` is 2^i of the first position of ``t``.
     """
-    positions = [(i + 1, c) for i, c in enumerate(t) if c]
-
-    def rec(idx: int, remaining: tuple[int, ...], exps: dict[int, int]) -> Iterator[dict[int, int]]:
-        if idx == len(positions):
-            final = dict.fromkeys(remaining, 1)
-            final.update(exps)
-            yield final
-            return
-        pos, count = positions[idx]
-        power = 1 << pos
-        for chosen in combinations(remaining, count):
-            chosen_set = set(chosen)
-            rest = tuple(v for v in remaining if v not in chosen_set)
-            nxt = dict(exps)
-            for v in chosen:
-                nxt[v] = power
-            yield from rec(idx + 1, rest, nxt)
-
-    return rec(0, variables, {})
+    if not t:
+        yield dict.fromkeys(variables, 1)
+        return
+    for chosen in combinations(variables, t[0]):
+        left = [v for v in variables if v not in chosen]
+        for exps in _assignments(left, t[1:], 2 * power):
+            exps.update(dict.fromkeys(chosen, power))
+            yield exps
 
 
 def _top_class_sum(M: BottMatrix, monomials: Iterable[dict[int, int]]) -> Poly:
@@ -228,27 +209,21 @@ def chi_sq(k: int, z: Poly, M: BottMatrix) -> Poly:
     return result
 
 
-def _admissible_bijections(r: int) -> list[tuple[int, ...]]:
+def _admissible_bijections(r: int) -> Iterator[tuple[int, ...]]:
     """Bijections sigma: {1..r+1} -> {0..r} with sigma(i) <= i; exactly 2^r.
 
-    Returned as value tuples indexed by position - 1, in lexicographic order.
+    Yielded as value tuples indexed by position - 1, in lexicographic order.
+    The value r sits at position r or r + 1, so each bijection for r - 1
+    gives two: r appended, or r put at position r and the old last value
+    moved after it.  Two bijections for r - 1 differ before their last
+    value, so the order carries over.
     """
-    results: list[tuple[int, ...]] = []
-
-    def rec(pos: int, used: set[int], acc: list[int]) -> None:
-        if pos > r + 1:
-            results.append(tuple(acc))
-            return
-        for value in range(0, min(pos, r) + 1):
-            if value not in used:
-                used.add(value)
-                acc.append(value)
-                rec(pos + 1, used, acc)
-                acc.pop()
-                used.remove(value)
-
-    rec(1, set(), [])
-    return results
+    if r == 0:
+        yield (0,)
+        return
+    for s in _admissible_bijections(r - 1):
+        yield (*s, r)
+        yield (*s[:-1], r, s[-1])
 
 
 def permsum_terms(n: int) -> list[Monomial]:

@@ -59,6 +59,30 @@ def test_tiny_workload_tasks_pass_their_checks(name):
         assert task.check(task.call()), task.label
 
 
+# Read from `python -X importtime` or timed around the traced pass, not by
+# a count function of a wrapped boundary.
+_UNTRACED = ("cli.import.", "trace.overhead_frac")
+
+
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_traced_tiny_pass_emits_every_per_layer_metric(name):
+    # a count function that breaks on a changed return type fails here, in
+    # the traced call, before a benchmark run would
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    tasks = workloads.build(name, 7, tiny=True).tasks
+    tracer = layers.Tracer()
+    with layers.Instrumentation(tracer) as inst:
+        outputs = [task.call() for task in tasks]
+    for task, output in zip(tasks, outputs, strict=True):
+        assert task.check(output), task.label
+    metrics = tracer.metrics(inst.present)
+    missing = [
+        m["name"] for m in declared
+        if not m["name"].startswith(_UNTRACED) and m["name"] not in metrics
+    ]
+    assert missing == []
+
+
 def test_verify_key_accepts_the_workers_keyword():
     assert verify_key(2, workers=1) == verify_key(2)
     assert charclass.verify_key is verify_key

@@ -185,6 +185,15 @@ def test_matrix_validation():
         BottMatrix(3, [(0, 2)])
 
 
+@pytest.mark.parametrize("ones", [[(1.9, 3)], [(1, 3.0)], [(True, 3)], [("1", 3)]])
+def test_matrix_entries_must_be_integers(ones):
+    # int() would have read (1.9, 3) as a one at (1, 3)
+    with pytest.raises(ValueError, match="must be a pair of integers"):
+        BottMatrix(5, ones)
+    with pytest.raises(ValueError, match="must be a pair of integers"):
+        BottMatrix(5, [(1, 3), *ones])  # also next to an equal int entry
+
+
 def test_matrix_json_round_trip():
     spec_text = '{"n": 5, "ones": [[1,2],[2,3],[3,4],[1,5],[2,5],[3,5]]}'
     assert BottMatrix.from_json(spec_text) == main_matrix(5)
@@ -509,13 +518,6 @@ def test_dual_sw_pulls_back_along_circle_extensions():
                 assert ext_dual[i].is_zero()
 
 
-def test_graded_classes_validation():
-    with pytest.raises(ValueError):
-        GradedClasses(2, (Poly.one(), Poly.one()))  # degree-1 entry holds 1
-    with pytest.raises(ValueError):
-        GradedClasses(2, (Poly.one(), X(1) ** 2))  # non-squarefree entry
-
-
 # The dense engine keeps one bit per basis element in an int and takes the
 # same step for every variable; n = 5..7 cover shifts of 1 to 64 bits, up
 # to blocks of a whole 64-bit word.
@@ -615,7 +617,8 @@ def test_dual_sw_stays_within_its_priced_sweeps(monkeypatch):
 def test_lazy_graded_classes_equal_rendered_ones():
     for M in (main_matrix(9), random_orientable_matrix(8, 12), chain_matrix(7)):
         for compute in (total_sw, lambda M: dual_sw(M, M.n)):
-            rendered = GradedClasses(M.n, compute(M).by_degree)
+            rendered = compute(M)
+            assert len(rendered.by_degree) == M.n + 1  # every grade rendered
             assert compute(M)[-1] == rendered[-1]  # read before any other grade
             lazy = compute(M)
             assert lazy == rendered and rendered == lazy
@@ -623,7 +626,7 @@ def test_lazy_graded_classes_equal_rendered_ones():
             assert lazy.n == rendered.n == M.n
             assert hash(compute(M)) == hash(rendered)
             assert lazy.by_degree == rendered.by_degree
-            assert lazy != GradedClasses(M.n, ())
+            assert lazy != GradedClasses(M.n, 0, M.n)  # every grade zero
 
 
 def test_dense_engine_is_priced_before_any_allocation(monkeypatch):

@@ -69,6 +69,13 @@ def test_spec_validation():
         DoldSpec(1, (0,))
 
 
+@pytest.mark.parametrize("ms", [(2.7,), "12", (2.0,), (True,), (1, "2")])
+def test_spec_factor_sizes_must_be_integers(ms):
+    # int() would have read (2.7,) as P(1; 2) and "12" as P(1; 1, 2)
+    with pytest.raises(ValueError, match="every m_i must be an integer"):
+        DoldSpec(1, ms)
+
+
 def test_spec_dimension_and_shape():
     spec = DoldSpec(3, (2, 4))
     assert spec.dimension == 15
@@ -450,13 +457,15 @@ def test_lucas_verdict_matches_grids_exhaustively():
     assert len(specs) == 1652
     for spec in specs:
         report = verify_dold(spec)
-        assert dold._lucas_verdict(spec) == (report.orientable, report.nonvanishing)
+        assert dold._lucas_verdict(spec.n, spec.ms) == (
+            report.orientable, report.nonvanishing
+        )
 
 
 def test_verify_dold_raises_when_the_routes_disagree(monkeypatch):
     assert verify_dold(P12).verified
     for tampered in ((False, True), (True, False)):
-        monkeypatch.setattr(dold, "_lucas_verdict", lambda spec, t=tampered: t)
+        monkeypatch.setattr(dold, "_lucas_verdict", lambda n, ms, t=tampered: t)
         with pytest.raises(RuntimeError, match="disagree"):
             verify_dold(P12)
 
@@ -471,12 +480,24 @@ def test_scan_dold_raises_on_an_unconfirmed_hit(monkeypatch):
         scan_dold(5, 1)
 
 
-def _recording(monkeypatch, name: str) -> list[DoldSpec]:
-    """Record the spec (first argument) of every call to ``dold.<name>``."""
+def _recording(monkeypatch, name: str) -> list:
+    """Record the first argument of every call to ``dold.<name>``: the spec,
+    or n for `_lucas_verdict`."""
     calls = []
     original = getattr(dold, name)
     monkeypatch.setattr(
-        dold, name, lambda spec, *rest: calls.append(spec) or original(spec, *rest)
+        dold, name, lambda first, *rest: calls.append(first) or original(first, *rest)
+    )
+    return calls
+
+
+def _screens(monkeypatch) -> list[DoldSpec]:
+    """Record the spec of every `_lucas_verdict` screen."""
+    calls = []
+    original = dold._lucas_verdict
+    monkeypatch.setattr(
+        dold, "_lucas_verdict",
+        lambda n, ms: calls.append(DoldSpec(n, ms)) or original(n, ms),
     )
     return calls
 
@@ -509,7 +530,11 @@ def test_scan_dold_admits_the_witness_scans():
 
 def test_scan_dold_price_refuses_before_verifying(monkeypatch):
     calls = _recording(monkeypatch, "verify_dold")
-    screens = _recording(monkeypatch, "_lucas_verdict")
+    screens = _screens(monkeypatch)
+    built = []
+    monkeypatch.setattr(
+        dold, "DoldSpec", lambda n, ms: built.append(ms) or DoldSpec(n, ms)
+    )
     # the first refused full scan: 58,498 specs
     start = time.perf_counter()
     with pytest.raises(FeasibilityError) as info:
@@ -519,17 +544,17 @@ def test_scan_dold_price_refuses_before_verifying(monkeypatch):
         "the scan of dimension 76 with r <= 38 screens more specs than the "
         "budget of 50000"
     )
-    assert screens == [] and calls == []
+    assert screens == [] and calls == [] and built == []
     # the largest admitted full scan: 40,025 specs, each screened, no hit
     assert scan_dold(72, 36) == []
-    assert len(screens) == 40025 and calls == []
+    assert len(screens) == 40025 and calls == [] and built == []
     # one verify_dold per hit
     hits = scan_dold(31, 3)
     assert hits and sorted(calls, key=lambda s: (s.n, s.ms)) == hits
 
 
 def test_degree_grid_cache_stays_bounded(monkeypatch):
-    screens = _recording(monkeypatch, "_lucas_verdict")
+    screens = _screens(monkeypatch)
     _degree_grid.cache_clear()
     assert scan_dold(24, 12) == []
     assert _degree_grid.cache_info().misses == 0  # no hit, no grid

@@ -21,7 +21,6 @@ from charclass.qring import (
     decompose,
     excess,
     expand_stream,
-    gap_count,
     is_zero_monomial,
     stream_count,
     verify_key,
@@ -234,7 +233,6 @@ def test_verify_key_parity_and_verdict():
         assert report.nonzero % 2 == 0
         assert all(c % 2 == 0 for _, c in report.gap_counts)
         assert report.sum_is_zero
-        assert report.all_counts_even
         assert report.verified
 
 
@@ -275,12 +273,12 @@ def test_key_sum_vanishes_in_dense_chain_ring():
 
 def test_gap_count_accessor():
     report = verify_key(3)
-    assert gap_count(7, 7) == report.gap_count(7) == 90
-    assert gap_count(7, 4) == 0
+    assert report.gap_count(7) == 90
+    assert report.gap_count(4) == 0
     with pytest.raises(ValueError):
-        gap_count(7, 0)
+        report.gap_count(0)
     with pytest.raises(ValueError):
-        gap_count(7, 8)
+        report.gap_count(8)
 
 
 def _fold_report(p: int) -> KeyReport:
@@ -323,7 +321,7 @@ def test_verify_key_p6_beyond_the_stream():
     report = verify_key(6)
     assert report.total == stream_count(63) == 20158709760
     assert report.nonzero == 2 ** 30
-    assert gap_count(63, 63) == report.gap_count(63) == 62 * 61 * 59 * 55 * 47 * 31
+    assert report.gap_count(63) == 62 * 61 * 59 * 55 * 47 * 31
 
 
 def test_fold_cross_check_runs_for_p_up_to_4_only(monkeypatch):
@@ -357,8 +355,6 @@ def test_key_count_refused_over_budget():
     for p in (11, 12, 64, 65, 10 ** 6):
         with pytest.raises(FeasibilityError, match="budget"):
             verify_key(p)
-    with pytest.raises(FeasibilityError):
-        gap_count(2 ** 11 - 1, 3)
     with pytest.raises(ValueError):
         verify_key(11, workers=0)
     assert time.perf_counter() - start < 1.0

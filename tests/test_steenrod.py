@@ -59,26 +59,6 @@ def test_format_tuple():
     assert format_tuple(()) == "Sq()"
 
 
-def _brute_force_tuples(k: int, max_weight: int | None) -> set[tuple[int, ...]]:
-    # positions 1..4 cover gradings up to 15*t; entries bounded by k
-    out = set()
-
-    def rec(prefix, remaining):
-        if len(prefix) == 4:
-            if remaining == 0:
-                out.add(normalize_tuple(prefix))
-            return
-        pos = len(prefix) + 1
-        unit = 2 ** pos - 1
-        for t in range(remaining // unit + 1):
-            rec(prefix + [t], remaining - t * unit)
-
-    rec([], k)
-    if max_weight is not None:
-        out = {t for t in out if weight(t) <= max_weight}
-    return out
-
-
 def test_enumerate_tuples_examples():
     assert set(enumerate_tuples(3)) == {(3,), (0, 1)}
     assert enumerate_tuples(10, 2) == [(0, 1, 1)]
@@ -86,20 +66,33 @@ def test_enumerate_tuples_examples():
 
 
 def test_enumerate_tuples_complete_and_sorted():
-    for k in range(13):
-        for max_weight in (None, 0, 1, 2, 3, 4):
-            got = enumerate_tuples(k, max_weight)
-            assert got == sorted(got)
-            assert len(set(got)) == len(got)
-            assert set(got) == _brute_force_tuples(k, max_weight)
-            for t in got:
-                assert grading(t) == k
-                assert t == normalize_tuple(t)
+    # against every count vector over the positions worth at most k, filtered
+    for k in range(21):
+        units = [2 ** i - 1 for i in range(1, (k + 1).bit_length())]
+        vectors = itertools.product(*(range(k // u + 1) for u in units))
+        graded = [v for v in vectors if sum(c * u for c, u in zip(v, units)) == k]
+        for max_weight in (None, *range(-1, k + 1)):
+            expected = sorted(
+                normalize_tuple(v) for v in graded
+                if max_weight is None or sum(v) <= max_weight
+            )
+            assert enumerate_tuples(k, max_weight) == expected, (k, max_weight)
+    assert enumerate_tuples(0, -1) == []
 
 
 def test_enumerate_tuples_rejects_negative():
     with pytest.raises(ValueError):
         enumerate_tuples(-1)
+
+
+def test_admissible_bijections_match_filtered_permutations():
+    for r in range(7):
+        expected = [
+            sigma for sigma in itertools.permutations(range(r + 1))
+            if all(value <= i for i, value in enumerate(sigma, start=1))
+        ]
+        assert len(expected) == 2 ** r
+        assert list(steenrod._admissible_bijections(r)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +169,35 @@ def test_act_identity_reduces():
     assert act((), m, M) == Poly.of([m])
 
 
+def _brute_force_assignments(variables, t) -> list[dict[int, int]]:
+    """Every way to raise t_i of the variables to the 2^i, by labelling each
+    variable with a position or none, in the canonical order of the sets
+    chosen for positions 1, 2, ..."""
+    found = []
+    for slots in itertools.product(range(len(t) + 1), repeat=len(variables)):
+        chosen = tuple(
+            tuple(v for v, s in zip(variables, slots) if s == i)
+            for i in range(1, len(t) + 1)
+        )
+        if tuple(map(len, chosen)) == tuple(t):
+            found.append((chosen, {v: 1 << s for v, s in zip(variables, slots)}))
+    return [exps for _, exps in sorted(found, key=lambda pair: pair[0])]
+
+
 def _assignment_monomials(t: tuple[int, ...], m: Monomial) -> list[Monomial]:
     """Every way to raise t_i of the variables of m to the 2^i, by brute force."""
-    variables = m.variables()
-    out = []
-    for slots in itertools.product(range(len(t) + 1), repeat=len(variables)):
-        if all(slots.count(i + 1) == c for i, c in enumerate(t)):
-            out.append(Monomial.from_exponents(
-                {v: 1 << s for v, s in zip(variables, slots)}
-            ))
-    return out
+    return [
+        Monomial.from_exponents(exps)
+        for exps in _brute_force_assignments(m.variables(), t)
+    ]
+
+
+def test_assignments_match_brute_force():
+    tuples = sorted({normalize_tuple(t) for t in itertools.product(range(3), repeat=3)})
+    for variables in ((), (3,), (1, 2), (1, 2, 4), (2, 3, 5, 6), (1, 2, 3, 5, 7)):
+        for t in tuples:
+            got = list(steenrod._assignments(variables, t))
+            assert got == _brute_force_assignments(variables, t), (variables, t)
 
 
 @st.composite
