@@ -39,7 +39,7 @@ from itertools import accumulate, compress
 from random import Random
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .poly2 import _BYTE_FACTORS, Monomial, Poly
+from .poly2 import _BYTE_FACTORS, Monomial, Poly, _squarefree_monomial
 
 __all__ = [
     "BottMatrix",
@@ -451,7 +451,8 @@ class _DenseRing:
     product is swept: `grade_piece` and `to_poly` need no ring, so
     `GradedClasses` keeps just the product int and cuts and converts one
     grade when it is first read.  Past the sweeps, rendering is the cost: one
-    validated `Monomial` per term and the canonical sort of `format_poly`.
+    unchecked `Monomial` per term, built from shared `_BYTE_FACTORS` rows,
+    and the one canonical sort and factor-text lookups of `format_poly`.
     """
 
     def __init__(self, M: BottMatrix, sweeps: int) -> None:
@@ -532,8 +533,9 @@ class _DenseRing:
         Bit 8i + j is the mask of a term.  Its low byte, 8(i mod 32) + j,
         gives the factors x_1..x_8 from `_BYTE_FACTORS[0]`; the higher bytes
         are i // 32 for the whole 32-byte block, so their factors are built
-        once per block by `Monomial.from_mask`.  Every term is validated by
-        the `Monomial` constructor.
+        once per block by `Monomial.from_mask`.  Both parts are `_BYTE_FACTORS`
+        rows, strictly increasing with exponent 1, so each term is made by
+        the unchecked `_squarefree_monomial`.
         """
         data = v.to_bytes((v.bit_length() + 7) // 8, "little")
         low = _BYTE_FACTORS[0]
@@ -545,7 +547,7 @@ class _DenseRing:
                 high = Monomial.from_mask(block << 8).factors
             base = (i & 31) << 3
             for j in _BYTE_BITS[data[i]]:
-                terms.append(Monomial(low[base + j] + high))
+                terms.append(_squarefree_monomial(low[base + j] + high))
         return Poly(frozenset(terms))
 
 
@@ -571,10 +573,13 @@ class GradedClasses:
 
     @property
     def by_degree(self) -> tuple[Poly, ...]:
-        return tuple(self[k] for k in range(len(self)))
+        return self[:]
 
-    def __getitem__(self, k: int) -> Poly:
-        piece = self._pieces[k]
+    def __getitem__(self, k: int | slice) -> Poly | tuple[Poly, ...]:
+        """Grade k, or the tuple of the grades a slice selects."""
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(*k.indices(len(self)))))
+        piece = self._pieces[k]  # IndexError or TypeError for a bad index
         if piece is None:
             k %= len(self)  # the grade of a negative index
             piece = self._pieces[k] = _DenseRing.to_poly(

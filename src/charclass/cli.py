@@ -257,18 +257,24 @@ def cmd_scan_bott(
             "raise --direct-cap to force the computation"
         )
     if family == "main":
-        candidates = [(main_matrix(dim), None)]
+        count, candidates = 1, [(main_matrix(dim), None)]
     elif family == "banded":
-        candidates = [(banded_matrix(dim, bandwidth), None)]
+        count, candidates = 1, [(banded_matrix(dim, bandwidth), None)]
     else:
-        candidates = [
+        count = budget
+        candidates = (
             (random_orientable_matrix(dim, seed + i), seed + i)
             for i in range(budget)
-        ]
+        )
     grade = dim - alpha_hat(dim)
-    records = []
+    # candidates are made and written one at a time, so memory does not grow
+    # with --budget.  The text is json.dumps(records, indent=2), one record
+    # at a time; the "[" waits for the first record, so a refusal leaves
+    # stdout empty.
+    encoder = json.JSONEncoder(indent=2)
+    opening = "["
     for index, (matrix, used_seed) in enumerate(candidates):
-        click.echo(f"candidate {index + 1}/{len(candidates)}", err=True)
+        click.echo(f"candidate {index + 1}/{count}", err=True)
         orientable = is_orientable(matrix)
         nonvanishing = not dual_sw(matrix, grade)[grade].is_zero()
         record = {
@@ -280,8 +286,12 @@ def cmd_scan_bott(
         }
         if used_seed is not None:
             record["seed"] = used_seed
-        records.append(record)
-    click.echo(json.dumps(records, indent=2))
+        # a list item sits one level (two spaces) deeper than the record
+        # alone; JSON strings escape their newlines, so every "\n" is a break
+        item = encoder.encode(record).replace("\n", "\n  ")
+        click.echo(f"{opening}\n  {item}", nl=False)
+        opening = ","
+    click.echo("\n]")
 
 
 @main.group("qm")

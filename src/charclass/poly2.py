@@ -10,19 +10,19 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
 
 __all__ = [
     "Monomial",
     "Poly",
-    "canonical_key",
     "format_monomial",
     "format_poly",
     "parse_poly",
 ]
 
 _EXPONENT = itemgetter(1)
+_FACTORS = attrgetter("factors")
 
 
 class _ByteFactors(dict):
@@ -85,8 +85,10 @@ class Monomial:
 
         One step per byte: the factors of byte k are a row of the lazily
         built `_BYTE_FACTORS` table, so monomials share their ``(v, 1)``
-        pairs.  The result is validated like any other monomial; a negative
-        mask has no variable set and raises ValueError.
+        pairs.  Rows of increasing k hold increasing variables, so the
+        joined factors are valid by construction and the term is made by
+        `_squarefree_monomial`; a negative mask has no variable set and
+        raises ValueError.
         """
         if mask < 0:
             raise ValueError(f"mask must be >= 0, got {mask}")
@@ -96,7 +98,7 @@ class Monomial:
             factors += _BYTE_FACTORS[k][mask & 255]
             mask >>= 8
             k += 1
-        return cls(factors)
+        return _squarefree_monomial(factors)
 
     # -- queries ------------------------------------------------------------
 
@@ -148,9 +150,32 @@ class Monomial:
         return format_monomial(self)
 
 
-def canonical_key(m: Monomial) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Sort key for the canonical monomial order: by degree, then factor tuple."""
-    return (sum(map(_EXPONENT, m.factors)), m.factors)
+_set_factors = Monomial.__dict__["factors"].__set__  # bypasses the frozen __setattr__
+
+
+def _squarefree_monomial(factors: tuple[tuple[int, int], ...]) -> Monomial:
+    """The monomial of factors joined from `_BYTE_FACTORS` rows, unchecked.
+
+    Those factors are strictly increasing with exponent 1 by construction,
+    so the checks of ``__post_init__`` are skipped; every other monomial
+    goes through the public constructor.
+    """
+    m = object.__new__(Monomial)
+    _set_factors(m, factors)
+    return m
+
+
+def _canonical_order(terms: Iterable[Monomial]) -> list[Monomial]:
+    """The terms by degree, then factor tuple.
+
+    One sort on the factor tuple, compared in C; a stable re-sort by
+    degree follows only when the terms differ in degree, so a homogeneous
+    piece pays one sort.
+    """
+    ordered = sorted(terms, key=_FACTORS)
+    if len(set(map(Monomial.degree, ordered))) > 1:
+        ordered.sort(key=Monomial.degree)
+    return ordered
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,7 +231,7 @@ class Poly:
 
     def monomials(self) -> list[Monomial]:
         """Terms in the canonical order (degree, then factor tuple)."""
-        return sorted(self.terms, key=canonical_key)
+        return _canonical_order(self.terms)
 
     def degree(self) -> int:
         """Largest term degree; -1 for the zero polynomial."""
@@ -267,10 +292,31 @@ class Poly:
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
+class _FactorText(dict):
+    """Maps a factor ``(v, e)`` to its text, ``x<v>`` or ``x<v>^<e>``.
+
+    Only exponent-1 factors of int variables are kept, one entry per
+    variable rendered, each stored on first use; importing the module
+    builds none.  Higher powers are rare and rendered afresh.
+    """
+
+    def __missing__(self, factor: tuple[int, int]) -> str:
+        var, exp = factor
+        if exp != 1:
+            return f"x{var}^{exp}"
+        text = f"x{var}"
+        if type(var) is int:  # a stored (True, 1) would also answer x1
+            self[factor] = text
+        return text
+
+
+_FACTOR_TEXT = _FactorText()
+
+
 def format_monomial(m: Monomial) -> str:
     if not m.factors:
         return "1"
-    return "*".join([f"x{var}" if exp == 1 else f"x{var}^{exp}" for var, exp in m.factors])
+    return "*".join(map(_FACTOR_TEXT.__getitem__, m.factors))
 
 
 def format_poly(p: Poly) -> str:

@@ -629,6 +629,21 @@ def test_lazy_graded_classes_equal_rendered_ones():
             assert lazy != GradedClasses(M.n, 0, M.n)  # every grade zero
 
 
+def test_graded_classes_slices_read_their_grades():
+    M = random_orientable_matrix(6, 3)
+    for compute in (total_sw, lambda M: dual_sw(M, M.n)):
+        full = compute(M).by_degree
+        for cut in (slice(0, 3), slice(None), slice(None, None, -2),
+                    slice(5, 1, -1), slice(-3, None), slice(9, 12)):
+            assert compute(M)[cut] == full[cut]  # no grade read before
+            partly = compute(M)
+            partly[1]
+            assert partly[cut] == full[cut]  # one grade read before
+        for bad in (1.5, "1", None, (0, 1)):
+            with pytest.raises(TypeError):
+                compute(M)[bad]
+
+
 def test_dense_engine_is_priced_before_any_allocation(monkeypatch):
     # the sweep masks are the first 2^n-bit allocation of the engine
     def refuse(self, l):

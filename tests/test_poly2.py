@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from charclass.bott import _DenseRing
 from charclass.poly2 import Monomial, Poly, format_monomial, format_poly, parse_poly
 from oracles import canonical_key as oracle_key
 from oracles import format_monomial as oracle_format_monomial
@@ -238,18 +239,57 @@ def test_rendering_matches_the_per_term_oracle(terms):
         assert format_monomial(m) == oracle_format_monomial(m)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12), st.randoms(use_true_random=False))
+def test_rendering_of_dense_grade_pieces_matches_the_per_term_oracle(n, rng):
+    # a grade piece of a random vector v < 2^(2^n) is homogeneous with up to
+    # about C(12, 6) / 2 terms, which the small mixed-degree draws above
+    # never reach
+    v = rng.getrandbits(1 << n)
+    for k in range(n + 1):
+        piece = _DenseRing.to_poly(_DenseRing.grade_piece(v, n, k))
+        assert format_poly(piece) == oracle_format_poly(piece)
+        assert piece.monomials() == sorted(piece.terms, key=oracle_key)
+        for m in piece:
+            assert Monomial(m.factors) == m  # the unchecked terms re-validate
+    whole = _DenseRing.to_poly(v)
+    assert format_poly(whole) == oracle_format_poly(whole)
+
+
+def _fresh_python(code: str) -> list[str]:
+    """The stdout lines of ``code`` run in a new interpreter on this ``src``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    ).stdout.split("\n")
+
+
 def test_import_builds_no_byte_factor_rows():
     # the table is built row by row on first use; an eager one slows every
     # command-line start
-    code = (
+    out = _fresh_python(
         "import charclass.cli, charclass.poly2 as p; "
         "print(len(p._BYTE_FACTORS)); p.Monomial.from_mask(1 << 100); "
         "print(sorted(p._BYTE_FACTORS))"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    ).stdout
-    assert out.split("\n")[:2] == ["0", str(list(range(13)))]
+    assert out[:2] == ["0", str(list(range(13)))]
+
+
+def test_factor_text_holds_only_the_variables_rendered():
+    # nothing at import; then one entry per exponent-1 variable rendered.
+    # (True, 1) == (1, 1) as a key, so a stored "xTrue" would be the text
+    # of every later x1
+    out = _fresh_python(
+        "import charclass.cli, charclass.poly2 as p; "
+        "print(len(p._FACTOR_TEXT)); "
+        "print(p.format_poly(p.parse_poly('x3^2*x700 + x5 + x700'))); "
+        "print(sorted(p._FACTOR_TEXT.items())); "
+        "p.format_monomial(p.Monomial(((True, 1),))); "
+        "print(p.format_poly(p.Poly.var(1)))"
+    )
+    assert out[:4] == [
+        "0", "x5 + x700 + x3^2*x700", "[((5, 1), 'x5'), ((700, 1), 'x700')]",
+        "x1",
+    ]
