@@ -18,11 +18,12 @@ This module provides:
   placement count (`_placements`, which also counts the key-identity ledger
   of `qring`),
 * total and dual Stiefel-Whitney classes over the dense squarefree basis
-  (`total_sw`, `dual_sw`), as products of the factors (1 + Lambda_j) and of
-  their inverses: 2^n GF(2) coefficients as the bits of one Python int,
-  multiplied by sweeps that take the same shift-and-mask step for every
-  variable; a grade becomes a `Poly` only when it is read, and a request
-  over ``DENSE_BUDGET`` is refused before any allocation,
+  (`total_sw`, `dual_sw`), as one product of the factors
+  1 + Lambda_j + ... + Lambda_j^t: t = 1 for w, and t = up_to for the
+  truncated inverses that give wbar.  2^n GF(2) coefficients are the bits
+  of one Python int, multiplied by sweeps that take the same shift-and-mask
+  step for every variable; a grade becomes a `Poly` only when it is read,
+  and a request over ``DENSE_BUDGET`` is refused before any allocation,
 * the end-to-end verifier `verify_main`, whose witness for every
   n != 0 mod 4 is a main-family manifold M_m (m = 1 mod 4) times circles,
   and whose Steenrod route pairs on M_m.
@@ -81,6 +82,8 @@ class FeasibilityError(RuntimeError):
 
 def alpha(n: int) -> int:
     """Number of ones in the binary expansion of ``n`` (n >= 1)."""
+    if not _is_int(n):
+        raise ValueError(f"alpha requires an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"alpha requires n >= 1, got {n}")
     return n.bit_count()
@@ -571,10 +574,6 @@ class GradedClasses:
     def n(self) -> int:
         return self._n
 
-    @property
-    def by_degree(self) -> tuple[Poly, ...]:
-        return self[:]
-
     def __getitem__(self, k: int | slice) -> Poly | tuple[Poly, ...]:
         """Grade k, or the tuple of the grades a slice selects."""
         if isinstance(k, slice):
@@ -593,13 +592,33 @@ class GradedClasses:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedClasses):
             return NotImplemented
-        return self.n == other.n and self.by_degree == other.by_degree
+        return self.n == other.n and self[:] == other[:]
 
     def __hash__(self) -> int:
-        return hash((self.n, self.by_degree))
+        return hash((self.n, self[:]))
 
     def __repr__(self) -> str:
-        return f"GradedClasses(n={self.n!r}, by_degree={self.by_degree!r})"
+        return f"GradedClasses(n={self.n!r}, grades={self[:]!r})"
+
+
+def _class_product(M: BottMatrix, t: int, top: int) -> GradedClasses:
+    """prod_j (1 + Lambda_j + ... + Lambda_j^t) on the dense basis, exact in
+    grades 0..top.
+
+    Each factor is multiplied in one power of Lambda_j at a time, and its
+    series stops once a power vanishes.  Makes at most t * n sweeps;
+    refused with FeasibilityError above ``DENSE_BUDGET``.
+    """
+    ring = _DenseRing(M, sweeps=t * M.n)
+    v = 1  # the unit, basis element 0
+    for j in range(1, M.n + 1):
+        power = v
+        for _ in range(t):
+            power = ring.mul_lambda(power, j)
+            if not power:
+                break
+            v ^= power
+    return GradedClasses(M.n, v, top)
 
 
 def total_sw(M: BottMatrix) -> GradedClasses:
@@ -607,36 +626,22 @@ def total_sw(M: BottMatrix) -> GradedClasses:
 
     Makes n sweeps; refused with FeasibilityError above ``DENSE_BUDGET``.
     """
-    ring = _DenseRing(M, sweeps=M.n)
-    v = 1  # the unit, basis element 0
-    for j in range(1, M.n + 1):
-        v ^= ring.mul_lambda(v, j)
-    return GradedClasses(M.n, v, M.n)
+    return _class_product(M, 1, M.n)
 
 
 def dual_sw(M: BottMatrix, up_to: int) -> GradedClasses:
     """Dual classes wbar_0..wbar_up_to: the formal inverse of total_sw.
 
     The inverse is the product of the inverted factors, (1 + Lambda_j)^-1 =
-    sum_i Lambda_j^i, multiplied in factor by factor on the dense basis.
-    Lambda_j^i lies in grades >= i, so each series stops after up_to terms
-    (or once a power vanishes) and is still exact in grades <= up_to.  The
+    sum_i Lambda_j^i.  Lambda_j^i lies in grades >= i, so each series stops
+    after up_to terms and is still exact in grades <= up_to.  The
     convolution sum_{j} w_j * wbar_{k-j} = 0 for 1 <= k <= up_to is
     property-tested separately.  Makes at most up_to * n sweeps; refused
     with FeasibilityError above ``DENSE_BUDGET``.
     """
     if not 0 <= up_to <= M.n:
         raise ValueError(f"up_to must lie in 0..{M.n}, got {up_to}")
-    ring = _DenseRing(M, sweeps=up_to * M.n)
-    v = 1  # the unit, basis element 0
-    for j in range(1, M.n + 1):
-        t = v
-        for _ in range(up_to):
-            t = ring.mul_lambda(t, j)
-            if not t:
-                break
-            v ^= t
-    return GradedClasses(M.n, v, up_to)
+    return _class_product(M, up_to, up_to)
 
 
 # ---------------------------------------------------------------------------
@@ -674,14 +679,7 @@ class MainReport:
     @classmethod
     def from_json(cls, text: str) -> "MainReport":
         data = json.loads(text)
-        return cls(
-            n=data["n"],
-            alpha_hat=data["alpha_hat"],
-            grade=data["grade"],
-            orientable=data["orientable"],
-            direct=data["methods"]["direct"],
-            steenrod=data["methods"]["steenrod"],
-        )
+        return cls(**data.pop("methods"), **data)
 
 
 def verify_main(
@@ -702,6 +700,8 @@ def verify_main(
     decides every n: n - alpha_hat(n) = m - alpha_hat(m), and classes pull
     back injectively along the extension; "both" runs and records both.
     """
+    if not _is_int(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if method not in ("direct", "steenrod", "both"):
@@ -719,23 +719,19 @@ def verify_main(
             "steenrod method)"
         )
     m = n - (n % 4 - 1)  # largest m <= n with m = 1 mod 4
-    base = main_matrix(m)
-    matrix = extend_with_circles(base, n - m)
+    matrix = extend_with_circles(main_matrix(m), n - m)
     grade = n - alpha_hat(n)
-    orientable = is_orientable(matrix)
-    direct_bit: bool | None = None
-    steenrod_bit: bool | None = None
-    if run_direct:
-        direct_bit = not dual_sw(matrix, grade)[grade].is_zero()
+    direct = not dual_sw(matrix, grade)[grade].is_zero() if run_direct else None
+    steenrod = None
     if method in ("steenrod", "both"):
         from .steenrod import permsum
 
-        steenrod_bit = top_coefficient(permsum(m), base) == 1
+        steenrod = not permsum(m).is_zero()  # the top class or zero
     return MainReport(
         n=n,
         alpha_hat=alpha_hat(n),
         grade=grade,
-        orientable=orientable,
-        direct=direct_bit,
-        steenrod=steenrod_bit,
+        orientable=is_orientable(matrix),
+        direct=direct,
+        steenrod=steenrod,
     )

@@ -28,6 +28,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -92,6 +93,17 @@ def main(ctx: click.Context, direct_cap: int) -> None:
     ctx.obj = direct_cap  # the run-wide direct-method cap
 
 
+def _matrix_options(command):
+    """The --n / --matrix pair of a command that reads one Bott matrix."""
+    command = click.option(
+        "--matrix", "matrix_path", type=click.Path(), default=None,
+        help="Path to a Bott matrix JSON file.",
+    )(command)
+    return click.option(
+        "--n", type=int, default=None, help="Use the main-family matrix."
+    )(command)
+
+
 def _load_matrix(n: int | None, matrix_path: str | None) -> BottMatrix:
     if (n is None) == (matrix_path is None):
         raise ValueError(
@@ -100,6 +112,16 @@ def _load_matrix(n: int | None, matrix_path: str | None) -> BottMatrix:
     if n is not None:
         return main_matrix(n)
     return BottMatrix.from_json(Path(matrix_path).read_text())
+
+
+def _falsified(what: str) -> NoReturn:
+    """Exit 1: a check the theory guarantees did not hold."""
+    click.echo(
+        f"falsified: {what} - this indicates an implementation bug, not a "
+        "mathematical finding",
+        err=True,
+    )
+    raise SystemExit(1)
 
 
 @main.command("verify-main")
@@ -130,12 +152,7 @@ def cmd_verify_main(cap: int, n: int, method: str, fmt: str) -> None:
         for key, value in report.to_json_dict().items():
             click.echo(f"{key}: {json.dumps(value)}")
     if not report.verified:
-        click.echo(
-            "falsified: the expected class behaviour did not hold - this "
-            "indicates an implementation bug, not a mathematical finding",
-            err=True,
-        )
-        raise SystemExit(1)
+        _falsified("the expected class behaviour did not hold")
 
 
 @main.command("chi-sq")
@@ -143,14 +160,7 @@ def cmd_verify_main(cap: int, n: int, method: str, fmt: str) -> None:
 @click.option(
     "--z", type=str, required=True, help='Input polynomial, e.g. "x4*x5".'
 )
-@click.option("--n", type=int, default=None, help="Use the main-family matrix.")
-@click.option(
-    "--matrix",
-    "matrix_path",
-    type=click.Path(),
-    default=None,
-    help="Path to a Bott matrix JSON file.",
-)
+@_matrix_options
 @click.option(
     "--verbose",
     is_flag=True,
@@ -169,14 +179,7 @@ def cmd_chi_sq(
 
 
 @main.command("class-table")
-@click.option("--n", type=int, default=None, help="Use the main-family matrix.")
-@click.option(
-    "--matrix",
-    "matrix_path",
-    type=click.Path(),
-    default=None,
-    help="Path to a Bott matrix JSON file.",
-)
+@_matrix_options
 @click.option("--dual", is_flag=True, help="Emit dual classes instead.")
 @click.option(
     "--up-to",
@@ -317,12 +320,7 @@ def cmd_check_key(p: int, stats: bool) -> None:
             f"nonzero={report.nonzero} verified={report.verified}"
         )
     if not report.verified:
-        click.echo(
-            "falsified: parity ledger is not even - this indicates an "
-            "implementation bug, not a mathematical finding",
-            err=True,
-        )
-        raise SystemExit(1)
+        _falsified("parity ledger is not even")
 
 
 @qm_group.command("check-zero")
@@ -347,12 +345,7 @@ def cmd_check_zero(n: int) -> None:
     all_ok = all(c["ok"] for c in part_a) and all(c["ok"] for c in part_b)
     click.echo(json.dumps({"n": n, "a": part_a, "b": part_b, "all_ok": all_ok}))
     if not all_ok:
-        click.echo(
-            "falsified: a product expected to vanish did not - this "
-            "indicates an implementation bug, not a mathematical finding",
-            err=True,
-        )
-        raise SystemExit(1)
+        _falsified("a product expected to vanish did not")
 
 
 @main.group("dold")

@@ -30,6 +30,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .bott import FeasibilityError, _is_int, alpha_hat
@@ -140,6 +141,13 @@ def _check_cells(spec: DoldSpec) -> None:
         )
 
 
+def _in_box(spec: DoldSpec, a: int, bs: Sequence[int]) -> bool:
+    """Whether c^a * prod d_i^b_i is a cell of the ring's exponent box."""
+    return 0 <= a <= spec.n and all(
+        0 <= b <= m for b, m in zip(bs, spec.ms, strict=True)
+    )
+
+
 def _period(n: int, ms: Sequence[int]) -> int:
     """The least 2^L above n and every m_i, so 2^L covers every box extent."""
     return 1 << max(n, *ms).bit_length()
@@ -153,22 +161,18 @@ class TruncPoly:
     grid: np.ndarray
 
     def __post_init__(self) -> None:
-        import numpy as np
-
         if self.grid.shape != self.spec.shape:
             raise ValueError(
                 f"grid shape {self.grid.shape} does not match ring {self.spec.shape}"
             )
-        grid = np.ascontiguousarray(self.grid.astype(np.uint8) & 1)
+        grid = self.grid.astype("uint8", order="C") & 1
         grid.flags.writeable = False
         object.__setattr__(self, "grid", grid)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncPoly):
             return NotImplemented
-        import numpy as np
-
-        return self.spec == other.spec and bool(np.array_equal(self.grid, other.grid))
+        return self.spec == other.spec and bool((self.grid == other.grid).all())
 
     def is_zero(self) -> bool:
         return not self.grid.any()
@@ -178,12 +182,8 @@ class TruncPoly:
 
     def terms(self) -> list[tuple[int, tuple[int, ...]]]:
         """Sorted (a, (b_1..b_r)) exponent tuples of the nonzero cells."""
-        import numpy as np
-
-        return [
-            (int(cell[0]), tuple(int(b) for b in cell[1:]))
-            for cell in np.argwhere(self.grid)
-        ]
+        axes = (axis.tolist() for axis in self.grid.nonzero())
+        return [(a, tuple(bs)) for a, *bs in zip(*axes)]
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -218,9 +218,7 @@ class TruncPoly:
         _check_cells(spec)
         grid = np.zeros(spec.shape, dtype=np.uint8)
         for a, bs in terms:
-            if not 0 <= a <= spec.n or any(
-                not 0 <= b <= m for b, m in zip(bs, spec.ms, strict=True)
-            ):
+            if not _in_box(spec, a, bs):
                 raise ValueError(f"exponents ({a}, {tuple(bs)}) out of bounds")
             grid[(a, *bs)] ^= 1
         return cls(spec, grid)
@@ -326,10 +324,7 @@ def total_sw_dold(spec: DoldSpec) -> TruncPoly:
 
 def graded_piece(p: TruncPoly, k: int) -> TruncPoly:
     """The degree-k homogeneous part (grading a + 2*sum b_i)."""
-    import numpy as np
-
-    deg = _degree_grid(p.spec)
-    return TruncPoly(p.spec, np.where(deg == k, p.grid, np.uint8(0)))
+    return TruncPoly(p.spec, p.grid * (_degree_grid(p.spec) == k))
 
 
 def dual_sw_dold(spec: DoldSpec, up_to: int) -> TruncPoly:
@@ -358,9 +353,7 @@ def coefficient(p: TruncPoly, a: int, bs: Sequence[int]) -> int:
     bs_t = tuple(int(b) for b in bs)
     if len(bs_t) != spec.r:
         raise ValueError(f"expected {spec.r} d-exponents, got {len(bs_t)}")
-    if not 0 <= a <= spec.n or any(
-        not 0 <= b <= m for b, m in zip(bs_t, spec.ms, strict=True)
-    ):
+    if not _in_box(spec, a, bs_t):
         raise ValueError(f"exponents ({a}, {bs_t}) outside the truncation bounds")
     return int(p.grid[(a, *bs_t)])
 
@@ -445,17 +438,18 @@ def scan_dold(target_dim: int, max_r: int) -> list[DoldSpec]:
         raise ValueError(f"target_dim must be >= 1, got {target_dim}")
     if max_r < 1:
         raise ValueError(f"max_r must be >= 1, got {max_r}")
-    pairs = []
-    for r in range(1, min(max_r, (target_dim + 1) // 3) + 1):
-        for total in range(r, (target_dim - r + 1) // 2 + 1):
-            n = target_dim - 2 * total
-            for ms in _ascending_multisets(total, r):
-                if len(pairs) == SCAN_BUDGET:
-                    raise FeasibilityError(
-                        f"the scan of dimension {target_dim} with r <= {max_r} "
-                        f"screens more specs than the budget of {SCAN_BUDGET}"
-                    )
-                pairs.append((n, ms))
+    specs = (
+        (target_dim - 2 * total, ms)
+        for r in range(1, min(max_r, (target_dim + 1) // 3) + 1)
+        for total in range(r, (target_dim - r + 1) // 2 + 1)
+        for ms in _ascending_multisets(total, r)
+    )
+    pairs = list(islice(specs, SCAN_BUDGET + 1))
+    if len(pairs) > SCAN_BUDGET:
+        raise FeasibilityError(
+            f"the scan of dimension {target_dim} with r <= {max_r} "
+            f"screens more specs than the budget of {SCAN_BUDGET}"
+        )
     hits = [
         DoldSpec(n, ms) for n, ms in pairs if _lucas_verdict(n, ms) == (True, True)
     ]

@@ -49,9 +49,9 @@ _BYTE_FACTORS = _ByteFactors()
 class Monomial:
     """A product of variable powers, e.g. ``x1^2*x3``.
 
-    ``factors`` is a tuple of ``(variable, exponent)`` pairs with strictly
-    increasing variable indices (>= 1) and exponents >= 1.  The empty tuple
-    is the constant monomial 1.
+    ``factors`` is a tuple of ``(variable, exponent)`` pairs of ints (not
+    bools) with strictly increasing variable indices (>= 1) and exponents
+    >= 1.  The empty tuple is the constant monomial 1.
     """
 
     factors: tuple[tuple[int, int], ...] = ()
@@ -59,6 +59,8 @@ class Monomial:
     def __post_init__(self) -> None:
         prev = 0
         for var, exp in self.factors:
+            if type(var) is not int or type(exp) is not int:
+                raise ValueError(f"factors must be pairs of integers: {self.factors}")
             if var <= prev:
                 raise ValueError(f"variables must be strictly increasing: {self.factors}")
             if exp < 1:
@@ -220,9 +222,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -295,18 +294,17 @@ _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 class _FactorText(dict):
     """Maps a factor ``(v, e)`` to its text, ``x<v>`` or ``x<v>^<e>``.
 
-    Only exponent-1 factors of int variables are kept, one entry per
-    variable rendered, each stored on first use; importing the module
-    builds none.  Higher powers are rare and rendered afresh.
+    Only exponent-1 factors are kept, one entry per variable rendered, each
+    stored on first use; importing the module builds none.  Higher powers
+    are rare and rendered afresh.  A `Monomial` holds only int variables,
+    so no stored ``(True, 1)`` can answer for x1.
     """
 
     def __missing__(self, factor: tuple[int, int]) -> str:
         var, exp = factor
         if exp != 1:
             return f"x{var}^{exp}"
-        text = f"x{var}"
-        if type(var) is int:  # a stored (True, 1) would also answer x1
-            self[factor] = text
+        text = self[factor] = f"x{var}"
         return text
 
 

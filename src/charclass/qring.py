@@ -28,7 +28,8 @@ from itertools import accumulate, combinations_with_replacement, product
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .bott import (
-    FeasibilityError, _check_top_class_cost, _placements, main_matrix, top_class_bit
+    FeasibilityError, _check_top_class_cost, _is_int, _placements, main_matrix,
+    top_class_bit,
 )
 from .steenrod import _two_adic_parts
 
@@ -51,7 +52,9 @@ KEY_DP_BUDGET = 100_000_000  # m * 3^p steps of the key-identity count
 
 
 def _check_degree(e: Sequence[int]) -> tuple[int, ...]:
-    exps = tuple(int(v) for v in e)
+    exps = tuple(e)
+    if not all(map(_is_int, exps)):
+        raise ValueError(f"exponents must be integers: {e}")
     if any(v < 0 for v in exps):
         raise ValueError(f"exponents must be >= 0: {e}")
     if sum(exps) != len(exps):

@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Sequence
 from .bott import (
     BottMatrix,
     _check_top_class_cost,
+    _is_int,
     main_matrix,
     normal_form,
     top_class_bit,
@@ -45,7 +46,9 @@ __all__ = [
 
 def normalize_tuple(t: Sequence[int]) -> tuple[int, ...]:
     """Canonical form: nonnegative entries, trailing zeros stripped."""
-    entries = tuple(int(c) for c in t)
+    entries = tuple(t)
+    if not all(map(_is_int, entries)):
+        raise ValueError(f"tuple entries must be integers: {t}")
     if any(c < 0 for c in entries):
         raise ValueError(f"tuple entries must be >= 0: {t}")
     end = len(entries)
@@ -94,6 +97,8 @@ def enumerate_tuples(k: int, max_weight: int | None = None) -> list[tuple[int, .
     each count ascending.  A tuple's weight never exceeds its grading, so
     ``max_weight=None`` is the bound k.
     """
+    if not _is_int(k) or not (max_weight is None or _is_int(max_weight)):
+        raise ValueError(f"grading and weight must be integers: {k!r}, {max_weight!r}")
     if k < 0:
         raise ValueError(f"grading must be >= 0, got {k}")
     if max_weight is not None and max_weight < 0:
@@ -197,16 +202,17 @@ def chi_sq(k: int, z: Poly, M: BottMatrix) -> Poly:
 
     ``z`` must be in normal form (squarefree monomials).  Tuples heavier than
     a monomial's degree act as zero, so enumeration is capped by the degree.
+    The terms of every action are summed once, by `Poly.of`.
     """
     if k < 0:
         raise ValueError(f"grading must be >= 0, got {k}")
-    result = Poly.zero()
+    terms: list[Monomial] = []
     for m in z.monomials():
         if not m.is_squarefree():
             raise ValueError(f"z must be in normal form; {m} is not squarefree")
         for t in enumerate_tuples(k, m.degree()):
-            result = result + act(t, m, M)
-    return result
+            terms += act(t, m, M)
+    return Poly.of(terms)
 
 
 def _admissible_bijections(r: int) -> Iterator[tuple[int, ...]]:

@@ -13,7 +13,7 @@ from typing import Mapping
 import numpy as np
 
 from charclass.bott import BottMatrix
-from charclass.dold import DoldSpec, TruncPoly, _degree_grid, _mul_grids, total_sw_dold
+from charclass.dold import DoldSpec, TruncPoly, total_sw_dold
 from charclass.poly2 import Monomial, Poly
 
 __all__ = [
@@ -164,6 +164,17 @@ def power_closed_form(i: int, e: int, n: int) -> Poly:
     return Poly(frozenset(Monomial.from_mask(m) for m in masks))
 
 
+def _shifted_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated GF(2) product of two grids of one shape: for every nonzero
+    cell of ``a``, ``b`` padded by that cell's offsets in front and cut back
+    to the box, all XOR-ed together."""
+    out = np.zeros_like(b)
+    for cell in zip(*a.nonzero()):
+        shifted = np.pad(b, [(offset, 0) for offset in cell])
+        out ^= shifted[tuple(slice(extent) for extent in b.shape)]
+    return out
+
+
 def whitney_dual_dold(spec: DoldSpec, up_to: int) -> TruncPoly:
     """Sum of the dual classes wbar_0 + ... + wbar_up_to of a Dold manifold.
 
@@ -171,18 +182,19 @@ def whitney_dual_dold(spec: DoldSpec, up_to: int) -> TruncPoly:
     wbar_{k-j}, read off grade by grade from the running product w * (wbar_0 +
     ... + wbar_{k-1}), which is updated incrementally with one w * wbar_k
     product per grade.  The package inverts the factors of w instead, so this
-    recursion serves as an independent oracle for `dual_sw_dold`.
+    recursion serves as an independent oracle for `dual_sw_dold`; its grid
+    product and its degree grid are its own.
     """
     if not 0 <= up_to <= spec.dimension:
         raise ValueError(f"up_to must lie in 0..{spec.dimension}, got {up_to}")
     w = total_sw_dold(spec).grid
-    shape = spec.shape
-    deg = _degree_grid(spec)
+    index = np.indices(spec.shape)
+    deg = index[0] + 2 * index[1:].sum(axis=0)
     result = TruncPoly.one(spec).grid.copy()
     running = w.copy()  # w * (accumulated inverse)
     for k in range(1, up_to + 1):
         piece = np.where(deg == k, running, np.uint8(0))
         if piece.any():
             result ^= piece
-            running ^= _mul_grids(w, piece, shape)
+            running ^= _shifted_product(piece, w)
     return TruncPoly(spec, result)

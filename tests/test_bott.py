@@ -530,8 +530,8 @@ def test_dual_sw_pulls_back_along_circle_extensions():
 @example(random_orientable_matrix(7, 4))
 @example(BottMatrix(7, [(1, 7), (5, 7), (6, 7), (2, 3)]))
 def test_packed_engine_matches_scalar_route(M):
-    assert total_sw(M).by_degree == tuple(_scalar_total_sw(M))
-    assert dual_sw(M, M.n).by_degree == tuple(_scalar_dual_sw(M, M.n))
+    assert total_sw(M)[:] == tuple(_scalar_total_sw(M))
+    assert dual_sw(M, M.n)[:] == tuple(_scalar_dual_sw(M, M.n))
 
 
 def test_dual_sw_renders_only_the_grade_read(monkeypatch):
@@ -606,33 +606,33 @@ def test_dual_sw_stays_within_its_priced_sweeps(monkeypatch):
     monkeypatch.setattr(_DenseRing, "_mul_by_seeds", counting)
     for M in (main_matrix(12), random_orientable_matrix(12, 5),
               random_orientable_matrix(11, 8)):
-        full = dual_sw(M, M.n).by_degree
+        full = dual_sw(M, M.n)[:]
         for k in range(M.n + 1):
             sweeps.clear()
             classes = dual_sw(M, k)
             assert len(sweeps) <= k * M.n
-            assert classes.by_degree == full[: k + 1]
+            assert classes[:] == full[: k + 1]
 
 
 def test_lazy_graded_classes_equal_rendered_ones():
     for M in (main_matrix(9), random_orientable_matrix(8, 12), chain_matrix(7)):
         for compute in (total_sw, lambda M: dual_sw(M, M.n)):
             rendered = compute(M)
-            assert len(rendered.by_degree) == M.n + 1  # every grade rendered
+            assert len(rendered[:]) == M.n + 1  # every grade rendered
             assert compute(M)[-1] == rendered[-1]  # read before any other grade
             lazy = compute(M)
             assert lazy == rendered and rendered == lazy
             assert len(lazy) == len(rendered) == M.n + 1
             assert lazy.n == rendered.n == M.n
             assert hash(compute(M)) == hash(rendered)
-            assert lazy.by_degree == rendered.by_degree
+            assert lazy[:] == rendered[:]
             assert lazy != GradedClasses(M.n, 0, M.n)  # every grade zero
 
 
 def test_graded_classes_slices_read_their_grades():
     M = random_orientable_matrix(6, 3)
     for compute in (total_sw, lambda M: dual_sw(M, M.n)):
-        full = compute(M).by_degree
+        full = compute(M)[:]
         for cut in (slice(0, 3), slice(None), slice(None, None, -2),
                     slice(5, 1, -1), slice(-3, None), slice(9, 12)):
             assert compute(M)[cut] == full[cut]  # no grade read before
@@ -685,7 +685,7 @@ def test_admitted_grade_zero_dual_allocates_nothing_large():
     limit = 256 << 20
     api = _run_with_address_space(
         ["-c", "from charclass.bott import dual_sw, main_matrix; "
-               "print(dual_sw(main_matrix(33), 0).by_degree)"],
+               "print(dual_sw(main_matrix(33), 0)[:])"],
         limit,
     )
     assert (api.returncode, api.stdout, api.stderr) == (
@@ -893,6 +893,22 @@ def test_verify_main_method_constraints():
         verify_main(5, method="frobnicate")
     with pytest.raises(FeasibilityError):
         verify_main(21, method="direct")  # beyond the default cap
+
+
+@pytest.mark.parametrize("n", [True, 5.0, 9.5, "5"])
+def test_verify_main_and_alpha_accept_only_integers(n):
+    # verify_main(True) once answered for n = 1 with "n": true in its JSON
+    with pytest.raises(ValueError, match="n must be an integer"):
+        verify_main(n)
+    with pytest.raises(ValueError, match="alpha requires an integer"):
+        alpha(n)
+    with pytest.raises(ValueError, match="alpha requires an integer"):
+        alpha_hat(n)
+    # integer input keeps its messages
+    with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
+        verify_main(0)
+    with pytest.raises(ValueError, match=r"^alpha requires n >= 1, got 0$"):
+        alpha(0)
 
 
 def test_verify_main_methods_agree():

@@ -280,16 +280,30 @@ def test_import_builds_no_byte_factor_rows():
 def test_factor_text_holds_only_the_variables_rendered():
     # nothing at import; then one entry per exponent-1 variable rendered.
     # (True, 1) == (1, 1) as a key, so a stored "xTrue" would be the text
-    # of every later x1
+    # of every later x1; the constructor refuses a bool variable
     out = _fresh_python(
         "import charclass.cli, charclass.poly2 as p; "
         "print(len(p._FACTOR_TEXT)); "
         "print(p.format_poly(p.parse_poly('x3^2*x700 + x5 + x700'))); "
         "print(sorted(p._FACTOR_TEXT.items())); "
-        "p.format_monomial(p.Monomial(((True, 1),))); "
+        "\ntry:\n    p.Monomial(((True, 1),))\nexcept ValueError as exc:\n"
+        "    print(exc)\n"
         "print(p.format_poly(p.Poly.var(1)))"
     )
-    assert out[:4] == [
+    assert out[:5] == [
         "0", "x5 + x700 + x3^2*x700", "[((5, 1), 'x5'), ((700, 1), 'x700')]",
-        "x1",
+        "factors must be pairs of integers: ((True, 1),)", "x1",
     ]
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [((True, 1),), ((1.5, 1),), ((1, 2.0),), ((1, 1), (2, True)), (("3", 1),)],
+)
+def test_monomial_accepts_only_integer_factors(factors):
+    # (True, 1) once equalled x1, and (1.5, 1) and (1, 2.0) rendered as
+    # x1.5 and x1^2.0
+    with pytest.raises(ValueError, match="factors must be pairs of integers"):
+        Monomial(factors)
+    with pytest.raises(ValueError, match="factors must be pairs of integers"):
+        Monomial.var(*factors[-1])

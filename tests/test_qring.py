@@ -78,6 +78,14 @@ def test_excess_degree_mismatch():
         excess((-1, 2, 2))
 
 
+@pytest.mark.parametrize("e", [(True, True), (1.0, 1), (0.5, 1.5), ("1",)])
+def test_chain_ring_exponents_must_be_integers(e):
+    # int() once read (True, True) as (1, 1), with excess (0, 0)
+    for check in (excess, is_zero_monomial, decompose):
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            check(e)
+
+
 # ---------------------------------------------------------------------------
 # zero test and decomposition
 

@@ -85,6 +85,16 @@ def test_enumerate_tuples_rejects_negative():
         enumerate_tuples(-1)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, 2.5, "3"])
+def test_enumerate_tuples_accepts_only_integers(bad):
+    # enumerate_tuples(True) once listed the tuples of grading 1
+    with pytest.raises(ValueError, match="must be integers"):
+        enumerate_tuples(bad)
+    with pytest.raises(ValueError, match="must be integers"):
+        enumerate_tuples(3, bad)
+    assert enumerate_tuples(3, None) == enumerate_tuples(3)
+
+
 def test_admissible_bijections_match_filtered_permutations():
     for r in range(7):
         expected = [
@@ -160,6 +170,17 @@ def test_act_rejects_non_squarefree():
     M = main_matrix(5)
     with pytest.raises(ValueError):
         act((1,), Monomial.from_exponents({2: 2}), M)
+
+
+@pytest.mark.parametrize("t", [(1.5,), (True,), (0, 1.0), ("1",)])
+def test_act_accepts_only_integer_tuples(t):
+    # int() once read (1.5,) as Sq(1)
+    with pytest.raises(ValueError, match="tuple entries must be integers"):
+        act(t, Monomial(((4, 1), (5, 1))), main_matrix(5))
+    with pytest.raises(ValueError, match="tuple entries must be integers"):
+        normalize_tuple(t)
+    with pytest.raises(ValueError, match=r"^tuple entries must be >= 0: \(1, -1\)$"):
+        normalize_tuple((1, -1))
 
 
 def test_act_identity_reduces():
