@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress
 from random import Random
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .poly2 import _BYTE_FACTORS, Monomial, Poly, _squarefree_monomial
 
@@ -102,6 +102,22 @@ def alpha_hat(n: int) -> int:
 def _is_int(value: object) -> bool:
     """An int that is not a bool (json reads true/false as bools)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _read_report(text: str, build: Callable[[dict], Any]) -> Any:
+    """``build(data)`` for the JSON object ``text`` of a report.
+
+    ValueError with a message if the text is not JSON or not an object, or
+    if ``build`` finds a field missing or of the wrong shape (its KeyError,
+    TypeError or ValueError).
+    """
+    try:
+        data = json.loads(text)
+        if isinstance(data, dict):
+            return build(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"invalid report JSON: {exc!r}") from exc
+    raise ValueError("report JSON must be an object")
 
 
 @dataclass(frozen=True)
@@ -229,11 +245,7 @@ def random_orientable_matrix(n: int, seed: int) -> BottMatrix:
                 ones.add((i, j))
                 count += 1
         if count % 2:
-            cell = (i, n)
-            if cell in ones:
-                ones.remove(cell)
-            else:
-                ones.add(cell)
+            ones ^= {(i, n)}
     return BottMatrix(n, ones)
 
 
@@ -678,8 +690,7 @@ class MainReport:
 
     @classmethod
     def from_json(cls, text: str) -> "MainReport":
-        data = json.loads(text)
-        return cls(**data.pop("methods"), **data)
+        return _read_report(text, lambda data: cls(**data.pop("methods"), **data))
 
 
 def verify_main(

@@ -8,11 +8,13 @@
 
 Polynomials are stored as dense GF(2) coefficient grids over the exponent box
 (a, b_1, ..., b_r); truncation is just slicing.  The total class and the dual
-class are both products of powers of the factors ``1+c`` and ``1+c+d_i``: in
-char 2 a power takes one sparse factor ``1 + c^(2^t) (+ d_i^(2^t))`` per binary
-digit 2^t of its exponent.  The dual class raises each factor to ``2^L - e``
-in place of ``-e``, since every factor to the power ``2^L`` is 1 once ``2^L``
-covers the box.  A class costs the cells times the digits of its exponents.
+class are both products of powers of the factors ``1+c`` and ``1+c+d_i``.
+In char 2 a power is one factor ``1 + c^(2^t) (+ d_i^(2^t))`` per binary
+digit 2^t of its exponent, and multiplying by that factor is one shifted XOR:
+a copy of the grid, moved 2^t cells along c (and d_i), is XORed back in.  The
+dual class raises each factor to ``2^L - e`` in place of ``-e``, since every
+factor to the power ``2^L`` is 1 once ``2^L`` covers the box.  A class costs
+the cells times the digits of its exponents.
 
 The verdicts of `verify_dold` also have a grid-free closed form,
 `_lucas_verdict`: each coefficient of the dual class is a product of r + 1
@@ -33,7 +35,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .bott import FeasibilityError, _is_int, alpha_hat
+from .bott import FeasibilityError, _is_int, _read_report, alpha_hat
 
 if TYPE_CHECKING:
     import numpy as np
@@ -229,7 +231,11 @@ class TruncPoly:
 
 
 def _mul_grids(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Truncated GF(2) product of two grids; iterates the sparser factor."""
+    """Truncated GF(2) product of two grids; iterates the sparser factor.
+
+    The general product of `trunc_mul`; the class grids need only the
+    shifted XORs of `_times_digit`.
+    """
     import numpy as np
 
     if np.count_nonzero(a) > np.count_nonzero(b):
@@ -253,8 +259,9 @@ def _class_grid(spec: DoldSpec, exponents: Sequence[int]) -> np.ndarray:
     """Grid of (1+c)^e_0 * prod_i (1+c+d_i)^e_i for ``exponents`` (e_0, e_1..e_r).
 
     In characteristic 2, (1+c+d_i)^(2^t) = 1 + c^(2^t) + d_i^(2^t), so the
-    product takes one sparse factor per binary digit 2^t of each exponent;
-    cells past the box are dropped.
+    product takes one shifted XOR per binary digit 2^t of each exponent
+    (`_times_digit`), so it costs the cells times the digits; cells past the
+    box are dropped.
     """
     import numpy as np
 
@@ -264,20 +271,27 @@ def _class_grid(spec: DoldSpec, exponents: Sequence[int]) -> np.ndarray:
             "has a negative (1+c) exponent"
         )
     _check_cells(spec)
-    shape = spec.shape
-    origin = (0,) * len(shape)
-    grid = np.zeros(shape, dtype=np.uint8)
-    grid[origin] = 1
+    grid = np.zeros(spec.shape, dtype=np.uint8)
+    grid[(0,) * grid.ndim] = 1
     for i, e in enumerate(exponents):
         for t in range(e.bit_length()):
             if e >> t & 1:
-                factor = np.zeros(shape, dtype=np.uint8)
-                factor[origin] = 1
-                for axis in {0, i}:
-                    if 1 << t < shape[axis]:
-                        factor[origin[:axis] + (1 << t,) + origin[axis + 1:]] = 1
-                grid = _mul_grids(grid, factor, shape)
+                _times_digit(grid, 1 << t, {0, i})
     return grid
+
+
+def _times_digit(grid: np.ndarray, shift: int, axes: set[int]) -> None:
+    """Multiply ``grid`` in place by 1 + sum of x^shift over ``axes``, where
+    x is c on axis 0 and d_i on axis i.
+
+    One copy of the grid, moved ``shift`` cells along each axis, is XORed
+    into it; a shift past the box's extent on an axis drops out.  Costs one
+    copy of the grid and one XOR of it per axis.
+    """
+    src = grid.copy()
+    for axis in axes:
+        if shift < grid.shape[axis]:
+            grid.swapaxes(0, axis)[shift:] ^= src.swapaxes(0, axis)[:-shift]
 
 
 def _lucas_verdict(n: int, ms: tuple[int, ...]) -> tuple[bool, bool]:
@@ -315,7 +329,7 @@ def _lucas_verdict(n: int, ms: tuple[int, ...]) -> tuple[bool, bool]:
 def total_sw_dold(spec: DoldSpec) -> TruncPoly:
     """Total class (1+c)^(n+1-r) * prod_i (1+c+d_i)^(m_i+1) in the ring.
 
-    One sparse product per binary digit of the exponents (`_class_grid`).
+    One shifted XOR per binary digit of the exponents (`_class_grid`).
     """
     return TruncPoly(
         spec, _class_grid(spec, (spec.n + 1 - spec.r, *(m + 1 for m in spec.ms)))
@@ -382,8 +396,7 @@ class DoldReport:
 
     @classmethod
     def from_json(cls, text: str) -> "DoldReport":
-        data = json.loads(text)
-        return cls(**{**data, "ms": tuple(data["ms"])})
+        return _read_report(text, lambda d: cls(**{**d, "ms": tuple(d["ms"])}))
 
 
 def verify_dold(spec: DoldSpec) -> DoldReport:

@@ -943,3 +943,9 @@ def test_main_report_json_round_trip():
     assert MainReport.from_json(report.to_json()) == report
     partial = verify_main(7, method="direct")
     assert MainReport.from_json(partial.to_json()) == partial
+
+
+@pytest.mark.parametrize("text", ['{"n": 5}', "[]", '{"n": 1}', "nope"])
+def test_main_report_json_rejects_malformed_text(text):
+    with pytest.raises(ValueError, match="report JSON"):
+        MainReport.from_json(text)

@@ -343,16 +343,16 @@ def test_dual_coefficients_are_lucas_products(spec):
 
 
 def test_dual_sw_dold_products_per_exponent_digit(monkeypatch):
-    # one sparse product per binary digit of the inverted exponents, however
+    # one shifted XOR per binary digit of the inverted exponents, however
     # many grades are asked for (the Whitney recursion makes one per grade)
-    products = []
-    mul_grids = dold._mul_grids
+    steps = []
+    times_digit = dold._times_digit
 
-    def counting(a, b, shape):
-        products.append(1)
-        return mul_grids(a, b, shape)
+    def counting(grid, shift, axes):
+        steps.append(1)
+        return times_digit(grid, shift, axes)
 
-    monkeypatch.setattr(dold, "_mul_grids", counting)
+    monkeypatch.setattr(dold, "_times_digit", counting)
     for spec in (P12, DoldSpec(7, (2, 4)), DoldSpec(1023, (255,))):
         period = 1 << (max(spec.shape) - 1).bit_length()
         exponents = (spec.n + 1 - spec.r, *(m + 1 for m in spec.ms))
@@ -361,17 +361,59 @@ def test_dual_sw_dold_products_per_exponent_digit(monkeypatch):
         grades = range(N + 1) if N < 100 else (0, 1, N // 2, N)
         counts = set()
         for k in grades:
-            products.clear()
+            steps.clear()
             dual_sw_dold(spec, k)
-            counts.add(len(products))
-        assert len(counts) == 1 and counts.pop() <= digits
+            counts.add(len(steps))
+        assert counts == {digits}
 
 
-def test_dual_convolution_is_one():
-    for spec in (P12, DoldSpec(3, (2, 4)), DoldSpec(7, (2, 8))):
-        w = total_sw_dold(spec)
-        wbar = dual_sw_dold(spec, spec.dimension)
-        assert trunc_mul(w, wbar, spec) == TruncPoly.one(spec)
+def _factor_power(spec: DoldSpec, i: int, e: int) -> TruncPoly:
+    """(1+c)^e for i = 0, else (1+c+d_i)^e, as e plain trunc_mul products."""
+    zero = (0,) * spec.r
+    factor = [(0, zero)]
+    if spec.n >= 1:
+        factor.append((1, zero))
+    if i:
+        factor.append((0, zero[:i - 1] + (1,) + zero[i:]))
+    power = TruncPoly.one(spec)
+    for _ in range(e):
+        power = trunc_mul(power, TruncPoly.from_terms(spec, factor), spec)
+    return power
+
+
+@st.composite
+def _specs_and_exponents(draw) -> tuple[DoldSpec, tuple[int, ...]]:
+    spec = draw(_small_specs())
+    period = dold._period(spec.n, spec.ms)
+    dual = (period - (spec.n + 1 - spec.r), *(period - (m + 1) for m in spec.ms))
+    drawn = tuple(draw(st.integers(0, 2 * period)) for _ in dual)
+    return spec, draw(st.sampled_from((dual, drawn)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_specs_and_exponents())
+@example((DoldSpec(0, (1,)), (0, 0)))
+@example((DoldSpec(0, (6,)), (16, 9)))  # c lies outside the box
+@example((DoldSpec(2, (1, 5, 6)), (5, 7, 3, 33)))
+@example((DoldSpec(10, (6, 6, 6)), (8, 9, 9, 9)))  # the dual-class exponents
+def test_class_grid_matches_general_product(spec_and_exponents):
+    # the shifted XORs against trunc_mul of the factors, one factor at a time
+    spec, exponents = spec_and_exponents
+    product = TruncPoly.one(spec)
+    for i, e in enumerate(exponents):
+        product = trunc_mul(product, _factor_power(spec, i, e), spec)
+    assert TruncPoly(spec, dold._class_grid(spec, exponents)) == product
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_small_specs())
+@example(P12)
+@example(DoldSpec(3, (2, 4)))
+@example(DoldSpec(7, (2, 8)))
+def test_dual_convolution_is_one(spec):
+    w = total_sw_dold(spec)
+    wbar = dual_sw_dold(spec, spec.dimension)
+    assert trunc_mul(w, wbar, spec) == TruncPoly.one(spec)
 
 
 def test_graded_pieces_partition():
@@ -434,6 +476,12 @@ def test_dold_report_json_round_trip():
         "n", "ms", "dimension", "alpha_hat", "grade", "orientable",
         "nonvanishing",
     }
+
+
+@pytest.mark.parametrize("text", ['{"n": 5}', "[]", '{"n": 1}', "nope"])
+def test_dold_report_json_rejects_malformed_text(text):
+    with pytest.raises(ValueError, match="report JSON"):
+        DoldReport.from_json(text)
 
 
 def test_scan_dold_frozen():
