@@ -34,7 +34,7 @@ All arithmetic is over GF(2); there are no tolerances anywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import accumulate, compress
 from random import Random
@@ -120,6 +120,22 @@ def _read_report(text: str, build: Callable[[dict], Any]) -> Any:
     raise ValueError("report JSON must be an object")
 
 
+def _read_input(text: str, kind: str, field: str, form: str) -> tuple[Any, Any]:
+    """The ``n`` and ``field`` entries of the JSON object ``text`` of an input
+    ``kind`` (a matrix or a spec); the caller checks their values.
+
+    ValueError with a message if the text is not JSON, not an object, or
+    lacks either key; ``form`` shows the expected shape of ``field``.
+    """
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid {kind} JSON: {exc}") from exc
+    if not isinstance(data, dict) or "n" not in data or field not in data:
+        raise ValueError(f'{kind} JSON must be {{"n": ..., "{field}": {form}}}')
+    return data["n"], data[field]
+
+
 @dataclass(frozen=True)
 class BottMatrix:
     """Strictly upper-triangular binary matrix defining a real Bott manifold."""
@@ -175,13 +191,7 @@ class BottMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "BottMatrix":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid matrix JSON: {exc}") from exc
-        if not isinstance(data, dict) or "n" not in data or "ones" not in data:
-            raise ValueError('matrix JSON must be {"n": ..., "ones": [[i, j], ...]}')
-        ones = data["ones"]
+        n, ones = _read_input(text, "matrix", "ones", "[[i, j], ...]")
         if not isinstance(ones, list) or not all(
             isinstance(p, list) and len(p) == 2 and all(map(_is_int, p))
             for p in ones
@@ -189,7 +199,7 @@ class BottMatrix:
             raise ValueError(
                 'matrix JSON field "ones" must be a list of [i, j] integer pairs'
             )
-        return cls(data["n"], [(p[0], p[1]) for p in ones])
+        return cls(n, [(p[0], p[1]) for p in ones])
 
 
 def main_matrix(n: int) -> BottMatrix:
@@ -519,10 +529,6 @@ class _DenseRing:
                     pend[i] = pend.get(i, 0) ^ w
         return out
 
-    def mul_lambda(self, v: int, j: int) -> int:
-        """v * Lambda_j where Lambda_j is the column-j variable sum."""
-        return self._mul_by_seeds(dict.fromkeys(self.M.col(j), v))
-
     @staticmethod
     def grade_piece(v: int, n: int, k: int) -> int:
         """The degree-k part of v over x_1..x_n: an AND with the popcount-k mask.
@@ -626,7 +632,7 @@ def _class_product(M: BottMatrix, t: int, top: int) -> GradedClasses:
     for j in range(1, M.n + 1):
         power = v
         for _ in range(t):
-            power = ring.mul_lambda(power, j)
+            power = ring._mul_by_seeds(dict.fromkeys(M.col(j), power))
             if not power:
                 break
             v ^= power
@@ -677,13 +683,9 @@ class MainReport:
         return bool(ran) and all(ran) and self.orientable
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "alpha_hat": self.alpha_hat,
-            "grade": self.grade,
-            "orientable": self.orientable,
-            "methods": {"direct": self.direct, "steenrod": self.steenrod},
-        }
+        data = asdict(self)
+        data["methods"] = {key: data.pop(key) for key in ("direct", "steenrod")}
+        return data
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())

@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .bott import FeasibilityError, _is_int, _read_report, alpha_hat
+from .bott import FeasibilityError, _is_int, _read_input, _read_report, alpha_hat
 
 if TYPE_CHECKING:
     import numpy as np
@@ -104,19 +104,13 @@ class DoldSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "DoldSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid spec JSON: {exc}") from exc
-        if not isinstance(data, dict) or "n" not in data or "ms" not in data:
-            raise ValueError('spec JSON must be {"n": ..., "ms": [...]}')
-        ms = data["ms"]
+        n, ms = _read_input(text, "spec", "ms", "[...]")
         if not isinstance(ms, list) or not all(map(_is_int, ms)):
             raise ValueError(
                 'spec JSON field "ms" must be a list of integers, '
                 f"got {json.dumps(ms)}"
             )
-        return cls(data["n"], ms)
+        return cls(n, ms)
 
 
 @lru_cache(maxsize=4)
@@ -144,7 +138,13 @@ def _check_cells(spec: DoldSpec) -> None:
 
 
 def _in_box(spec: DoldSpec, a: int, bs: Sequence[int]) -> bool:
-    """Whether c^a * prod d_i^b_i is a cell of the ring's exponent box."""
+    """Whether c^a * prod d_i^b_i is a cell of the ring's exponent box.
+
+    ValueError if an exponent is not an int: NumPy would read a bool as a
+    mask and a float as an error of its own.
+    """
+    if not (_is_int(a) and all(map(_is_int, bs))):
+        raise ValueError(f"exponents must be integers, got ({a!r}, {tuple(bs)!r})")
     return 0 <= a <= spec.n and all(
         0 <= b <= m for b, m in zip(bs, spec.ms, strict=True)
     )
@@ -206,10 +206,7 @@ class TruncPoly:
 
     @classmethod
     def zero(cls, spec: DoldSpec) -> "TruncPoly":
-        import numpy as np
-
-        _check_cells(spec)
-        return cls(spec, np.zeros(spec.shape, dtype=np.uint8))
+        return cls.from_terms(spec, ())
 
     @classmethod
     def from_terms(
@@ -304,24 +301,32 @@ def _lucas_verdict(n: int, ms: tuple[int, ...]) -> tuple[bool, bool]:
     of c^A * prod d_i^B_i in wbar is C(E_0 + sum(E_i - B_i), A) * prod
     C(E_i, B_i) mod 2.  Grade N - alpha_hat(N) is nonzero iff that parity is
     1 at some cell top/z with deg z = alpha_hat(N).  The walk places z one
-    d-axis at a time, keeping (degree of z still to place, accumulated
-    (1+c)-exponent) pairs and dropping a branch once C(E_i, B_i) is even;
-    the rest of z goes on c, and C(acc, n - rest) decides (Lucas).
+    d-axis at a time, z_i = m_i - B_i on d_i, and keeps the degree of z
+    still to place, ``rest``; the rest of z goes on c, and C(acc, n - rest)
+    decides (Lucas).
+
+    Factor lemma: m_i < 2^L, so E_i = 2^L - 1 - m_i is the complement of
+    m_i in L bits, and C(E_i, m_i - z_i) is odd iff (m_i - z_i) & m_i = 0;
+    a branch is dropped once that fails.  Each factor adds E_i - B_i =
+    2^L - 2m_i - 1 + z_i to the (1+c)-exponent, so acc = (r+1)2^L - (N+1) +
+    sum(z_i), and sum(z_i) = (alpha_hat(N) - rest) / 2: rest fixes acc, and
+    the walk keeps one integer per branch.
     """
+    N = n + 2 * sum(ms)
     orientable = n == 0 or (n + 1 + sum(ms)) % 2 == 0  # (n+1-r) + sum(m_i+1)
-    period = _period(n, ms)
-    states = {(alpha_hat(n + 2 * sum(ms)), period - (n + 1 - len(ms)))}
+    a_hat = alpha_hat(N)
+    rests = {a_hat}
     for m in ms:
-        e = period - (m + 1)
-        nxt = set()
-        for rest, acc in states:
-            for z in range(min(m, rest // 2) + 1):
-                b = m - z
-                if e & b == b:
-                    nxt.add((rest - 2 * z, acc + e - b))
-        states = nxt
+        rests = {
+            rest - 2 * z
+            for rest in rests
+            for z in range(min(m, rest // 2) + 1)
+            if (m - z) & m == 0
+        }
+    base = (len(ms) + 1) * _period(n, ms) - (N + 1)
     nonvanishing = any(
-        rest <= n and acc & (n - rest) == n - rest for rest, acc in states
+        rest <= n and (base + (a_hat - rest) // 2) & (n - rest) == n - rest
+        for rest in rests
     )
     return orientable, nonvanishing
 
@@ -338,6 +343,8 @@ def total_sw_dold(spec: DoldSpec) -> TruncPoly:
 
 def graded_piece(p: TruncPoly, k: int) -> TruncPoly:
     """The degree-k homogeneous part (grading a + 2*sum b_i)."""
+    if not _is_int(k):
+        raise ValueError(f"the degree must be an integer, got {k!r}")
     return TruncPoly(p.spec, p.grid * (_degree_grid(p.spec) == k))
 
 
@@ -350,6 +357,8 @@ def dual_sw_dold(spec: DoldSpec, up_to: int) -> TruncPoly:
     -e is the same factor to the power 2^L - e (`_class_grid`); grades above
     ``up_to`` are then cleared.
     """
+    if not _is_int(up_to):
+        raise ValueError(f"up_to must be an integer, got {up_to!r}")
     if not 0 <= up_to <= spec.dimension:
         raise ValueError(f"up_to must lie in 0..{spec.dimension}, got {up_to}")
     period = _period(spec.n, spec.ms)
@@ -364,7 +373,7 @@ def dual_sw_dold(spec: DoldSpec, up_to: int) -> TruncPoly:
 def coefficient(p: TruncPoly, a: int, bs: Sequence[int]) -> int:
     """GF(2) coefficient of c^a * d_1^{b_1} ... d_r^{b_r}."""
     spec = p.spec
-    bs_t = tuple(int(b) for b in bs)
+    bs_t = tuple(bs)
     if len(bs_t) != spec.r:
         raise ValueError(f"expected {spec.r} d-exponents, got {len(bs_t)}")
     if not _in_box(spec, a, bs_t):

@@ -249,11 +249,7 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        acc: set[Monomial] = set()
-        for a in self.terms:
-            for b in other.terms:
-                acc.symmetric_difference_update({a * b})
-        return Poly(frozenset(acc))
+        return Poly.of(a * b for a in self.terms for b in other.terms)
 
     def __pow__(self, e: int) -> "Poly":
         """Exact power over GF(2).
@@ -330,13 +326,13 @@ def parse_poly(text: str) -> Poly:
         raise ValueError("empty polynomial text")
     if s == "0":
         return Poly.zero()
-    acc: set[Monomial] = set()
+    terms = []
     for term_text in s.split("+"):
         term_text = term_text.strip()
         if not term_text:
             raise ValueError(f"empty term in {text!r}")
         if term_text == "1":
-            acc.symmetric_difference_update({Monomial.one()})
+            terms.append(Monomial.one())
             continue
         mono = Monomial.one()
         for factor_text in term_text.split("*"):
@@ -351,5 +347,5 @@ def parse_poly(text: str) -> Poly:
             if exp < 1:
                 raise ValueError(f"exponent must be >= 1 in {text!r}")
             mono = mono * Monomial.var(var, exp)
-        acc.symmetric_difference_update({mono})
-    return Poly(frozenset(acc))
+        terms.append(mono)
+    return Poly.of(terms)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import accumulate, combinations_with_replacement, product
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -269,12 +269,9 @@ class KeyReport:
         return dict(self.gap_counts).get(D, 0)
 
     def to_json_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "zero": self.zero,
-            "nonzero": self.nonzero,
-            "gap_counts": {str(D): c for D, c in self.gap_counts},
-        }
+        data = asdict(self)
+        del data["m"]
+        return {**data, "gap_counts": {str(D): c for D, c in data["gap_counts"]}}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())

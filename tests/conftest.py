@@ -17,6 +17,13 @@ from charclass.bott import (
     random_orientable_matrix,
 )
 from charclass.dold import DoldSpec
+from hypothesis import Phase, settings
+
+# `tools/mutants.py` runs tests under this profile: a killed mutant needs
+# only its first failing example, not a shrunk one
+settings.register_profile(
+    "mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate]
+)
 
 # (label, matrix); orientable and non-orientable entries both belong here --
 # consumers filter by is_orientable where orientability is a hypothesis.

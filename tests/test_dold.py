@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from itertools import combinations_with_replacement
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charclass import dold
-from charclass.bott import FeasibilityError
+from charclass.bott import FeasibilityError, alpha_hat
 from charclass.dold import (
     DoldReport,
     DoldSpec,
@@ -115,9 +116,9 @@ def test_spec_json_accepts_only_integers():
 def test_trunc_poly_validation():
     with pytest.raises(ValueError):
         TruncPoly(P12, np.zeros((2, 2), dtype=np.uint8))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^exponents \(2, \(0,\)\) out of bounds$"):
         TruncPoly.from_terms(P12, [(2, (0,))])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^exponents \(0, \(3,\)\) out of bounds$"):
         TruncPoly.from_terms(P12, [(0, (3,))])
 
 
@@ -259,9 +260,9 @@ def test_dual_sw_p02_frozen():
 
 
 def test_dual_sw_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^up_to must lie in 0\.\.5, got 6$"):
         dual_sw_dold(P12, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^up_to must lie in 0\.\.5, got -1$"):
         dual_sw_dold(P12, -1)
 
 
@@ -429,10 +430,39 @@ def test_coefficient_p324():
     spec = DoldSpec(3, (2, 4))
     wbar10 = graded_piece(dual_sw_dold(spec, 10), 10)
     assert coefficient(wbar10, 2, (1, 3)) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside the truncation bounds"):
         coefficient(wbar10, 4, (0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected 2 d-exponents, got 1"):
         coefficient(wbar10, 0, (0,))
+
+
+W12 = total_sw_dold(P12)  # 1 + d + d^2 + c*d
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: TruncPoly.from_terms(P12, [(True, (1,))]),
+        lambda: coefficient(W12, 0, (1.7,)),
+        lambda: coefficient(W12, 0, ("1",)),
+        lambda: coefficient(W12, 1.0, (1,)),
+        lambda: coefficient(W12, True, (1,)),
+        lambda: coefficient(W12, np.int64(0), (1,)),
+        lambda: dual_sw_dold(P12, 2.5),
+        lambda: graded_piece(W12, 2.0),
+    ],
+    ids=[
+        "from_terms-bool-a", "coefficient-float-b", "coefficient-str-b",
+        "coefficient-float-a", "coefficient-bool-a", "coefficient-numpy-a",
+        "dual_sw_dold-float", "graded_piece-float",
+    ],
+)
+def test_dold_readers_reject_non_integer_exponents(call):
+    # NumPy reads True as a mask and int() truncates 1.7: neither may answer.
+    # NumPy integers are refused too, as everywhere in the package: a walk
+    # over np.argwhere(p.grid) converts its indices with int() first.
+    with pytest.raises(ValueError, match="integer"):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +538,47 @@ def test_lucas_verdict_matches_grids_exhaustively():
         assert dold._lucas_verdict(spec.n, spec.ms) == (
             report.orientable, report.nonvanishing
         )
+
+
+def test_factor_lemma():
+    # 2^L - (m+1) is m's complement in L bits, so Lucas reads (m - z) & m
+    for L in range(11):
+        for m in range(1 << L):
+            e = (1 << L) - (m + 1)
+            for z in range(m + 1):
+                assert binom_parity(e, m - z) == ((m - z) & m == 0)
+
+
+@st.composite
+def _specs_past_the_exhaustive_range(draw) -> DoldSpec:
+    """Dimension 33..60, r <= 3 and r <= n + 1: at most about 10^4 cells."""
+    dim = draw(st.integers(33, 60))
+    r = draw(st.integers(1, 3))
+    ms: list[int] = []
+    for i in range(r):
+        # leave 1 for each later m_j and n >= r - 1
+        room = (dim - r + 1) // 2 - sum(ms) - (r - 1 - i)
+        ms.append(draw(st.integers(1, room)))
+    return DoldSpec(dim - 2 * sum(ms), ms)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_specs_past_the_exhaustive_range())
+@example(DoldSpec(0, (30,)))  # CP^30
+@example(DoldSpec(2, (1, 1, 27)))  # r = n + 1
+# hits are rare here (40 of 13,958 specs), so some are pinned
+@example(DoldSpec(29, (2,)))
+@example(DoldSpec(26, (2, 4)))  # nonvanishing but not orientable
+@example(DoldSpec(19, (2, 4, 8)))
+@example(DoldSpec(3, (4, 8, 16)))
+def test_lucas_verdict_matches_grids_past_the_exhaustive_range(spec):
+    assert 33 <= spec.dimension <= 60 and math.prod(spec.shape) <= 1 << 16
+    grade = spec.dimension - alpha_hat(spec.dimension)
+    grids = (
+        graded_piece(total_sw_dold(spec), 1).is_zero(),
+        not graded_piece(dual_sw_dold(spec, grade), grade).is_zero(),
+    )
+    assert dold._lucas_verdict(spec.n, spec.ms) == grids
 
 
 def test_verify_dold_raises_when_the_routes_disagree(monkeypatch):

@@ -122,6 +122,13 @@ class TestMonomial:
 
 
 class TestPolyArithmetic:
+    def test_terms_must_be_monomials(self):
+        for terms in ({((1, 1),)}, {"x1"}, {Monomial.one(), 1}):
+            with pytest.raises(TypeError, match="Poly terms must be Monomial"):
+                Poly(frozenset(terms))
+        with pytest.raises(TypeError, match="Poly terms must be Monomial"):
+            Poly.of(["x1"])
+
     def test_addition_cancels_in_pairs(self):
         p = Poly.var(1) + Poly.var(2)
         assert p + Poly.var(1) == Poly.var(2)

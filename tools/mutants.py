@@ -1,0 +1,331 @@
+"""Run the committed mutants of ``src/charclass`` against the tests that must
+catch them, and list the survivors.
+
+    python tools/mutants.py
+
+Each mutant is one exact source snippet in one file of ``src/charclass``, its
+replacement, and the pytest node ids that must fail once it is applied.  The
+tool first runs all those tests on an unchanged copy of ``src/``: a test
+that fails already, or a node id that names no test, would make any kill
+meaningless.  Then, one mutant at a time, it copies ``src/`` to a temporary
+directory, applies the replacement there and runs the mutant's tests from
+the repository root with ``PYTHONPATH`` pointing at the copy; the tree
+itself is never edited.  The mutant is killed when pytest exits non-zero
+(or runs past ``TIMEOUT_S``) and survives when every listed test passes.
+Tests run under the hypothesis profile "mutants" (``tests/conftest.py``),
+which skips shrinking: a kill needs one failing example, not the smallest.
+A test that starts ``charclass`` in a subprocess with the repository's own
+``src`` on its path cannot see the copy, so no mutant lists one.
+
+Prints one line per mutant, then the survivors; exits 1 if any mutant
+survives, 2 if the unchanged copy fails a test or a snippet does not occur
+exactly once.  A full run takes under a minute on two cores;
+``tests/test_mutants.py`` checks only the table on every test run.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path("src", "charclass")
+TIMEOUT_S = 600  # per pytest run; a mutant that hangs its tests is killed
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # under src/charclass
+    old: str  # occurs exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # node ids, at least one of which must fail
+
+
+MUTANTS: tuple[Mutant, ...] = (
+    Mutant(
+        "w-series-two-terms", "bott.py",
+        "return _class_product(M, 1, M.n)",
+        "return _class_product(M, 2, M.n)",
+        (
+            "tests/test_bott.py::test_total_sw_main_five_frozen",
+            "tests/test_bott.py::test_total_sw_matches_scalar_expansion",
+        ),
+    ),
+    Mutant(
+        "wbar-series-one-term-short", "bott.py",
+        "return _class_product(M, up_to, up_to)",
+        "return _class_product(M, up_to - 1, up_to)",
+        (
+            "tests/test_bott.py::test_dual_sw_main_twelve_grade_nine_vanishes",
+        ),
+    ),
+    Mutant(
+        "steenrod-read-inverted", "bott.py",
+        "steenrod = not permsum(m).is_zero()",
+        "steenrod = permsum(m).is_zero()",
+        (
+            "tests/test_bott.py::test_verify_main_five",
+            "tests/test_bott.py::test_verify_main_methods_agree",
+        ),
+    ),
+    Mutant(
+        "placements-room-off-by-one", "bott.py",
+        "room = v - prefix\n",
+        "room = v - prefix + 1\n",
+        (
+            "tests/test_bott.py::test_placements_match_brute_force",
+            "tests/test_qring.py::test_verify_key_frozen_small",
+        ),
+    ),
+    Mutant(
+        "submask-walk-skips-the-empty-set", "bott.py",
+        "            while True:\n",
+        "            while S:\n",
+        (
+            "tests/test_bott.py::test_placements_match_brute_force",
+            "tests/test_bott.py::test_top_class_bit_exhaustive_degree_five",
+        ),
+    ),
+    Mutant(
+        "dense-price-without-the-plus-one", "bott.py",
+        "(sweeps + 1) << shift > DENSE_BUDGET",
+        "sweeps << shift > DENSE_BUDGET",
+        (
+            "tests/test_bott.py::test_dense_engine_is_priced_before_any_allocation",
+        ),
+    ),
+    Mutant(
+        "dense-low-block-half-period", "bott.py",
+        "low, period = (1 << half) - 1, 2 * half",
+        "low, period = (1 << half) - 1, half",
+        (
+            "tests/test_bott.py::test_total_sw_main_five_frozen",
+            "tests/test_bott.py::test_dual_sw_main_five_frozen",
+        ),
+    ),
+    Mutant(
+        "normal-form-drops-degree-n", "bott.py",
+        "sum(t for _, t in extra) > M.n:",
+        "sum(t for _, t in extra) >= M.n:",
+        (
+            "tests/test_bott.py::test_normal_form_matches_bucket_rewriting",
+            "tests/test_bott.py::test_top_coefficient_examples",
+        ),
+    ),
+    Mutant(
+        "main-report-methods-reordered", "bott.py",
+        'for key in ("direct", "steenrod")',
+        'for key in ("steenrod", "direct")',
+        (
+            "tests/test_bott.py::test_main_report_json_round_trip",
+        ),
+    ),
+    Mutant(
+        "input-json-field-unchecked", "bott.py",
+        'or "n" not in data or field not in data:',
+        'or "n" not in data:',
+        (
+            "tests/test_bott.py::test_matrix_json_malformed",
+            "tests/test_dold.py::test_spec_json_round_trip",
+        ),
+    ),
+    Mutant(
+        "poly-sum-without-cancellation", "poly2.py",
+        "acc.symmetric_difference_update({m})",
+        "acc.add(m)",
+        (
+            "tests/test_poly2.py::TestPolyArithmetic::test_ring_laws",
+            "tests/test_poly2.py::TestTextGrammar::test_parse_examples",
+        ),
+    ),
+    Mutant(
+        "poly-terms-unchecked", "poly2.py",
+        "if not isinstance(t, Monomial):",
+        "if False:",
+        (
+            "tests/test_poly2.py::TestPolyArithmetic::test_terms_must_be_monomials",
+        ),
+    ),
+    Mutant(
+        "top-class-parity-as-or", "steenrod.py",
+        "bit ^= top_class_bit(M, exps)",
+        "bit |= top_class_bit(M, exps)",
+        (
+            "tests/test_steenrod.py::test_act_matches_rewriting_per_assignment",
+            "tests/test_steenrod.py::test_kronecker_duality_on_random_orientable_matrices",
+        ),
+    ),
+    Mutant(
+        "chi-sq-drops-sq0", "steenrod.py",
+        "for t in enumerate_tuples(k, m.degree()):",
+        "for t in enumerate_tuples(k, m.degree())[not k:]:",
+        (
+            "tests/test_steenrod.py::test_chi_sq_degree_zero_is_identity",
+        ),
+    ),
+    Mutant(
+        "in-box-top-cell-dropped", "dold.py",
+        "0 <= b <= m for b, m in zip",
+        "0 <= b < m for b, m in zip",
+        (
+            "tests/test_dold.py::test_total_sw_p12_frozen",
+            "tests/test_dold.py::test_trunc_poly_str",
+        ),
+    ),
+    Mutant(
+        "in-box-integer-check-on-a-only", "dold.py",
+        "if not (_is_int(a) and all(map(_is_int, bs))):",
+        "if not _is_int(a):",
+        (
+            "tests/test_dold.py::test_dold_readers_reject_non_integer_exponents",
+        ),
+    ),
+    Mutant(
+        "d-weight-one", "dold.py",
+        "np.add.outer(deg, 2 * np.arange(m + 1, dtype=np.int32))",
+        "np.add.outer(deg, np.arange(m + 1, dtype=np.int32))",
+        (
+            "tests/test_dold.py::test_degree_grid_matches_index_formula",
+            "tests/test_dold.py::test_verify_dold_p12",
+        ),
+    ),
+    Mutant(
+        "period-one-power-too-small", "dold.py",
+        "return 1 << max(n, *ms).bit_length()",
+        "return 1 << max(n, *ms).bit_length() - 1",
+        (
+            "tests/test_dold.py::test_dual_matches_stabilized_power_oracle",
+            "tests/test_dold.py::test_dual_coefficients_are_lucas_products",
+        ),
+    ),
+    Mutant(
+        "times-digit-without-copy", "dold.py",
+        "src = grid.copy()",
+        "src = grid",
+        (
+            "tests/test_dold.py::test_total_sw_p12_frozen",
+            "tests/test_dold.py::test_class_grid_matches_general_product",
+        ),
+    ),
+    Mutant(
+        "graded-piece-at-or-below", "dold.py",
+        "p.grid * (_degree_grid(p.spec) == k)",
+        "p.grid * (_degree_grid(p.spec) <= k)",
+        (
+            "tests/test_dold.py::test_graded_pieces_partition",
+            "tests/test_dold.py::test_dual_sw_p12_frozen",
+        ),
+    ),
+    Mutant(
+        "scan-islice-to-the-budget", "dold.py",
+        "islice(specs, SCAN_BUDGET + 1)",
+        "islice(specs, SCAN_BUDGET)",
+        (
+            "tests/test_dold.py::test_scan_dold_price_refuses_before_verifying",
+        ),
+    ),
+    Mutant(
+        "lucas-walk-drops-largest-z", "dold.py",
+        "for z in range(min(m, rest // 2) + 1)",
+        "for z in range(min(m, rest // 2))",
+        (
+            "tests/test_dold.py::test_lucas_verdict_matches_grids_exhaustively",
+            "tests/test_dold.py::test_lucas_verdict_matches_grids_past_the_exhaustive_range",
+        ),
+    ),
+    Mutant(
+        "lucas-walk-acc-off-by-one", "dold.py",
+        "_period(n, ms) - (N + 1)",
+        "_period(n, ms) - N",
+        (
+            "tests/test_dold.py::test_lucas_verdict_matches_grids_exhaustively",
+            "tests/test_dold.py::test_lucas_verdict_matches_grids_past_the_exhaustive_range",
+        ),
+    ),
+    Mutant(
+        "lucas-orientability-without-the-one", "dold.py",
+        "(n + 1 + sum(ms)) % 2 == 0",
+        "(n + sum(ms)) % 2 == 0",
+        (
+            "tests/test_dold.py::test_lucas_verdict_matches_grids_exhaustively",
+            "tests/test_dold.py::test_verify_dold_p12",
+        ),
+    ),
+)
+
+
+def snippet_count(mutant: Mutant) -> int:
+    """How often the mutant's snippet occurs in its file."""
+    return (ROOT / PACKAGE / mutant.file).read_text().count(mutant.old)
+
+
+def _copy_source(tmp: Path, mutant: Mutant | None) -> Path:
+    """A copy of ``src/`` under ``tmp``, with ``mutant`` applied; its path."""
+    src = tmp / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    if mutant is not None:
+        path = src / PACKAGE.name / mutant.file
+        path.write_text(path.read_text().replace(mutant.old, mutant.new, 1))
+    return src
+
+
+def _pytest(mutant: Mutant | None, tests: tuple[str, ...]) -> tuple[str, float]:
+    """Run ``tests`` on a fresh copy of ``src/`` with ``mutant`` applied.
+
+    Returns pytest's exit code as text, or "timeout", and the seconds taken.
+    """
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        env = dict(os.environ, PYTHONPATH=str(_copy_source(Path(tmp), mutant)),
+                   PYTHONDONTWRITEBYTECODE="1")
+        start = time.perf_counter()
+        try:
+            code = str(subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                 "--hypothesis-profile=mutants", *tests],
+                cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL, timeout=TIMEOUT_S,
+            ).returncode)
+        except subprocess.TimeoutExpired:
+            code = "timeout"
+        return code, time.perf_counter() - start
+
+
+def main() -> int:
+    misplaced = [m.name for m in MUTANTS if snippet_count(m) != 1]
+    if misplaced:
+        print(f"snippet not found exactly once: {', '.join(misplaced)}", file=sys.stderr)
+        return 2
+    start = time.perf_counter()
+    tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+    code, seconds = _pytest(None, tests)
+    if code != "0":
+        print(f"the unchanged source fails its tests (pytest exit {code})",
+              file=sys.stderr)
+        return 2
+    print(f"baseline  {len(tests)} tests pass on the unchanged source ({seconds:.1f} s)")
+    survivors = []
+    for m in MUTANTS:
+        code, seconds = _pytest(m, m.tests)
+        # the baseline ran these tests, so any failing exit is the mutant's
+        verdict = "SURVIVED" if code == "0" else f"killed (pytest exit {code})"
+        print(f"{verdict:<24} {m.name}  ({seconds:.1f} s)")
+        if code == "0":
+            survivors.append(m.name)
+    print(
+        f"{len(MUTANTS)} mutants, {len(MUTANTS) - len(survivors)} killed, "
+        f"{len(survivors)} survived in {time.perf_counter() - start:.0f} s"
+    )
+    for name in survivors:
+        print(f"survivor: {name}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
