@@ -16,7 +16,9 @@ This module provides:
 * a fast exact evaluator for the top-class coefficient of a full-degree
   monomial in the main family (`top_class_bit`), the parity of a chain-ring
   placement count (`_placements`, which also counts the key-identity ledger
-  of `qring`),
+  of `qring`): a backward DP whose state is one int of 2^k counting lanes
+  (k the number of placed digits), advanced per position by a prefix mask
+  and k shift-mask-adds of a superset-sum transform,
 * total and dual Stiefel-Whitney classes over the dense squarefree basis
   (`total_sw`, `dual_sw`), as one product of the factors
   1 + Lambda_j + ... + Lambda_j^t: t = 1 for w, and t = up_to for the
@@ -34,6 +36,7 @@ All arithmetic is over GF(2); there are no tolerances anywhere.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import accumulate, compress
@@ -68,7 +71,7 @@ __all__ = [
 ]
 
 DEFAULT_DIRECT_CAP = 17
-TOP_CLASS_BUDGET = 500_000_000  # n * 3^popcount(E-1) steps of top_class_bit
+TOP_CLASS_BUDGET = 500_000_000  # n * 3^popcount(E-1) submask-walk steps a call
 DENSE_BUDGET = 200_000_000  # (sweeps + 1) * 2^(n-6) 64-bit words swept by _DenseRing
 
 
@@ -173,7 +176,7 @@ class BottMatrix:
 
     @cached_property
     def is_main_pattern(self) -> bool:
-        return self.ones == main_matrix(self.n).ones
+        return self.ones == _main_ones(self.n)
 
     def col(self, j: int) -> tuple[int, ...]:
         """Row indices ``i`` with a one at (i, j); the column sum Lambda_j."""
@@ -210,11 +213,12 @@ def main_matrix(n: int) -> BottMatrix:
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    ones = set()
-    for i in range(1, n - 1):
-        ones.add((i, i + 1))
-        ones.add((i, n))
-    return BottMatrix(n, ones)
+    return BottMatrix(n, _main_ones(n))
+
+
+def _main_ones(n: int) -> set[tuple[int, int]]:
+    """The ones of `main_matrix(n)`: (i, i+1) and (i, n) for 1 <= i <= n-2."""
+    return {(i, j) for i in range(1, n - 1) for j in (i + 1, n)}
 
 
 def chain_matrix(m: int) -> BottMatrix:
@@ -341,9 +345,11 @@ def _check_top_class_cost(
 ) -> None:
     """Refuse, before any work, `top_class_bit` calls over TOP_CLASS_BUDGET.
 
-    A call on a degree-n monomial with x_n^E costs about n * 3^popcount(E-1)
+    A call on a degree-n monomial with x_n^E is priced at n * 3^popcount(E-1)
     steps; ``last_exponents`` lists E for each planned call, ``calls`` times
-    over, and their costs add up.
+    over, and their costs add up.  The price counts the (U, S) pairs of the
+    submask walk the placement DP replaced; the packed DP takes
+    n * popcount(E-1) big-int operations, so the budget over-prices it.
     """
     cost = calls * sum(n * 3 ** (e - 1).bit_count() for e in last_exponents if e)
     if cost > TOP_CLASS_BUDGET:
@@ -353,7 +359,27 @@ def _check_top_class_cost(
         )
 
 
-def _placements(q: int, base: Sequence[int]) -> Iterator[list[int]]:
+def _block_mask(block: int, size: int) -> int:
+    """The ``size``-bit mask of ``block`` ones, ``block`` zeros, ... from
+    bit 0, built by doubling; ``size`` is ``block`` times a power of two."""
+    mask, period = (1 << block) - 1, 2 * block
+    while period < size:
+        mask |= mask << period
+        period *= 2
+    return mask
+
+
+def _lane_width(q: int, length: int) -> int:
+    """Bits per lane of the states of ``_placements(q, base)``, L = len(base).
+
+    A lane counts placements of at most the k = popcount(q) digits on the L
+    positions, so it holds at most L^k < 2^(k * bit_length(L)); the extra
+    bit keeps the width positive for k = 0 or L = 0.
+    """
+    return q.bit_count() * length.bit_length() + 1
+
+
+def _placements(q: int, base: Sequence[int]) -> Iterator[int]:
     """Count the placements of the binary digits of ``q`` on a chain, backward.
 
     Each digit 2^t of ``q`` goes to one of the positions 1..L, on top of the
@@ -361,36 +387,39 @@ def _placements(q: int, base: Sequence[int]) -> Iterator[list[int]]:
     prefix over-fills: base and digits at positions <= v add up to at most v.
     A state is a bitmask U over the digits of ``q`` (bit i for its i-th
     lowest digit), of weight the sum of those digits; for q = 2^p - 1 the
-    mask is its own weight.  Yields, for d = L, L-1, ..., 0, the list g_d:
-    g_d[U] counts the ways to place the digits outside U after position d,
-    with U placed at or before d and every prefix from d+1 on legal; g_0[0]
-    is the count.  A step pushes each present U whose weight fits position
-    v, weight[U] <= v - (base_1 + ... + base_v), to its submasks S, the
-    digits U - S sitting at v.  About L * 3^popcount(q) steps; only the list
-    in hand is kept.
+    mask is its own weight.  Yields, for d = L, L-1, ..., 0, the state g_d
+    as one int of 2^k lanes (k = popcount(q)) of W = ``_lane_width(q, L)``
+    bits each: lane U, bits U*W .. U*W + W - 1, holds g_d[U], the ways to
+    place the digits outside U after position d, with U placed at or before
+    d and every prefix from d+1 on legal; lane 0 of g_0 is the count.
+
+    A step keeps the U whose weight fits position v, weight[U] <= v -
+    (base_1 + ... + base_v), and sums each kept U into all its submasks S
+    (the digits U - S sit at v).  The digits are distinct powers of two, so
+    the weight rises with U and the kept lanes are a prefix: one AND.  The
+    submask sums are a superset-sum transform, one shift-mask-add per digit
+    on the whole int; no lane overflows, since each holds a count below
+    2^W.  That is L * k big-int operations on 2^k * W bits.  The budgets
+    (`TOP_CLASS_BUDGET`, `qring.KEY_DP_BUDGET`) still price the L * 3^k
+    (U, S) pairs of the submask walk this replaced, so they over-price it.
     """
+    k = q.bit_count()
+    width = _lane_width(q, len(base))
     weight = [0]
     for t in range(q.bit_length()):
         if q >> t & 1:
             weight += [w + (1 << t) for w in weight]
-    g = [0] * len(weight)
-    g[-1] = 1
+    # (shift, lanes without digit i) for each digit i
+    passes = [(width << i, _block_mask(width << i, width << k)) for i in range(k)]
+    g = 1 << (width * ((1 << k) - 1))
     yield g
     prefix = sum(base)
     for v in range(len(base), 0, -1):
         room = v - prefix
         prefix -= base[v - 1]
-        nxt = [0] * len(g)
-        for U, c in enumerate(g):
-            if not c or weight[U] > room:
-                continue
-            S = U
-            while True:
-                nxt[S] += c
-                if not S:
-                    break
-                S = (S - 1) & U
-        g = nxt
+        g &= (1 << (bisect_right(weight, room) * width)) - 1
+        for shift, mask in passes:
+            g += g >> shift & mask
         yield g
 
 
@@ -404,9 +433,11 @@ def top_class_bit(M: BottMatrix, exponents: Mapping[int, int]) -> int:
     binary digits of E-1 on x_1..x_{n-2}, on top of e_1..e_{n-2}, without
     over-filling any prefix (`_placements`, which counts the key identity
     too; the prefix through x_{n-1} is the whole degree n - 1 and always
-    fits).  A chain part that over-fills by itself gives 0 at once.  Runs in
-    O(n * 3^popcount(E-1)) -- exact and fast even at n = 29; refused with
-    FeasibilityError above ``TOP_CLASS_BUDGET`` steps.
+    fits), read as the low bit of lane 0 of the last state.  A chain part
+    that over-fills by itself gives 0 at once.  Runs in n * k shift-mask-adds
+    on ints of 2^k lanes, k = popcount(E-1); priced, and refused with
+    FeasibilityError, at n * 3^k steps over ``TOP_CLASS_BUDGET``, the cost
+    of the submask walk it replaced.
     """
     if not M.is_main_pattern:
         raise ValueError("top_class_bit requires the main-family matrix pattern")
@@ -429,7 +460,7 @@ def top_class_bit(M: BottMatrix, exponents: Mapping[int, int]) -> int:
         return 0
     for g in _placements(e_n - 1, chain):
         pass
-    return g[0] & 1
+    return g & 1
 
 
 def top_coefficient(p: Poly, M: BottMatrix) -> int:
@@ -505,12 +536,7 @@ class _DenseRing:
         first sweep that reaches x_l: blocks of 2^(l-1) ones and zeros."""
         low = self._lows.get(l)
         if low is None:
-            half = 1 << (l - 1)
-            low, period = (1 << half) - 1, 2 * half
-            while period < 1 << self.n:
-                low |= low << period
-                period *= 2
-            self._lows[l] = low
+            low = self._lows[l] = _block_mask(1 << (l - 1), 1 << self.n)
         return low
 
     def _mul_by_seeds(self, seeds: dict[int, int]) -> int:

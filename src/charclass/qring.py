@@ -9,10 +9,12 @@ factorization ``prod_{i=0}^{p-1} (x_{2^i}^{2^i} + ... + x_m^{2^i})`` -- about
 10 million summands at p = 5, 2 * 10^10 at p = 6.  The ledger of zero and
 nonzero summands is counted exactly by the placement DP of
 `bott._placements` over the positions of the placed factors, the count
-behind `top_class_bit` too (about m * 3^p steps, p <= 10 within budget); for
-p <= 4 it is cross-checked against a vectorized fold over the streamed
-summands.  The zero test and the decomposition read the prefix rule from
-`excess`.
+behind `top_class_bit` too: m * p shift-mask-adds on one int of 2^p exact
+counting lanes.  ``KEY_DP_BUDGET`` still prices the m * 3^p steps of the
+submask walk that DP replaced, so it over-prices the count and admits
+p <= 10 as before.  For p <= 4 the ledger is cross-checked against a
+vectorized fold over the streamed summands.  The zero test and the
+decomposition read the prefix rule from `excess`.
 
 The second half verifies the two families of vanishing products (parts a and
 b) in the main-family Bott ring, converting each product-with-S-power into a
@@ -28,8 +30,8 @@ from itertools import accumulate, combinations_with_replacement, product
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .bott import (
-    FeasibilityError, _check_top_class_cost, _is_int, _placements, main_matrix,
-    top_class_bit,
+    FeasibilityError, _check_top_class_cost, _is_int, _lane_width, _placements,
+    main_matrix, top_class_bit,
 )
 from .steenrod import _two_adic_parts
 
@@ -48,7 +50,7 @@ __all__ = [
     "verify_zero_b",
 ]
 
-KEY_DP_BUDGET = 100_000_000  # m * 3^p steps of the key-identity count
+KEY_DP_BUDGET = 100_000_000  # m * 3^p submask-walk steps of the key count
 
 
 def _check_degree(e: Sequence[int]) -> tuple[int, ...]:
@@ -223,19 +225,23 @@ def _count_key(m: int, p: int) -> tuple[int, dict[int, int]]:
     completed (S_{d+1} >= S), so the zero items with gap v = d + 1 all have
     S_d = v: there are g_d(v) * prod_{i in v} (v - 2^i) of them, g_d(v)
     completions after d and factor i taking one of the positions 2^i..d.
-    About m * 3^p steps on exact ints.
+    g_d(v) and g_0(0) are lanes v and 0 of the packed states, exact ints of
+    ``bott._lane_width(m, m)`` bits; m * p shift-mask-adds in all, priced at
+    the m * 3^p steps of the old submask walk.
     """
+    width = _lane_width(m, m)
+    lane = (1 << width) - 1
     counts = _placements(m, (0,) * m)
     next(counts)  # g_m: every factor placed
     gaps: dict[int, int] = {}
     for v, g in zip(range(m, 0, -1), counts):
-        ways = g[v]  # g is g_{v-1}
+        ways = g >> (v * width) & lane  # g is g_{v-1}
         for i in range(p):
             if v >> i & 1:
                 ways *= v - (1 << i)
         if ways:
             gaps[v] = ways
-    return g[0], gaps
+    return g & lane, gaps
 
 
 @dataclass(frozen=True)
@@ -281,14 +287,15 @@ def verify_key(p: int, workers: int = 1) -> KeyReport:
     """Verify the key identity for m = 2^p - 1 by counting its expansion.
 
     Counts, over every expansion monomial, whether it vanishes in Q_m and
-    where its gap sits, with the exact DP of ``_count_key`` (about m * 3^p
-    steps; refused with FeasibilityError above ``KEY_DP_BUDGET``, so
-    p <= 10 runs).  Every nonzero monomial equals the top class, so the
-    identity holds iff the nonzero count is even; the gap ledger refines the
-    zero count.  The counted zero and nonzero items must add up to the
-    closed-form total, and for p <= 4 the ledger is cross-checked against
-    the streamed fold ``_fold_range`` over all items.  ``workers`` is
-    validated and otherwise unused: the count runs in one thread.
+    where its gap sits, with the exact DP of ``_count_key`` (m * p big-int
+    steps, priced at m * 3^p and refused with FeasibilityError above
+    ``KEY_DP_BUDGET``, so p <= 10 runs).  Every nonzero monomial equals the
+    top class, so the identity holds iff the nonzero count is even; the gap
+    ledger refines the zero count.  The counted zero and nonzero items must
+    add up to the closed-form total, and for p <= 4 the ledger is
+    cross-checked against the streamed fold ``_fold_range`` over all items.
+    ``workers`` is validated and otherwise unused: the count runs in one
+    thread.
     """
     if p < 2:
         raise ValueError(

@@ -1,14 +1,16 @@
 """Independent routes that exist only to cross-check the package.
 
 Nothing in ``src/`` imports this module.  Each route here shares no
-recurrence with the production code it is compared against.
+recurrence with the production code it is compared against, except
+`placements_submask_walk`: the loop form of the placement DP, kept as the
+reference for its packed form.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import product as _iter_product
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -21,6 +23,7 @@ __all__ = [
     "format_monomial",
     "format_poly",
     "mask_monomial",
+    "placements_submask_walk",
     "power_closed_form",
     "rewrite_normal_form",
     "whitney_dual_dold",
@@ -162,6 +165,40 @@ def power_closed_form(i: int, e: int, n: int) -> Poly:
         if packed is not None:
             masks.symmetric_difference_update({packed | top_bit})
     return Poly(frozenset(Monomial.from_mask(m) for m in masks))
+
+
+def placements_submask_walk(q: int, base: Sequence[int]) -> Iterator[list[int]]:
+    """The states g_L, ..., g_0 of `charclass.bott._placements` as lists.
+
+    g_d[U] counts the placements of the digits of ``q`` outside U on the
+    positions after d, with U placed at or before d.  A step pushes each
+    present U whose weight fits position v, weight[U] <= v - (base_1 + ...
+    + base_v), to every submask S (the digits U - S sit at v), walking all
+    3^popcount(q) (U, S) pairs on exact ints.
+    """
+    weight = [0]
+    for t in range(q.bit_length()):
+        if q >> t & 1:
+            weight += [w + (1 << t) for w in weight]
+    g = [0] * len(weight)
+    g[-1] = 1
+    yield g
+    prefix = sum(base)
+    for v in range(len(base), 0, -1):
+        room = v - prefix
+        prefix -= base[v - 1]
+        nxt = [0] * len(g)
+        for U, c in enumerate(g):
+            if not c or weight[U] > room:
+                continue
+            S = U
+            while True:
+                nxt[S] += c
+                if not S:
+                    break
+                S = (S - 1) & U
+        g = nxt
+        yield g
 
 
 def _shifted_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -43,7 +43,9 @@ from charclass.poly2 import Monomial, Poly, parse_poly
 from charclass.steenrod import permsum
 
 from conftest import ALL_BOTT_FIXTURES
-from oracles import mask_monomial, power_closed_form, rewrite_normal_form
+from oracles import (
+    mask_monomial, placements_submask_walk, power_closed_form, rewrite_normal_form,
+)
 
 X = Poly.var
 
@@ -719,6 +721,18 @@ def test_top_coefficient_rejects_inhomogeneous():
         top_coefficient(X(1) * X(2), M)
 
 
+def test_main_pattern_is_the_main_matrix():
+    seen = set()
+    for _, M in ALL_BOTT_FIXTURES:
+        expected = M.ones == main_matrix(M.n).ones
+        assert M.is_main_pattern == expected, M
+        seen.add(expected)
+        if not expected:
+            with pytest.raises(ValueError, match="main-family"):
+                top_class_bit(M, {M.n: M.n})
+    assert seen == {True, False}
+
+
 def test_top_class_bit_exhaustive_degree_five():
     # all 126 exponent vectors of total degree 5 on five variables
     M = main_matrix(5)
@@ -815,6 +829,15 @@ def _brute_force_completions(q, base, d=0, inside=0):
     return count
 
 
+def _lanes(g, q, length):
+    """The 2^popcount(q) lanes of a state of ``bott._placements(q, base)``,
+    len(base) = length; asserts nothing sits above the top lane."""
+    width = bott._lane_width(q, length)
+    lanes = 1 << q.bit_count()
+    assert g >> (lanes * width) == 0
+    return [g >> (U * width) & ((1 << width) - 1) for U in range(lanes)]
+
+
 @st.composite
 def _placement_cases(draw):
     length = draw(st.integers(0, 9))
@@ -830,19 +853,42 @@ def _placement_cases(draw):
 @example((5, [1, 0, 2, 0, 0, 0, 0, 0]))
 def test_placements_match_brute_force(case):
     q, base = case
-    # the count on every leading part of the base
+    # the count on every leading part of the base: lane 0 of g_0
     for length in range(len(base) + 1):
         for g in bott._placements(q, base[:length]):
             pass
-        assert g[0] == _brute_force_completions(q, base[:length])
-    # every per-position list: g_d[U] for the digit set U placed by d
+        assert _lanes(g, q, length)[0] == _brute_force_completions(q, base[:length])
+    # every per-position state: lane U of g_d for the digit set U placed by d
     digits = [1 << t for t in range(q.bit_length()) if q >> t & 1]
-    lists = bott._placements(q, base)
-    for d, g in zip(range(len(base), -1, -1), lists, strict=True):
-        assert len(g) == 1 << len(digits)
-        for U, count in enumerate(g):
+    states = bott._placements(q, base)
+    for d, g in zip(range(len(base), -1, -1), states, strict=True):
+        for U, count in enumerate(_lanes(g, q, len(base))):
             inside = sum(w for i, w in enumerate(digits) if U >> i & 1)
             assert count == _brute_force_completions(q, base, d, inside)
+
+
+@st.composite
+def _large_placement_cases(draw):
+    length = draw(st.integers(0, 40))
+    # mostly empty positions and digits up to about the length, so that most
+    # placements fit and most lanes are nonzero
+    bases = st.sampled_from((0, 0, 0, 0, 1, 2, 3))
+    base = draw(st.lists(bases, min_size=length, max_size=length))
+    digits = draw(st.sets(st.integers(0, (length + 1).bit_length()), max_size=8))
+    return sum(1 << t for t in digits), base
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_large_placement_cases())
+@example((255, [0] * 40))
+@example((31, [0, 1, 0, 0, 0, 0] * 6 + [0] * 4))
+def test_placements_match_submask_walk(case):
+    """Every lane of every packed state equals the submask walk's count, on
+    cases too large for the brute force."""
+    q, base = case
+    states = bott._placements(q, base)
+    for g, ref in zip(states, placements_submask_walk(q, base), strict=True):
+        assert _lanes(g, q, len(base)) == ref
 
 
 def test_top_coefficient_is_binary_on_random_matrices():
@@ -925,6 +971,13 @@ def test_verify_main_routes_agree_on_every_supported_dimension():
             report = verify_main(n, method="both", direct_cap=19)
             assert report.direct == report.steenrod == True, n  # noqa: E712
             assert report.verified
+
+
+def test_verify_main_steenrod_far_above_the_direct_cap():
+    # far above the direct cap the Steenrod route decides alone
+    for n in (253, 509):
+        report = verify_main(n, method="steenrod")
+        assert report.steenrod is True and report.verified, n
 
 
 def test_circle_extension_keeps_the_boundary_grade():

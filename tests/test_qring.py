@@ -309,7 +309,9 @@ def test_counted_ledger_matches_streamed_fold():
 
 
 def test_counted_ledger_pinned_invariants():
-    for p in range(2, 9):
+    # p = 8..10 hold counts of 57..91 bits in one lane: a lane too narrow
+    # spills into its neighbour and breaks zero + nonzero == total
+    for p in range(2, 11):
         m = 2 ** p - 1
         report = verify_key(p)
         assert report.nonzero == 2 ** (p * (p - 1))

@@ -85,12 +85,32 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
-        "submask-walk-skips-the-empty-set", "bott.py",
-        "            while True:\n",
-        "            while S:\n",
+        "placements-filter-drops-the-exact-fit", "bott.py",
+        "bisect_right(weight, room)",
+        "bisect_left(weight, room)",
         (
             "tests/test_bott.py::test_placements_match_brute_force",
+            "tests/test_bott.py::test_placements_match_submask_walk",
             "tests/test_bott.py::test_top_class_bit_exhaustive_degree_five",
+        ),
+    ),
+    Mutant(
+        "superset-sum-skips-the-last-digit", "bott.py",
+        "for shift, mask in passes:",
+        "for shift, mask in passes[:-1]:",
+        (
+            "tests/test_bott.py::test_placements_match_brute_force",
+            "tests/test_bott.py::test_placements_match_submask_walk",
+            "tests/test_qring.py::test_verify_key_frozen_small",
+        ),
+    ),
+    Mutant(
+        "lane-width-without-the-digit-count", "bott.py",
+        "return q.bit_count() * length.bit_length() + 1",
+        "return length.bit_length() + 1",
+        (
+            "tests/test_qring.py::test_counted_ledger_pinned_invariants",
+            "tests/test_bott.py::test_verify_main_steenrod_far_above_the_direct_cap",
         ),
     ),
     Mutant(
@@ -103,11 +123,12 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "dense-low-block-half-period", "bott.py",
-        "low, period = (1 << half) - 1, 2 * half",
-        "low, period = (1 << half) - 1, half",
+        "mask, period = (1 << block) - 1, 2 * block",
+        "mask, period = (1 << block) - 1, block",
         (
             "tests/test_bott.py::test_total_sw_main_five_frozen",
             "tests/test_bott.py::test_dual_sw_main_five_frozen",
+            "tests/test_bott.py::test_placements_match_submask_walk",
         ),
     ),
     Mutant(
