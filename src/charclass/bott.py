@@ -321,9 +321,7 @@ def normal_form(p: Poly, M: BottMatrix) -> Poly:
     by_extra: dict[tuple[tuple[int, int], ...], set[int]] = {}
     for m in p.terms:
         if m.factors and m.factors[-1][0] > M.n:
-            raise ValueError(
-                f"monomial {m} uses a variable beyond x{M.n}"
-            )
+            raise ValueError(f"monomial {m} uses a variable beyond x{M.n}")
         base = 0
         for var, _ in m.factors:
             base |= 1 << (var - 1)
@@ -359,10 +357,16 @@ def _check_top_class_cost(
         )
 
 
-def _block_mask(block: int, size: int) -> int:
-    """The ``size``-bit mask of ``block`` ones, ``block`` zeros, ... from
-    bit 0, built by doubling; ``size`` is ``block`` times a power of two."""
-    mask, period = (1 << block) - 1, 2 * block
+def _block_mask(ones: int, size: int, period: int = 0) -> int:
+    """The mask of ``ones`` ones, then ``period - ones`` zeros (as many zeros
+    as ones by default), repeated from bit 0 over at least ``size`` bits,
+    built by doubling.
+
+    Exactly ``size`` bits when ``size`` is the period times a power of two,
+    as for the dense ring and the placement lanes; the Dold grids AND it
+    with a grid of ``size`` bits, so the bits past ``size`` do not matter.
+    """
+    mask, period = (1 << ones) - 1, period or 2 * ones
     while period < size:
         mask |= mask << period
         period *= 2
@@ -563,6 +567,12 @@ class _DenseRing:
         holds the popcount-j elements over x_1..x_{l-1} and the popcount-
         (j-1) ones with x_l added.  Only the counts that can still reach k
         are kept, so the masks in hand span about 2^(n+1) bits.
+
+        The Dold grades take the same kind of pass (`dold._grade_mask`), but
+        over boxes of any extents, and it is slower on this box of 2s: with
+        every weight 1, at n = 14 it took 0.094 ms for the boundary grade
+        against 0.040 ms here, and 0.79 ms against 0.49 ms for all grades
+        (best of 5, 2-vCPU host, CPython 3.11.7), so the two stay apart.
         """
         masks = {0: 1}  # popcount -> mask over x_1..x_l
         for l in range(1, n + 1):
@@ -758,19 +768,20 @@ def verify_main(
             "steenrod method)"
         )
     m = n - (n % 4 - 1)  # largest m <= n with m = 1 mod 4
-    matrix = extend_with_circles(main_matrix(m), n - m)
+    M = main_matrix(m)  # built once; the circles add only zero rows
     grade = n - alpha_hat(n)
-    direct = not dual_sw(matrix, grade)[grade].is_zero() if run_direct else None
-    steenrod = None
+    direct = steenrod = None
+    if run_direct:
+        direct = not dual_sw(extend_with_circles(M, n - m), grade)[grade].is_zero()
     if method in ("steenrod", "both"):
-        from .steenrod import permsum
+        from .steenrod import _permsum
 
-        steenrod = not permsum(m).is_zero()  # the top class or zero
+        steenrod = not _permsum(M).is_zero()  # the top class or zero
     return MainReport(
         n=n,
         alpha_hat=alpha_hat(n),
         grade=grade,
-        orientable=is_orientable(matrix),
+        orientable=is_orientable(M),
         direct=direct,
         steenrod=steenrod,
     )

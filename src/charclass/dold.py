@@ -6,39 +6,39 @@
 ``(1+c)^{n+1-r} * prod_i (1+c+d_i)^{m_i+1}``, and the manifold dimension is
 ``N = n + 2*sum(m_i)``.
 
-Polynomials are stored as dense GF(2) coefficient grids over the exponent box
-(a, b_1, ..., b_r); truncation is just slicing.  The total class and the dual
-class are both products of powers of the factors ``1+c`` and ``1+c+d_i``.
-In char 2 a power is one factor ``1 + c^(2^t) (+ d_i^(2^t))`` per binary
-digit 2^t of its exponent, and multiplying by that factor is one shifted XOR:
-a copy of the grid, moved 2^t cells along c (and d_i), is XORed back in.  The
-dual class raises each factor to ``2^L - e`` in place of ``-e``, since every
-factor to the power ``2^L`` is 1 once ``2^L`` covers the box.  A class costs
-the cells times the digits of its exponents.
+A polynomial is one Python int, as the Bott ring's vectors are: bit i is the
+GF(2) coefficient of cell i of the exponent box (a, b_1, ..., b_r), in C
+order (b_r varies fastest).  The total class and the dual class are both
+products of powers of the factors ``1+c`` and ``1+c+d_i``.  In char 2 a
+power is one factor ``1 + c^(2^t) (+ d_i^(2^t))`` per binary digit 2^t of
+its exponent, and multiplying by that factor is one shifted XOR per axis:
+the cells that stay in the box, moved 2^t cells along c (and d_i), are
+XORed back in, ``v ^= (v & keep) << 2^t * stride``.  The dual class raises
+each factor to ``2^L - e`` in place of ``-e``, since every factor to the
+power ``2^L`` is 1 once ``2^L`` covers the box.  A class costs the cells
+times the digits of its exponents.  A grade is read through one mask of its
+cells (`_grade_mask`), built axis by axis.
 
 The verdicts of `verify_dold` also have a grid-free closed form,
 `_lucas_verdict`: each coefficient of the dual class is a product of r + 1
 binomial parities read by Lucas's theorem.  `scan_dold` decides every spec
 by it, so a scan costs the specs it screens, and confirms each hit on the
 grids; `verify_dold` runs both routes and requires them to agree.
-
-NumPy is imported by the functions that build or read a grid, on first use:
-it costs about half of a command-line start, and the closed form needs none.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import cache, cached_property, reduce
 from itertools import islice
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from operator import xor
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .bott import FeasibilityError, _is_int, _read_input, _read_report, alpha_hat
-
-if TYPE_CHECKING:
-    import numpy as np
+from .bott import FeasibilityError, _block_mask, _is_int, _read_input, _read_report
+from .bott import alpha_hat
 
 __all__ = [
     "DoldReport",
@@ -95,7 +95,7 @@ class DoldSpec:
     def dimension(self) -> int:
         return self.n + 2 * sum(self.ms)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return (self.n + 1, *(m + 1 for m in self.ms))
 
@@ -113,22 +113,6 @@ class DoldSpec:
         return cls(n, ms)
 
 
-@lru_cache(maxsize=4)
-def _degree_grid(spec: DoldSpec) -> np.ndarray:
-    """Total grading a + 2*sum(b_i) per grid cell, as an outer sum of ranges.
-
-    Cached for the few reads of one `verify_dold`; a scan builds grids only
-    to confirm its hits, one after another, so a small bound suffices.
-    """
-    import numpy as np
-
-    deg = np.arange(spec.n + 1, dtype=np.int32)
-    for m in spec.ms:
-        deg = np.add.outer(deg, 2 * np.arange(m + 1, dtype=np.int32))
-    deg.flags.writeable = False
-    return deg
-
-
 def _check_cells(spec: DoldSpec) -> None:
     cells = math.prod(spec.shape)
     if cells > MAX_GRID_CELLS:
@@ -140,14 +124,29 @@ def _check_cells(spec: DoldSpec) -> None:
 def _in_box(spec: DoldSpec, a: int, bs: Sequence[int]) -> bool:
     """Whether c^a * prod d_i^b_i is a cell of the ring's exponent box.
 
-    ValueError if an exponent is not an int: NumPy would read a bool as a
-    mask and a float as an error of its own.
+    ValueError if an exponent is not an int: a bool would be read as a cell
+    index and a float would fail as a shift.
     """
     if not (_is_int(a) and all(map(_is_int, bs))):
         raise ValueError(f"exponents must be integers, got ({a!r}, {tuple(bs)!r})")
-    return 0 <= a <= spec.n and all(
-        0 <= b <= m for b, m in zip(bs, spec.ms, strict=True)
-    )
+    return 0 <= a <= spec.n and all(0 <= b <= m for b, m in zip(bs, spec.ms, strict=True))
+
+
+def _strides(shape: Sequence[int]) -> list[int]:
+    """The bits between neighbouring cells along each axis, in C order."""
+    return [math.prod(shape[axis + 1:]) for axis in range(len(shape))]
+
+
+def _cell_index(spec: DoldSpec, a: int, bs: Sequence[int]) -> int:
+    """The bit of cell (a, b_1..b_r) in a grid."""
+    return sum(x * stride for x, stride in zip((a, *bs), _strides(spec.shape)))
+
+
+def _cells(grid: int, shape: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The cells (a, b_1..b_r) of the set bits of ``grid``, in C order."""
+    strides = _strides(shape)
+    for bit in re.finditer("1", bin(grid)[:1:-1]):
+        yield tuple(bit.start() // stride % e for stride, e in zip(strides, shape))
 
 
 def _period(n: int, ms: Sequence[int]) -> int:
@@ -155,52 +154,40 @@ def _period(n: int, ms: Sequence[int]) -> int:
     return 1 << max(n, *ms).bit_length()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TruncPoly:
-    """GF(2) polynomial in the truncated ring of ``spec``, as a dense grid."""
+    """GF(2) polynomial in the truncated ring of ``spec``: bit i of ``grid``
+    is the coefficient of cell i of the exponent box, in C order."""
 
     spec: DoldSpec
-    grid: np.ndarray
+    grid: int
 
     def __post_init__(self) -> None:
-        if self.grid.shape != self.spec.shape:
-            raise ValueError(
-                f"grid shape {self.grid.shape} does not match ring {self.spec.shape}"
-            )
-        grid = self.grid.astype("uint8", order="C") & 1
-        grid.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
+        cells = math.prod(self.spec.shape)
+        if not _is_int(self.grid) or self.grid < 0 or self.grid.bit_length() > cells:
+            raise ValueError(f"the grid must be an int of {cells} bits, one per cell")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncPoly):
-            return NotImplemented
-        return self.spec == other.spec and bool((self.grid == other.grid).all())
+    def __repr__(self) -> str:  # hex: a long grid has no decimal text
+        return f"TruncPoly(spec={self.spec!r}, grid={self.grid:#x})"
 
     def is_zero(self) -> bool:
-        return not self.grid.any()
+        return not self.grid
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def terms(self) -> list[tuple[int, tuple[int, ...]]]:
         """Sorted (a, (b_1..b_r)) exponent tuples of the nonzero cells."""
-        axes = (axis.tolist() for axis in self.grid.nonzero())
-        return [(a, tuple(bs)) for a, *bs in zip(*axes)]
+        return [(a, tuple(bs)) for a, *bs in _cells(self.grid, self.spec.shape)]
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
+        r = self.spec.r
+        names = ["c", *(["d"] if r == 1 else [f"d{i}" for i in range(1, r + 1)])]
         parts = []
-        for a, bs in self.terms():
-            factors = []
-            if a:
-                factors.append("c" if a == 1 else f"c^{a}")
-            for i, b in enumerate(bs, start=1):
-                if b:
-                    name = "d" if self.spec.r == 1 else f"d{i}"
-                    factors.append(name if b == 1 else f"{name}^{b}")
-            parts.append("*".join(factors) if factors else "1")
-        return " + ".join(parts)
+        for cell in _cells(self.grid, self.spec.shape):
+            factors = [x if e == 1 else f"{x}^{e}" for x, e in zip(names, cell) if e]
+            parts.append("*".join(factors) or "1")
+        return " + ".join(parts) or "0"
 
     # -- constructors -------------------------------------------------------
 
@@ -212,14 +199,12 @@ class TruncPoly:
     def from_terms(
         cls, spec: DoldSpec, terms: Iterable[tuple[int, Sequence[int]]]
     ) -> "TruncPoly":
-        import numpy as np
-
         _check_cells(spec)
-        grid = np.zeros(spec.shape, dtype=np.uint8)
+        grid = 0
         for a, bs in terms:
             if not _in_box(spec, a, bs):
                 raise ValueError(f"exponents ({a}, {tuple(bs)}) out of bounds")
-            grid[(a, *bs)] ^= 1
+            grid ^= 1 << _cell_index(spec, a, bs)
         return cls(spec, grid)
 
     @classmethod
@@ -227,21 +212,37 @@ class TruncPoly:
         return cls.from_terms(spec, [(0, (0,) * spec.r)])
 
 
-def _mul_grids(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def _moves(shape: Sequence[int]) -> Callable[[int, int], tuple[int, int]]:
+    """``move(axis, k)`` in the box ``shape``, for 0 < k < its extent on
+    ``axis``: the mask of the cells that stay in the box when moved k cells
+    along ``axis``, and the bit offset of that move.
+
+    In C order a coordinate below extent - k is a block of ones in every
+    period of extent * stride bits, so each mask is one `_block_mask`, built
+    on first use and kept for the rest of the product.
+    """
+    strides = _strides(shape)
+
+    @cache
+    def move(axis: int, k: int) -> tuple[int, int]:
+        extent, s = shape[axis], strides[axis]
+        return _block_mask((extent - k) * s, shape[0] * strides[0], extent * s), k * s
+
+    return move
+
+
+def _mul_grids(a: int, b: int, shape: tuple[int, ...]) -> int:
     """Truncated GF(2) product of two grids; iterates the sparser factor.
 
     The general product of `trunc_mul`; the class grids need only the
     shifted XORs of `_times_digit`.
     """
-    import numpy as np
-
-    if np.count_nonzero(a) > np.count_nonzero(b):
-        a, b = b, a
-    out = np.zeros(shape, dtype=np.uint8)
-    for cell in np.argwhere(a):
-        src = b[tuple(slice(0, extent - offset) for offset, extent in zip(cell, shape))]
-        dst = out[tuple(slice(offset, None) for offset in cell)]
-        dst ^= src
+    a, b = sorted((a, b), key=int.bit_count)
+    move = _moves(shape)
+    out = 0
+    for cell in _cells(a, shape):  # b times the monomial of the cell
+        moves = [move(axis, k) for axis, k in enumerate(cell) if k]
+        out ^= reduce(lambda v, mv: (v & mv[0]) << mv[1], moves, b)
     return out
 
 
@@ -252,43 +253,38 @@ def trunc_mul(a: TruncPoly, b: TruncPoly, spec: DoldSpec) -> TruncPoly:
     return TruncPoly(spec, _mul_grids(a.grid, b.grid, spec.shape))
 
 
-def _class_grid(spec: DoldSpec, exponents: Sequence[int]) -> np.ndarray:
+def _class_grid(spec: DoldSpec, exponents: Sequence[int]) -> int:
     """Grid of (1+c)^e_0 * prod_i (1+c+d_i)^e_i for ``exponents`` (e_0, e_1..e_r).
 
     In characteristic 2, (1+c+d_i)^(2^t) = 1 + c^(2^t) + d_i^(2^t), so the
-    product takes one shifted XOR per binary digit 2^t of each exponent
-    (`_times_digit`), so it costs the cells times the digits; cells past the
-    box are dropped.
+    product takes one shifted XOR per axis for each binary digit 2^t of each
+    exponent (`_times_digit`), so it costs the cells times the digits; cells
+    past the box are dropped.  The masks and offsets of the moves are built
+    once per product (`_moves`).
     """
-    import numpy as np
-
     if spec.r > spec.n + 1:
         raise ValueError(
             f"r = {spec.r} exceeds n + 1 = {spec.n + 1}; the class formula "
             "has a negative (1+c) exponent"
         )
     _check_cells(spec)
-    grid = np.zeros(spec.shape, dtype=np.uint8)
-    grid[(0,) * grid.ndim] = 1
+    move = _moves(spec.shape)
+    grid = 1  # the unit, cell 0
     for i, e in enumerate(exponents):
-        for t in range(e.bit_length()):
-            if e >> t & 1:
-                _times_digit(grid, 1 << t, {0, i})
+        for k in (1 << t for t in range(e.bit_length()) if e >> t & 1):
+            grid = _times_digit(grid, [move(j, k) for j in {0, i} if k < spec.shape[j]])
     return grid
 
 
-def _times_digit(grid: np.ndarray, shift: int, axes: set[int]) -> None:
-    """Multiply ``grid`` in place by 1 + sum of x^shift over ``axes``, where
-    x is c on axis 0 and d_i on axis i.
+def _times_digit(grid: int, moves: Sequence[tuple[int, int]]) -> int:
+    """``grid`` times 1 + sum of x^k over the axes of ``moves``, where x is c
+    on axis 0 and d_i on axis i.
 
-    One copy of the grid, moved ``shift`` cells along each axis, is XORed
-    into it; a shift past the box's extent on an axis drops out.  Costs one
-    copy of the grid and one XOR of it per axis.
+    Each move is a (keep mask, bit offset) pair of `_moves`: the cells of
+    ``grid`` that stay in the box, moved k cells along its axis, are XORed
+    in.  Every move reads ``grid`` as it was before the product.
     """
-    src = grid.copy()
-    for axis in axes:
-        if shift < grid.shape[axis]:
-            grid.swapaxes(0, axis)[shift:] ^= src.swapaxes(0, axis)[:-shift]
+    return reduce(xor, [(grid & keep) << offset for keep, offset in moves], grid)
 
 
 def _lucas_verdict(n: int, ms: tuple[int, ...]) -> tuple[bool, bool]:
@@ -336,16 +332,74 @@ def total_sw_dold(spec: DoldSpec) -> TruncPoly:
 
     One shifted XOR per binary digit of the exponents (`_class_grid`).
     """
-    return TruncPoly(
-        spec, _class_grid(spec, (spec.n + 1 - spec.r, *(m + 1 for m in spec.ms)))
-    )
+    return TruncPoly(spec, _class_grid(spec, _total_exponents(spec)))
+
+
+def _total_exponents(spec: DoldSpec) -> tuple[int, ...]:
+    """The exponents (n+1-r, m_1+1, ..., m_r+1) of the factors of w."""
+    return (spec.n + 1 - spec.r, *(m + 1 for m in spec.ms))
+
+
+def _grade_mask(shape: Sequence[int], k: int, at_most: bool = False) -> int:
+    """The mask of the cells of grade a + 2*sum(b_i) = k in the box ``shape``,
+    or of grade <= k when ``at_most``.
+
+    One pass over the axes, from the last: ``masks[g]`` is the block of
+    ``size`` bits of the cells of grade g (at most g) over the axes passed.
+    A d-axis of extent e and weight 2 puts block x, ``masks[g - 2x]``, at
+    bit x * size, so each grade is the one two below moved up a block, cut
+    to e blocks, with its own block 0 added::
+
+        new[g] = masks[g] | (new[g - 2] << size) & (the low e * size bits)
+
+    The window runs up from the lowest grade kept, and only the grades that
+    the axes still to come can carry to k are kept.  Above the middle grade
+    an exact mask counts the grades down from the top cell instead (the
+    co-grade top - k, a cell's distance below the top), which puts block x
+    at bit (e - 1 - x) * size::
+
+        new[j] = masks[j] << (e - 1) * size | new[j - 2] >> size
+
+    so the window covers the grades between k and the nearer end of the
+    box.  On c, the first axis (weight 1), only grade k is built: its blocks
+    are ORed in pairs, so each level of the pairing passes over the mask
+    once.  At most, a grade above the top of the axes passed reads their top
+    grade, the whole block.
+    """
+    weight = 2  # of each d_i; c has weight 1
+    rest = shape[0] - 1 + weight * sum(e - 1 for e in shape[1:])  # the top grade
+    flip = not at_most and 2 * k > rest  # count the grades down from the top cell
+    k = rest - k if flip else k
+    top, size, masks = 0, 1, {0: 1}
+
+    def block(h: int) -> int:
+        return masks.get(min(h, top) if at_most else h, 0)
+
+    for extent in shape[:0:-1]:
+        rest -= weight * (extent - 1)
+        full, last = (1 << size * extent) - 1, size * (extent - 1)
+        grown: dict[int, int] = {}
+        for g in range(min(masks, default=0), min(k, top + weight * (extent - 1)) + 1):
+            low = grown.get(g - weight, 0)
+            if flip:
+                grown[g] = block(g) << last | low >> size
+            else:
+                grown[g] = block(g) | low << size & full
+        top += weight * (extent - 1)
+        masks = {g: mask for g, mask in grown.items() if g >= min(k - rest, top)}
+        size *= extent
+    blocks = [block(k - a) for a in range(shape[0])][:: -1 if flip else 1]
+    while len(blocks) > 1:  # the odd one out is paired with 0
+        blocks = [lo | hi << size for lo, hi in zip(blocks[::2], blocks[1::2] + [0])]
+        size *= 2
+    return blocks[0]
 
 
 def graded_piece(p: TruncPoly, k: int) -> TruncPoly:
     """The degree-k homogeneous part (grading a + 2*sum b_i)."""
     if not _is_int(k):
         raise ValueError(f"the degree must be an integer, got {k!r}")
-    return TruncPoly(p.spec, p.grid * (_degree_grid(p.spec) == k))
+    return TruncPoly(p.spec, p.grid & _grade_mask(p.spec.shape, k))
 
 
 def dual_sw_dold(spec: DoldSpec, up_to: int) -> TruncPoly:
@@ -355,18 +409,16 @@ def dual_sw_dold(spec: DoldSpec, up_to: int) -> TruncPoly:
     With 2^L at least every extent of the box, (1+c)^(2^L) = 1 + c^(2^L) = 1
     and likewise (1+c+d_i)^(2^L) = 1 in the ring, so a factor to the power
     -e is the same factor to the power 2^L - e (`_class_grid`); grades above
-    ``up_to`` are then cleared.
+    ``up_to`` are then cleared, unless ``up_to`` is the top grade.
     """
     if not _is_int(up_to):
         raise ValueError(f"up_to must be an integer, got {up_to!r}")
     if not 0 <= up_to <= spec.dimension:
         raise ValueError(f"up_to must lie in 0..{spec.dimension}, got {up_to}")
     period = _period(spec.n, spec.ms)
-    grid = _class_grid(
-        spec,
-        (period - (spec.n + 1 - spec.r), *(period - (m + 1) for m in spec.ms)),
-    )
-    grid[_degree_grid(spec) > up_to] = 0
+    grid = _class_grid(spec, [period - e for e in _total_exponents(spec)])
+    if up_to < spec.dimension:
+        grid &= _grade_mask(spec.shape, up_to, at_most=True)
     return TruncPoly(spec, grid)
 
 
@@ -378,7 +430,7 @@ def coefficient(p: TruncPoly, a: int, bs: Sequence[int]) -> int:
         raise ValueError(f"expected {spec.r} d-exponents, got {len(bs_t)}")
     if not _in_box(spec, a, bs_t):
         raise ValueError(f"exponents ({a}, {bs_t}) outside the truncation bounds")
-    return int(p.grid[(a, *bs_t)])
+    return p.grid >> _cell_index(spec, a, bs_t) & 1
 
 
 @dataclass(frozen=True)
@@ -418,10 +470,9 @@ def verify_dold(spec: DoldSpec) -> DoldReport:
     N = spec.dimension
     a_hat = alpha_hat(N)
     grade = N - a_hat
-    w = total_sw_dold(spec)
-    orientable = graded_piece(w, 1).is_zero()
-    dual = dual_sw_dold(spec, grade)
-    nonvanishing = not graded_piece(dual, grade).is_zero()
+    orientable = graded_piece(total_sw_dold(spec), 1).is_zero()
+    # the unclipped dual class: the one grade is read by its own mask
+    nonvanishing = not graded_piece(dual_sw_dold(spec, N), grade).is_zero()
     closed = _lucas_verdict(spec.n, spec.ms)
     if closed != (orientable, nonvanishing):
         raise RuntimeError(
@@ -430,13 +481,8 @@ def verify_dold(spec: DoldSpec) -> DoldReport:
             f"vs {closed}"
         )
     return DoldReport(
-        n=spec.n,
-        ms=spec.ms,
-        dimension=N,
-        alpha_hat=a_hat,
-        grade=grade,
-        orientable=orientable,
-        nonvanishing=nonvanishing,
+        n=spec.n, ms=spec.ms, dimension=N, alpha_hat=a_hat, grade=grade,
+        orientable=orientable, nonvanishing=nonvanishing,
     )
 
 
@@ -472,9 +518,7 @@ def scan_dold(target_dim: int, max_r: int) -> list[DoldSpec]:
             f"the scan of dimension {target_dim} with r <= {max_r} "
             f"screens more specs than the budget of {SCAN_BUDGET}"
         )
-    hits = [
-        DoldSpec(n, ms) for n, ms in pairs if _lucas_verdict(n, ms) == (True, True)
-    ]
+    hits = [DoldSpec(n, ms) for n, ms in pairs if _lucas_verdict(n, ms) == (True, True)]
     for spec in hits:
         if not verify_dold(spec).verified:
             raise RuntimeError(f"the grid route does not confirm the hit {spec}")

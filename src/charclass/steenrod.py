@@ -255,7 +255,11 @@ def permsum(n: int) -> Poly:
     FeasibilityError, before any summand is evaluated, when their summed
     cost exceeds ``TOP_CLASS_BUDGET``.
     """
-    M = main_matrix(n)
-    terms = permsum_terms(n)
-    _check_top_class_cost(n, [term.exponent(n) for term in terms])
+    return _permsum(main_matrix(n))
+
+
+def _permsum(M: BottMatrix) -> Poly:
+    """`permsum` of M.n in ``M = main_matrix(M.n)``, for a caller that holds M."""
+    terms = permsum_terms(M.n)
+    _check_top_class_cost(M.n, [term.exponent(M.n) for term in terms])
     return _top_class_sum(M, (term.exponents() for term in terms))

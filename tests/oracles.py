@@ -3,12 +3,15 @@
 Nothing in ``src/`` imports this module.  Each route here shares no
 recurrence with the production code it is compared against, except
 `placements_submask_walk`: the loop form of the placement DP, kept as the
-reference for its packed form.
+reference for its packed form.  The Dold oracle works on NumPy grids of its
+own, not on the package's packed ints, and converts at its ends through
+`_numpy_grid`.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from itertools import product as _iter_product
 from typing import Iterator, Mapping, Sequence
 
@@ -201,6 +204,18 @@ def placements_submask_walk(q: int, base: Sequence[int]) -> Iterator[list[int]]:
         yield g
 
 
+def _numpy_grid(spec: DoldSpec, grid: int | np.ndarray) -> np.ndarray | int:
+    """A packed grid of the package (bit i is cell i of the box in C order)
+    as a uint8 array of the box ``spec.shape``, or such an array back as the
+    packed int."""
+    cells = math.prod(spec.shape)
+    if isinstance(grid, np.ndarray):
+        bits = np.packbits(grid.astype(np.uint8).ravel(), bitorder="little")
+        return int.from_bytes(bits.tobytes(), "little")
+    data = np.frombuffer(grid.to_bytes((cells + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(data, count=cells, bitorder="little").reshape(spec.shape)
+
+
 def _shifted_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated GF(2) product of two grids of one shape: for every nonzero
     cell of ``a``, ``b`` padded by that cell's offsets in front and cut back
@@ -219,19 +234,20 @@ def whitney_dual_dold(spec: DoldSpec, up_to: int) -> TruncPoly:
     wbar_{k-j}, read off grade by grade from the running product w * (wbar_0 +
     ... + wbar_{k-1}), which is updated incrementally with one w * wbar_k
     product per grade.  The package inverts the factors of w instead, so this
-    recursion serves as an independent oracle for `dual_sw_dold`; its grid
-    product and its degree grid are its own.
+    recursion serves as an independent oracle for `dual_sw_dold`; its grids,
+    their product and its degree grid are its own.
     """
     if not 0 <= up_to <= spec.dimension:
         raise ValueError(f"up_to must lie in 0..{spec.dimension}, got {up_to}")
-    w = total_sw_dold(spec).grid
+    w = _numpy_grid(spec, total_sw_dold(spec).grid)
     index = np.indices(spec.shape)
     deg = index[0] + 2 * index[1:].sum(axis=0)
-    result = TruncPoly.one(spec).grid.copy()
+    result = np.zeros(spec.shape, dtype=np.uint8)
+    result[(0,) * result.ndim] = 1
     running = w.copy()  # w * (accumulated inverse)
     for k in range(1, up_to + 1):
         piece = np.where(deg == k, running, np.uint8(0))
         if piece.any():
             result ^= piece
             running ^= _shifted_product(piece, w)
-    return TruncPoly(spec, result)
+    return TruncPoly(spec, _numpy_grid(spec, result))

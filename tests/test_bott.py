@@ -980,6 +980,27 @@ def test_verify_main_steenrod_far_above_the_direct_cap():
         assert report.steenrod is True and report.verified, n
 
 
+def test_verify_main_builds_the_main_matrix_once(monkeypatch):
+    # M_m decides orientability (the circles add only zero rows) and carries
+    # the Steenrod pairing; the circles are added for the direct route only
+    built = []
+    init = BottMatrix.__init__
+
+    def counting(self, n, ones=()):
+        built.append(n)
+        init(self, n, ones)
+
+    monkeypatch.setattr(BottMatrix, "__init__", counting)
+    assert verify_main(29, "steenrod").verified
+    assert built == [29]
+    built.clear()
+    assert verify_main(31, "steenrod").verified  # m = 29, two circles unused
+    assert built == [29]
+    built.clear()
+    assert verify_main(7, "both").verified
+    assert built == [5, 7]
+
+
 def test_circle_extension_keeps_the_boundary_grade():
     # n - alpha_hat(n) = m - alpha_hat(m) for the base m = 1 (mod 4) of n
     for n in range(1, 4097):

@@ -663,21 +663,27 @@ def test_help_screens():
         assert res.exit_code == 0
 
 
-def test_numpy_loads_only_with_a_dold_grid():
-    # NumPy costs about half of a command-line start; only the Dold grids and
-    # the p <= 4 key fold import it, on first use
+def test_numpy_loads_only_with_the_key_fold():
+    # NumPy costs about half of a command-line start; only the p <= 4 key
+    # fold imports it, on first use.  The Dold grids are packed ints: neither
+    # a scan, nor a verdict, nor reading its classes loads it.
     code = "\n".join([
         "import sys",
         "import charclass.cli",
         "from charclass import (DoldSpec, dual_sw, format_poly, main_matrix,",
-        "    scan_dold, total_sw, verify_dold, verify_main)",
+        "    scan_dold, total_sw, verify_dold, verify_key, verify_main)",
+        "from charclass.dold import dual_sw_dold, graded_piece, trunc_mul",
         "M = main_matrix(9)",
         "for classes in (total_sw(M), dual_sw(M, M.n)):",
         "    [format_poly(classes[k]) for k in range(M.n + 1)]",
         "assert verify_main(13).verified",
-        "assert scan_dold(24, 8) == []",
+        "assert scan_dold(24, 8) == [] and scan_dold(31, 3)",
+        "spec = DoldSpec(3, (2, 4))",
+        "assert verify_dold(spec).verified",
+        "wbar = dual_sw_dold(spec, 10)",
+        "str(trunc_mul(wbar, graded_piece(wbar, 10), spec))",
         "print('numpy' in sys.modules)",
-        "assert verify_dold(DoldSpec(3, (2, 4))).verified",
+        "assert verify_key(4).nonzero == 4096",
         "print('numpy' in sys.modules)",
     ])
     src = Path(__file__).resolve().parent.parent / "src"

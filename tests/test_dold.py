@@ -6,7 +6,7 @@ import json
 import math
 import random
 import time
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -28,7 +28,6 @@ from charclass.dold import (
     trunc_mul,
     verify_dold,
 )
-from charclass.dold import _degree_grid
 
 from conftest import ALL_DOLD_FIXTURES
 from oracles import whitney_dual_dold
@@ -84,15 +83,30 @@ def test_spec_dimension_and_shape():
     assert spec.shape == (4, 3, 5)
 
 
-def test_degree_grid_matches_index_formula():
-    for spec in (P12, DoldSpec(0, (3,)), DoldSpec(3, (2, 4)), DoldSpec(2, (1, 3, 2))):
-        idx = np.indices(spec.shape)
-        expected = idx[0] + 2 * idx[1:].sum(axis=0)
-        deg = _degree_grid(spec)
-        assert deg.shape == spec.shape and deg.dtype == np.int32
-        assert np.array_equal(deg, expected)
-        assert not deg.flags.writeable
-        assert _degree_grid(spec) is deg  # cached
+@st.composite
+def _boxes_and_grades(draw) -> tuple[tuple[int, ...], int]:
+    r = draw(st.integers(0, 3))
+    d_extents = draw(st.lists(st.integers(1, 7), min_size=r, max_size=r))
+    shape = (draw(st.integers(1, 9)), *d_extents)
+    top = shape[0] - 1 + 2 * sum(e - 1 for e in shape[1:])
+    return shape, draw(st.integers(-2, top + 2))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_boxes_and_grades())
+@example(((1,), 0))
+@example(((4, 3, 5), 7))
+@example(((9, 7, 7, 7), 20))  # the middle grade of the largest box drawn
+@example(((2, 3), 5))  # the top grade, the last cell alone
+@example(((3, 4, 2), 12))  # above the top: nothing exact, everything at most
+def test_grade_mask_matches_the_grade_of_every_cell(box_and_grade):
+    # bit i of a mask is cell i in C order, of grade a + 2*sum(b_i)
+    shape, k = box_and_grade
+    grades = [a + 2 * sum(bs) for a, *bs in product(*map(range, shape))]
+    exact = sum(1 << i for i, g in enumerate(grades) if g == k)
+    at_most = sum(1 << i for i, g in enumerate(grades) if g <= k)
+    assert dold._grade_mask(shape, k) == exact
+    assert dold._grade_mask(shape, k, at_most=True) == at_most
 
 
 def test_spec_json_round_trip():
@@ -113,13 +127,38 @@ def test_spec_json_accepts_only_integers():
             DoldSpec.from_json(text)
 
 
+@pytest.mark.parametrize(
+    "grid", [np.uint8(1), 1.0, "1", None, True, False, -1, 1 << 6, (1 << 7) - 1],
+    ids=["numpy-int", "float", "str", "none", "true", "false", "negative",
+         "one-bit-past-the-box", "two-bits-past-the-box"],
+)
+def test_trunc_poly_rejects_grids_that_are_not_packed_ints_of_the_box(grid):
+    # P(1; 2) has 2 * 3 = 6 cells, bits 0..5
+    with pytest.raises(ValueError, match="the grid must be an int of 6 bits"):
+        TruncPoly(P12, grid)
+
+
 def test_trunc_poly_validation():
+    # every bit of the box is a cell, in C order
+    assert TruncPoly(P12, (1 << 6) - 1).terms() == [
+        (a, (b,)) for a in range(2) for b in range(3)
+    ]
     with pytest.raises(ValueError):
         TruncPoly(P12, np.zeros((2, 2), dtype=np.uint8))
     with pytest.raises(ValueError, match=r"^exponents \(2, \(0,\)\) out of bounds$"):
         TruncPoly.from_terms(P12, [(2, (0,))])
     with pytest.raises(ValueError, match=r"^exponents \(0, \(3,\)\) out of bounds$"):
         TruncPoly.from_terms(P12, [(0, (3,))])
+
+
+def test_trunc_poly_repr_gives_the_grid_in_hex():
+    # the grid of P(15; 2, 16, 32) has 26,928 cells: past the default limit
+    # of int-to-decimal conversion, so the repr gives it in hex
+    spec = DoldSpec(15, (2, 16, 32))
+    wbar = dual_sw_dold(spec, spec.dimension)
+    assert wbar.grid.bit_length() > 20_000
+    assert repr(wbar) == f"TruncPoly(spec={spec!r}, grid={wbar.grid:#x})"
+    assert repr(TruncPoly.one(P12)) == "TruncPoly(spec=DoldSpec(n=1, ms=(2,)), grid=0x1)"
 
 
 def test_trunc_poly_terms_cancel_in_pairs():
@@ -164,12 +203,7 @@ def test_trunc_mul_ring_laws():
     one = TruncPoly.one(spec)
 
     def rand_poly():
-        grid = np.array(
-            [[[rng.getrandbits(1) for _ in range(2)] for _ in range(3)]
-             for _ in range(3)],
-            dtype=np.uint8,
-        )
-        return TruncPoly(spec, grid)
+        return TruncPoly(spec, rng.getrandbits(math.prod(spec.shape)))
 
     for _ in range(30):
         a, b, c = rand_poly(), rand_poly(), rand_poly()
@@ -281,10 +315,10 @@ def _small_specs(draw) -> DoldSpec:
 
 def _literal_total(spec: DoldSpec) -> TruncPoly:
     """(1+c)^(n+1-r) filled by Lucas parity, times each (1+c+d_i) m_i+1 times."""
-    grid = np.zeros(spec.shape, dtype=np.uint8)
-    for a in range(spec.n + 1):
-        grid[(a,) + (0,) * spec.r] = binom_parity(spec.n + 1 - spec.r, a)
-    w = TruncPoly(spec, grid)
+    w = TruncPoly.from_terms(spec, [
+        (a, (0,) * spec.r) for a in range(spec.n + 1)
+        if binom_parity(spec.n + 1 - spec.r, a)
+    ])
     for i, m in enumerate(spec.ms):
         bs = [0] * spec.r
         factor = [(0, bs), (0, bs[:i] + [1] + bs[i + 1:])]
@@ -349,9 +383,9 @@ def test_dual_sw_dold_products_per_exponent_digit(monkeypatch):
     steps = []
     times_digit = dold._times_digit
 
-    def counting(grid, shift, axes):
+    def counting(grid, moves):
         steps.append(1)
-        return times_digit(grid, shift, axes)
+        return times_digit(grid, moves)
 
     monkeypatch.setattr(dold, "_times_digit", counting)
     for spec in (P12, DoldSpec(7, (2, 4)), DoldSpec(1023, (255,))):
@@ -418,12 +452,19 @@ def test_dual_convolution_is_one(spec):
 
 
 def test_graded_pieces_partition():
-    spec = DoldSpec(3, (2, 4))
-    w = total_sw_dold(spec)
-    acc = np.zeros(spec.shape, dtype=np.uint8)
-    for k in range(spec.dimension + 1):
-        acc ^= graded_piece(w, k).grid
-    assert TruncPoly(spec, acc) == w
+    # the grades of a random grid are disjoint and sum back to it
+    rng = random.Random(23)
+    for spec in (DoldSpec(3, (2, 4)), DoldSpec(0, (3,)), DoldSpec(2, (1, 3, 2))):
+        for _ in range(10):
+            p = TruncPoly(spec, rng.getrandbits(math.prod(spec.shape)))
+            acc = 0
+            for k in range(spec.dimension + 1):
+                piece = graded_piece(p, k).grid
+                assert acc & piece == 0
+                acc |= piece
+            assert acc == p.grid
+            assert graded_piece(p, -1).is_zero()
+            assert graded_piece(p, spec.dimension + 1).is_zero()
 
 
 def test_coefficient_p324():
@@ -458,9 +499,8 @@ W12 = total_sw_dold(P12)  # 1 + d + d^2 + c*d
     ],
 )
 def test_dold_readers_reject_non_integer_exponents(call):
-    # NumPy reads True as a mask and int() truncates 1.7: neither may answer.
-    # NumPy integers are refused too, as everywhere in the package: a walk
-    # over np.argwhere(p.grid) converts its indices with int() first.
+    # True would be read as cell index 1 and int() truncates 1.7: neither may
+    # answer.  NumPy integers are refused too, as everywhere in the package.
     with pytest.raises(ValueError, match="integer"):
         call()
 
@@ -670,20 +710,6 @@ def test_scan_dold_price_refuses_before_verifying(monkeypatch):
     # one verify_dold per hit
     hits = scan_dold(31, 3)
     assert hits and sorted(calls, key=lambda s: (s.n, s.ms)) == hits
-
-
-def test_degree_grid_cache_stays_bounded(monkeypatch):
-    screens = _screens(monkeypatch)
-    _degree_grid.cache_clear()
-    assert scan_dold(24, 12) == []
-    assert _degree_grid.cache_info().misses == 0  # no hit, no grid
-    monkeypatch.undo()
-    for spec in screens:
-        verify_dold(spec)
-    info = _degree_grid.cache_info()
-    assert info.maxsize is not None and info.maxsize <= 8
-    assert info.currsize <= info.maxsize
-    assert info.hits > 0
 
 
 def test_scan_dold_validation():

@@ -68,8 +68,8 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "steenrod-read-inverted", "bott.py",
-        "steenrod = not permsum(m).is_zero()",
-        "steenrod = permsum(m).is_zero()",
+        "steenrod = not _permsum(M).is_zero()",
+        "steenrod = _permsum(M).is_zero()",
         (
             "tests/test_bott.py::test_verify_main_five",
             "tests/test_bott.py::test_verify_main_methods_agree",
@@ -123,8 +123,8 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "dense-low-block-half-period", "bott.py",
-        "mask, period = (1 << block) - 1, 2 * block",
-        "mask, period = (1 << block) - 1, block",
+        "mask, period = (1 << ones) - 1, period or 2 * ones",
+        "mask, period = (1 << ones) - 1, period or ones",
         (
             "tests/test_bott.py::test_total_sw_main_five_frozen",
             "tests/test_bott.py::test_dual_sw_main_five_frozen",
@@ -210,11 +210,20 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "d-weight-one", "dold.py",
-        "np.add.outer(deg, 2 * np.arange(m + 1, dtype=np.int32))",
-        "np.add.outer(deg, np.arange(m + 1, dtype=np.int32))",
+        "weight = 2  # of each d_i",
+        "weight = 1  # of each d_i",
         (
-            "tests/test_dold.py::test_degree_grid_matches_index_formula",
+            "tests/test_dold.py::test_grade_mask_matches_the_grade_of_every_cell",
             "tests/test_dold.py::test_verify_dold_p12",
+        ),
+    ),
+    Mutant(
+        "keep-mask-one-cell-too-wide", "dold.py",
+        "_block_mask((extent - k) * s, shape[0]",
+        "_block_mask((extent - k) * s + 1, shape[0]",
+        (
+            "tests/test_dold.py::test_total_sw_p12_frozen",
+            "tests/test_dold.py::test_dual_coefficients_are_lucas_products",
         ),
     ),
     Mutant(
@@ -228,8 +237,8 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "times-digit-without-copy", "dold.py",
-        "src = grid.copy()",
-        "src = grid",
+        "reduce(xor, [(grid & keep) << offset for keep, offset in moves], grid)",
+        "reduce(lambda out, move: out ^ (out & move[0]) << move[1], moves, grid)",
         (
             "tests/test_dold.py::test_total_sw_p12_frozen",
             "tests/test_dold.py::test_class_grid_matches_general_product",
@@ -237,8 +246,8 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "graded-piece-at-or-below", "dold.py",
-        "p.grid * (_degree_grid(p.spec) == k)",
-        "p.grid * (_degree_grid(p.spec) <= k)",
+        "p.grid & _grade_mask(p.spec.shape, k)",
+        "p.grid & _grade_mask(p.spec.shape, k, at_most=True)",
         (
             "tests/test_dold.py::test_graded_pieces_partition",
             "tests/test_dold.py::test_dual_sw_p12_frozen",
