@@ -39,11 +39,11 @@ import json
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from random import Random
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .poly2 import _BYTE_FACTORS, Monomial, Poly, _squarefree_monomial
+from .poly2 import _BYTE_FACTORS, Monomial, Poly, _ordered_poly, _squarefree_monomial
 
 __all__ = [
     "BottMatrix",
@@ -105,6 +105,13 @@ def alpha_hat(n: int) -> int:
 def _is_int(value: object) -> bool:
     """An int that is not a bool (json reads true/false as bools)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_int(name: str, value: object) -> None:
+    """ValueError unless ``value`` is an int: ``<< value`` or ``range(value)``
+    would raise TypeError on a float, and a bool would be read as 0 or 1."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _read_report(text: str, build: Callable[[dict], Any]) -> Any:
@@ -211,6 +218,7 @@ def main_matrix(n: int) -> BottMatrix:
     Its ring has the chain relations ``x_i^2 = x_{i-1} x_i`` (with x_1^2 = 0)
     for i < n and ``x_n^2 = (x_1 + ... + x_{n-2}) x_n``.  Empty for n <= 2.
     """
+    _require_int("dimension", n)
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     return BottMatrix(n, _main_ones(n))
@@ -223,6 +231,7 @@ def _main_ones(n: int) -> set[tuple[int, int]]:
 
 def chain_matrix(m: int) -> BottMatrix:
     """Ones at (i, i+1) only: the ring Q_m with x_i^2 = x_{i-1} x_i, x_1^2 = 0."""
+    _require_int("dimension", m)
     if m < 1:
         raise ValueError(f"dimension must be >= 1, got {m}")
     return BottMatrix(m, {(i, i + 1) for i in range(1, m)})
@@ -234,6 +243,8 @@ def banded_matrix(n: int, bandwidth: int) -> BottMatrix:
     Every nonzero row has exactly ``bandwidth`` ones, so the manifold is
     orientable iff the bandwidth is even.
     """
+    _require_int("dimension", n)
+    _require_int("bandwidth", bandwidth)
     if n < 1 or bandwidth < 1:
         raise ValueError("dimension and bandwidth must be >= 1")
     ones = {
@@ -250,6 +261,8 @@ def random_orientable_matrix(n: int, seed: int) -> BottMatrix:
     Deterministic for a fixed (n, seed): each in-band cell is drawn in row-major
     order, then any odd row is fixed up by toggling its last cell (i, n).
     """
+    _require_int("dimension", n)
+    _require_int("seed", seed)
     rng = Random(seed)
     ones: set[tuple[int, int]] = set()
     for i in range(1, n):
@@ -265,6 +278,7 @@ def random_orientable_matrix(n: int, seed: int) -> BottMatrix:
 
 def extend_with_circles(M: BottMatrix, k: int) -> BottMatrix:
     """Append ``k`` zero rows/columns: the product with a k-torus."""
+    _require_int("k", k)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     return BottMatrix(M.n + k, M.ones)
@@ -493,6 +507,23 @@ def top_coefficient(p: Poly, M: BottMatrix) -> int:
 
 # the set bit positions of each byte value, in increasing order
 _BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+_LOW_BYTE_ORDER: list[int] = []  # filled on first use by `_low_byte_order`
+
+
+def _low_byte_order() -> list[int]:
+    """The byte values b by descending rev_8(b), b with its eight bits
+    reversed: the factor-tuple order of the squarefree monomials over
+    x_1..x_8 of one degree.  Fixed data, built on first use, so importing
+    the module builds none."""
+    if not _LOW_BYTE_ORDER:
+        _LOW_BYTE_ORDER.extend(sorted(range(256), key=_reversed_bits(8), reverse=True))
+    return _LOW_BYTE_ORDER
+
+
+def _reversed_bits(width: int) -> Callable[[int], str]:
+    """Sort key: the ``width`` low bits of an int, lowest first, as text;
+    for ints below 2^width its order is the order of their bit reversals."""
+    return lambda x: f"{x:0{width}b}"[::-1]
 
 
 class _DenseRing:
@@ -512,7 +543,11 @@ class _DenseRing:
     `GradedClasses` keeps just the product int and cuts and converts one
     grade when it is first read.  Past the sweeps, rendering is the cost: one
     unchecked `Monomial` per term, built from shared `_BYTE_FACTORS` rows,
-    and the one canonical sort and factor-text lookups of `format_poly`.
+    and the factor-text lookups of `format_poly`.  No sort: within one
+    degree the canonical order of squarefree terms is the descending order
+    of their bit-reversed masks, so `to_poly` builds a grade's terms in
+    that order (low-byte buckets over blocks in bit-reversed order) and
+    the Poly keeps it for `format_poly`.
     """
 
     def __init__(self, M: BottMatrix, sweeps: int) -> None:
@@ -585,27 +620,43 @@ class _DenseRing:
 
     @staticmethod
     def to_poly(v: int) -> Poly:
-        """The Poly of v, one walk over the bytes that hold a term.
+        """The Poly of one grade v, its terms built in the canonical order.
 
-        Bit 8i + j is the mask of a term.  Its low byte, 8(i mod 32) + j,
-        gives the factors x_1..x_8 from `_BYTE_FACTORS[0]`; the higher bytes
-        are i // 32 for the whole 32-byte block, so their factors are built
-        once per block by `Monomial.from_mask`.  Both parts are `_BYTE_FACTORS`
-        rows, strictly increasing with exponent 1, so each term is made by
-        the unchecked `_squarefree_monomial`.
+        v must be homogeneous: a `grade_piece`, as `GradedClasses` reads it.
+        Bit j of byte i of the 32-byte block h is the term of mask
+        m = 256h + b, with the low byte b = 8i + j.  The factors of b
+        (x_1..x_8) are the row `_BYTE_FACTORS[0]`; those of h are built once
+        per block by `Monomial.from_mask`.  Both are strictly increasing with
+        exponent 1, so each term is made by the unchecked `_squarefree_monomial`.
+
+        Within one degree, the factor-tuple order is the descending order of
+        rev(m), m with its bits reversed: A precedes B iff the least variable
+        of A ^ B lies in A, the highest bit of rev.  For any width H that
+        covers h, rev(m) = rev_8(b) * 2^H + rev_H(h), so the terms come out
+        ordered when the blocks are walked by descending rev_H(h), each term
+        is put in the bucket of its low byte, and the buckets are joined by
+        descending rev_8(b) (`_low_byte_order`).  No sort runs over the terms;
+        `_ordered_poly` keeps their order for `format_poly`.
         """
         data = v.to_bytes((v.bit_length() + 7) // 8, "little")
+        chunks = [data[s : s + 32] for s in range(0, len(data), 32)]  # block h
+        blocks = sorted(
+            compress(range(len(chunks)), map(any, chunks)),
+            key=_reversed_bits((len(chunks) - 1).bit_length()),
+            reverse=True,
+        )
         low = _BYTE_FACTORS[0]
-        terms = []
-        block = -1
-        for i in compress(range(len(data)), data):
-            if i >> 5 != block:
-                block = i >> 5
-                high = Monomial.from_mask(block << 8).factors
-            base = (i & 31) << 3
-            for j in _BYTE_BITS[data[i]]:
-                terms.append(_squarefree_monomial(low[base + j] + high))
-        return Poly(frozenset(terms))
+        buckets: list[list[Monomial]] = [[] for _ in range(256)]
+        for h in blocks:
+            high = Monomial.from_mask(h << 8).factors
+            chunk = chunks[h]
+            for i in compress(range(32), chunk):
+                for j in _BYTE_BITS[chunk[i]]:
+                    b = i << 3 | j
+                    buckets[b].append(_squarefree_monomial(low[b] + high))
+        return _ordered_poly(
+            chain.from_iterable(map(buckets.__getitem__, _low_byte_order()))
+        )
 
 
 class GradedClasses:
@@ -693,6 +744,7 @@ def dual_sw(M: BottMatrix, up_to: int) -> GradedClasses:
     property-tested separately.  Makes at most up_to * n sweeps; refused
     with FeasibilityError above ``DENSE_BUDGET``.
     """
+    _require_int("up_to", up_to)
     if not 0 <= up_to <= M.n:
         raise ValueError(f"up_to must lie in 0..{M.n}, got {up_to}")
     return _class_product(M, up_to, up_to)

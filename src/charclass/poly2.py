@@ -168,11 +168,14 @@ def _squarefree_monomial(factors: tuple[tuple[int, int], ...]) -> Monomial:
 
 
 def _canonical_order(terms: Iterable[Monomial]) -> list[Monomial]:
-    """The terms by degree, then factor tuple.
+    """The terms by degree, then factor tuple: the order of any `Poly`
+    whose terms came without one.
 
     One sort on the factor tuple, compared in C; a stable re-sort by
     degree follows only when the terms differ in degree, so a homogeneous
-    piece pays one sort.
+    piece pays one sort.  A grade of the dense Bott engine never comes
+    here: for squarefree terms of one degree the order is fixed by their
+    masks alone (see `_DenseRing.to_poly`), and `_ordered_poly` keeps it.
     """
     ordered = sorted(terms, key=_FACTORS)
     if len(set(map(Monomial.degree, ordered))) > 1:
@@ -189,6 +192,11 @@ class Poly:
     """
 
     terms: frozenset[Monomial] = field(default_factory=frozenset)
+    # the terms in the canonical order, when they came in it; set only by
+    # `_ordered_poly`, and no part of equality, hash or repr
+    _order: tuple[Monomial, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for t in self.terms:
@@ -229,7 +237,16 @@ class Poly:
         return iter(self.terms)
 
     def monomials(self) -> list[Monomial]:
-        """Terms in the canonical order (degree, then factor tuple)."""
+        """Terms in the canonical order (degree, then factor tuple).
+
+        The order kept by `_ordered_poly` when there is one, else one sort
+        by `_canonical_order`.  A grade of the dense Bott engine keeps one:
+        squarefree terms of one degree are in the canonical order exactly
+        when their bit-reversed masks descend, an order `_DenseRing.to_poly`
+        builds without comparing terms.
+        """
+        if self._order is not None:
+            return list(self._order)
         return _canonical_order(self.terms)
 
     def degree(self) -> int:
@@ -273,6 +290,24 @@ class Poly:
 
     def __str__(self) -> str:
         return format_poly(self)
+
+
+_set_terms = Poly.__dict__["terms"].__set__  # bypass the frozen __setattr__
+_set_order = Poly.__dict__["_order"].__set__
+
+
+def _ordered_poly(terms: Iterable[Monomial]) -> Poly:
+    """The Poly of distinct terms given in the canonical order, unchecked.
+
+    The caller vouches that the terms are distinct monomials and already in
+    the order `Poly.monomials` gives, so no type check and no sort is made;
+    the order is kept for `monomials` and `format_poly` to read.
+    """
+    order = tuple(terms)
+    p = object.__new__(Poly)
+    _set_terms(p, frozenset(order))
+    _set_order(p, order)
+    return p
 
 
 # -- text grammar ------------------------------------------------------------

@@ -39,13 +39,16 @@ from charclass.bott import (
 )
 from charclass import bott
 from charclass.bott import _DenseRing
-from charclass.poly2 import Monomial, Poly, parse_poly
+from charclass import poly2
+from charclass.poly2 import Monomial, Poly, format_poly, parse_poly
 from charclass.steenrod import permsum
 
 from conftest import ALL_BOTT_FIXTURES
 from oracles import (
-    mask_monomial, placements_submask_walk, power_closed_form, rewrite_normal_form,
+    canonical_key, mask_monomial, placements_submask_walk, power_closed_form,
+    rewrite_normal_form,
 )
+from oracles import format_poly as oracle_format_poly
 
 X = Poly.var
 
@@ -233,6 +236,31 @@ def test_extend_with_circles():
     assert ext.ones == main_matrix(5).ones
     assert extend_with_circles(main_matrix(5), 0) == main_matrix(5)
     assert extend_with_circles(BottMatrix(1, []), 2) == BottMatrix(3, [])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dual_sw(main_matrix(5), True),
+        lambda: dual_sw(main_matrix(5), 2.0),
+        lambda: extend_with_circles(main_matrix(5), True),
+        lambda: main_matrix(5.0),
+        lambda: chain_matrix(3.0),
+        lambda: banded_matrix(5, 2.0),
+        lambda: random_orientable_matrix(5.0, 1),
+        lambda: random_orientable_matrix(5, True),
+    ],
+    ids=[
+        "dual_sw-up_to-bool", "dual_sw-up_to-float", "extend_with_circles-k-bool",
+        "main_matrix-float", "chain_matrix-float", "banded_matrix-bandwidth-float",
+        "random_orientable_matrix-n-float", "random_orientable_matrix-seed-bool",
+    ],
+)
+def test_bott_calls_accept_only_integers(call):
+    # True was read as 1 (a grade-1 dual class, one more circle) and a float
+    # raised TypeError from inside << or range
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
 
 
 def test_random_orientable_matrix_deterministic_and_orientable():
@@ -561,6 +589,17 @@ def test_dual_sw_renders_only_the_grade_read(monkeypatch):
 _BLOCK_EDGES = tuple(b for k in range(1, 16) for b in (256 * k - 1, 256 * k))
 
 
+def _grades_match_the_mask_oracle(bits: set[int] | range, n: int) -> None:
+    # to_poly takes one grade at a time, so the vector of the masks ``bits``
+    # (all below 2^n) is cut into its grades and each is checked on its own
+    v = sum(1 << m for m in bits)
+    for k in range(n + 1):
+        piece = _DenseRing.to_poly(_DenseRing.grade_piece(v, n, k))
+        expected = Poly.of(mask_monomial(m) for m in bits if m.bit_count() == k)
+        assert piece == expected
+        assert piece.monomials() == sorted(expected.terms, key=canonical_key)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.sets(st.integers(0, 4095) | st.sampled_from(_BLOCK_EDGES), max_size=80))
 @example(set())
@@ -568,14 +607,44 @@ _BLOCK_EDGES = tuple(b for k in range(1, 16) for b in (256 * k - 1, 256 * k))
 @example({0, 300, 4095})
 @example(set(_BLOCK_EDGES))
 def test_to_poly_matches_the_mask_oracle(bits):
-    v = sum(1 << m for m in bits)
-    assert _DenseRing.to_poly(v) == Poly.of(map(mask_monomial, bits))
+    _grades_match_the_mask_oracle(bits, 12)
 
 
 def test_to_poly_of_every_full_vector():
     for n in range(12):
-        v = (1 << (1 << n)) - 1
-        assert _DenseRing.to_poly(v) == Poly.of(map(mask_monomial, range(1 << n)))
+        _grades_match_the_mask_oracle(range(1 << n), n)
+
+
+def test_to_poly_keeps_equality_hash_and_repr_on_the_terms():
+    # the kept order is no part of a Poly's value: a to_poly grade equals
+    # Poly.of of its terms, and its repr shows only the frozenset of terms
+    # (whose iteration order follows its insertion history)
+    rng = random.Random(24)
+    for n in (3, 9, 12):
+        v = rng.getrandbits(1 << n)
+        for k in range(n + 1):
+            piece = _DenseRing.to_poly(_DenseRing.grade_piece(v, n, k))
+            plain = Poly.of(piece.terms)
+            assert piece == plain and plain == piece
+            assert hash(piece) == hash(plain)
+            assert repr(piece) == repr(Poly(frozenset(piece.monomials())))
+            assert repr(plain).startswith("Poly(terms=frozenset(")
+            assert "_order" not in repr(piece)
+            assert plain.monomials() == piece.monomials()
+
+
+def test_class_table_pieces_render_without_a_sort(monkeypatch):
+    # every grade of total_sw / dual_sw comes in the canonical order, so
+    # format_poly never falls back to sorting its terms
+    def refuse(terms):
+        raise AssertionError("a class-table grade was sorted")
+
+    for M in (main_matrix(9), random_orientable_matrix(10, 7)):
+        pieces = total_sw(M)[:] + dual_sw(M, M.n)[:]
+        expected = [oracle_format_poly(p) for p in pieces]
+        monkeypatch.setattr(poly2, "_canonical_order", refuse)
+        assert [format_poly(p) for p in pieces] == expected
+        monkeypatch.undo()
 
 
 def test_graded_classes_do_not_keep_the_dense_ring(monkeypatch):

@@ -251,15 +251,23 @@ def test_rendering_matches_the_per_term_oracle(terms):
 def test_rendering_of_dense_grade_pieces_matches_the_per_term_oracle(n, rng):
     # a grade piece of a random vector v < 2^(2^n) is homogeneous with up to
     # about C(12, 6) / 2 terms, which the small mixed-degree draws above
-    # never reach
+    # never reach.  n = 1..12 covers n < 8 and both sides of each 32-byte
+    # block edge, where the kept order switches to the factors of x9 and up
     v = rng.getrandbits(1 << n)
+    pieces = []
     for k in range(n + 1):
         piece = _DenseRing.to_poly(_DenseRing.grade_piece(v, n, k))
         assert format_poly(piece) == oracle_format_poly(piece)
         assert piece.monomials() == sorted(piece.terms, key=oracle_key)
         for m in piece:
             assert Monomial(m.factors) == m  # the unchecked terms re-validate
-    whole = _DenseRing.to_poly(v)
+        pieces.append(piece)
+    # the grades together hold every mask of v, each once; their sum keeps
+    # no order, so it renders through the sort by degree, then factor tuple
+    bits = [m for m in range(1 << n) if v >> m & 1]
+    whole = sum(pieces, Poly.zero())
+    assert whole == Poly.of(map(mask_monomial, bits))
+    assert sum(map(len, pieces)) == len(bits)
     assert format_poly(whole) == oracle_format_poly(whole)
 
 
@@ -274,14 +282,16 @@ def _fresh_python(code: str) -> list[str]:
 
 
 def test_import_builds_no_byte_factor_rows():
-    # the table is built row by row on first use; an eager one slows every
+    # the table is built row by row on first use, and the low-byte order of
+    # the dense grades on the first grade read; eager ones slow every
     # command-line start
     out = _fresh_python(
-        "import charclass.cli, charclass.poly2 as p; "
-        "print(len(p._BYTE_FACTORS)); p.Monomial.from_mask(1 << 100); "
-        "print(sorted(p._BYTE_FACTORS))"
+        "import charclass.cli, charclass.bott as b, charclass.poly2 as p; "
+        "print(len(p._BYTE_FACTORS), len(b._LOW_BYTE_ORDER)); "
+        "p.Monomial.from_mask(1 << 100); print(sorted(p._BYTE_FACTORS)); "
+        "b.total_sw(b.main_matrix(3))[1]; print(sorted(b._LOW_BYTE_ORDER) == list(range(256)))"
     )
-    assert out[:2] == ["0", str(list(range(13)))]
+    assert out[:3] == ["0 0", str(list(range(13))), "True"]
 
 
 def test_factor_text_holds_only_the_variables_rendered():

@@ -158,6 +158,32 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
+        "to-poly-blocks-ascending", "bott.py",
+        "key=_reversed_bits((len(chunks) - 1).bit_length()),\n            reverse=True,",
+        "key=_reversed_bits((len(chunks) - 1).bit_length()),\n            reverse=False,",
+        (
+            "tests/test_bott.py::test_to_poly_matches_the_mask_oracle",
+            "tests/test_poly2.py::test_rendering_of_dense_grade_pieces_matches_the_per_term_oracle",
+        ),
+    ),
+    Mutant(
+        "to-poly-low-byte-buckets-ascending", "bott.py",
+        "key=_reversed_bits(8), reverse=True",
+        "key=_reversed_bits(8), reverse=False",
+        (
+            "tests/test_bott.py::test_to_poly_matches_the_mask_oracle",
+            "tests/test_poly2.py::test_rendering_of_dense_grade_pieces_matches_the_per_term_oracle",
+        ),
+    ),
+    Mutant(
+        "monomials-ignore-the-kept-order", "poly2.py",
+        "if self._order is not None:",
+        "if False:",
+        (
+            "tests/test_bott.py::test_class_table_pieces_render_without_a_sort",
+        ),
+    ),
+    Mutant(
         "poly-sum-without-cancellation", "poly2.py",
         "acc.symmetric_difference_update({m})",
         "acc.add(m)",
