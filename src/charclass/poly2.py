@@ -291,6 +291,14 @@ class Poly:
     def __str__(self) -> str:
         return format_poly(self)
 
+    def __repr__(self) -> str:
+        """The dataclass form, with the terms listed in `monomials` order:
+        a function of the value, where a frozenset's own iteration order
+        follows its insertion history."""
+        if not self.terms:
+            return "Poly(terms=frozenset())"
+        return f"Poly(terms=frozenset({{{', '.join(map(repr, self.monomials()))}}}))"
+
 
 _set_terms = Poly.__dict__["terms"].__set__  # bypass the frozen __setattr__
 _set_order = Poly.__dict__["_order"].__set__

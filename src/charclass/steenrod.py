@@ -5,13 +5,21 @@ and weight ``sum t_i``.  On a product of one-dimensional classes the element
 acts by choosing, for each position i, a set of ``t_i`` factors (all sets
 pairwise disjoint) and raising those factors to the ``2^i``-th power; it
 vanishes when the weight exceeds the number of factors.  ``chi_sq(k, -)`` is
-realized as the sum of all Milnor elements of grading k.
+the sum of all Milnor elements of grading k.
 
-Everything here reduces through the ring of a :class:`~charclass.bott.BottMatrix`;
-full-degree terms in the main family take the fast exact evaluator
-:func:`~charclass.bott.top_class_bit`, everything else goes through
-:func:`~charclass.bott.normal_form`, multiplication in the squarefree basis --
-two routes that are cross-checked in the test suite.
+That sum is also a ring map: the total chi(Sq) sends a class x of degree 1
+to x + x^2 + x^4 + ..., so chi(Sq^k) of x_{a_1}...x_{a_r} is the grade r + k
+part of prod_j (x_{a_j} + x_{a_j}^2 + x_{a_j}^4 + ...).  The product is the
+Milnor sum term for term: the term that gives factor j the power 2^(i_j) is
+the assignment of the tuple t with t_i = #{j : i_j = i}.
+
+Everything here reduces through the ring of a :class:`~charclass.bott.BottMatrix`.
+`chi_sq` expands the product by `_mul_var` sweeps in the squarefree basis,
+except on full-degree terms in the main family, which take the tuples and
+the fast exact evaluator :func:`~charclass.bott.top_class_bit`.  `act`, one
+Milnor element at a time, sums its assignments by that evaluator or by one
+:func:`~charclass.bott.normal_form`; the test suite checks `chi_sq` against
+the sum of `act` over the tuples.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ from .bott import (
     BottMatrix,
     _check_top_class_cost,
     _is_int,
+    _mul_var,
+    _require_int,
     main_matrix,
     normal_form,
     top_class_bit,
@@ -180,7 +190,10 @@ def act(t: Sequence[int], m: Monomial, M: BottMatrix) -> Poly:
     Every assignment has degree deg m + grading(t), so the route is chosen
     once: above degree n the action is 0 (the ring vanishes there), in the
     main family at full degree the top-class bits of the assignments are
-    summed, otherwise their sum takes one `normal_form`.
+    summed, otherwise their sum takes one `normal_form`.  `chi_sq` calls it
+    only on full-degree terms in the main family; summed over the tuples of
+    grading k, it is the Milnor-sum route that the tests hold `chi_sq`'s
+    product against.
     """
     t = normalize_tuple(t)
     if not m.is_squarefree():
@@ -197,22 +210,84 @@ def act(t: Sequence[int], m: Monomial, M: BottMatrix) -> Poly:
     return normal_form(Poly.of(map(Monomial.from_exponents, assignments)), M)
 
 
+def _reaches(distance: int, factors: int) -> bool:
+    """Whether ``distance`` is a sum of exactly ``factors`` powers of two."""
+    return distance.bit_count() <= factors <= distance
+
+
+def _xor(a: set[int], b: set[int]) -> set[int]:
+    """a ^ b, in place in the larger set (both may change): the loop runs
+    over the smaller one, since inserting a mask is slow where masks share
+    hashes (an int hashes mod 2^61 - 1, so bits 61 apart fold together)."""
+    if len(a) < len(b):
+        a, b = b, a
+    a ^= b
+    return a
+
+
+def _chi_sq_product(k: int, variables: Sequence[int], M: BottMatrix) -> set[int]:
+    """chi(Sq^k) of the squarefree monomial on ``variables``, as basis masks.
+
+    The grade deg + k part of prod_a (x_a + x_a^2 + x_a^4 + ...), by one
+    chain of `_mul_var` sweeps per variable: the chain multiplies the whole
+    state by x_a, one sweep a step, and adds the state to the factor's sum
+    at the steps that are powers of two.  The basis is graded, so a mask's
+    popcount is its grade.  A mask joins the sum only when the factors
+    still to come can bring it to the target by powers of two (`_reaches`;
+    after the last factor, only masks at the target), and it leaves the
+    chain once it reaches the cap, the target less one degree for each
+    later factor.
+    """
+    target = len(variables) + k
+    state = {0} if _reaches(target, len(variables)) else set()
+    for left, a in zip(range(len(variables) - 1, -1, -1), variables):
+        cap = target - left
+        power_sum: set[int] = set()
+        e = 0
+        while state:
+            state = _mul_var(state, a, M)
+            e += 1
+            if not e & (e - 1):
+                joined = {g for g in state if _reaches(target - g.bit_count(), left)}
+                power_sum = _xor(power_sum, joined)
+            state = {g for g in state if g.bit_count() < cap}
+        state = power_sum
+    return state
+
+
 def chi_sq(k: int, z: Poly, M: BottMatrix) -> Poly:
     """Sum of all Milnor elements of grading k, applied to ``z`` and reduced.
 
-    ``z`` must be in normal form (squarefree monomials).  Tuples heavier than
-    a monomial's degree act as zero, so enumeration is capped by the degree.
-    The terms of every action are summed once, by `Poly.of`.
+    ``z`` must be in normal form (squarefree monomials).  The total
+    chi(Sq) is a ring map with chi(Sq)(x) = x + x^2 + x^4 + ... on a class
+    of degree 1, so chi(Sq^k) of x_{a_1}...x_{a_r} is the grade r + k part
+    of prod_j (x_{a_j} + x_{a_j}^2 + x_{a_j}^4 + ...).  The expansion is the
+    Milnor sum term for term: giving factor j the power 2^(i_j) is the
+    assignment of the tuple t with t_i = #{j : i_j = i}, whose grading is
+    sum_j (2^(i_j) - 1) = k.  Terms whose image has degree n in the main
+    family take the tuples, their assignments and `top_class_bit` (`act`);
+    every other term is the product, expanded in the ring by
+    `_chi_sq_product`, and terms above degree n vanish.
     """
+    _require_int("grading", k)
     if k < 0:
         raise ValueError(f"grading must be >= 0, got {k}")
-    terms: list[Monomial] = []
+    out: set[int] = set()
     for m in z.monomials():
         if not m.is_squarefree():
             raise ValueError(f"z must be in normal form; {m} is not squarefree")
-        for t in enumerate_tuples(k, m.degree()):
-            terms += act(t, m, M)
-    return Poly.of(terms)
+        variables = m.variables()
+        if variables and variables[-1] > M.n:
+            raise ValueError(f"monomial {m} uses a variable beyond x{M.n}")
+        degree = len(variables) + k
+        if degree > M.n:
+            continue
+        if M.is_main_pattern and degree == M.n:
+            for t in enumerate_tuples(k, len(variables)):
+                out.symmetric_difference_update(p.mask() for p in act(t, m, M))
+        else:
+            out = _xor(out, _chi_sq_product(k, variables, M))
+    return Poly(frozenset(map(Monomial.from_mask, out)))
 
 
 def _admissible_bijections(r: int) -> Iterator[tuple[int, ...]]:

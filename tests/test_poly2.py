@@ -271,6 +271,32 @@ def test_rendering_of_dense_grade_pieces_matches_the_per_term_oracle(n, rng):
     assert format_poly(whole) == oracle_format_poly(whole)
 
 
+def test_repr_lists_the_terms_in_canonical_order():
+    p = parse_poly("x3 + x1*x2 + 1")
+    assert repr(p) == (
+        "Poly(terms=frozenset({Monomial(factors=()), Monomial(factors=((3, 1),)), "
+        "Monomial(factors=((1, 1), (2, 1)))}))"
+    )
+    assert repr(Poly.zero()) == "Poly(terms=frozenset())"
+    assert eval(repr(p), {"Poly": Poly, "Monomial": Monomial}) == p
+
+
+def test_repr_is_a_function_of_the_value():
+    # a frozenset iterates in an order that follows its insertion history,
+    # so equal grade pieces built in two orders once printed apart
+    rng = random.Random(25)
+    orders_differ = 0
+    for n in range(1, 13):
+        v = rng.getrandbits(1 << n)
+        for k in range(n + 1):
+            ms = _DenseRing.to_poly(_DenseRing.grade_piece(v, n, k)).monomials()
+            forward, backward = Poly.of(ms), Poly(frozenset(reversed(ms)))
+            assert forward == backward
+            assert repr(forward) == repr(backward)
+            orders_differ += list(forward.terms) != list(backward.terms)
+    assert orders_differ > 10
+
+
 def _fresh_python(code: str) -> list[str]:
     """The stdout lines of ``code`` run in a new interpreter on this ``src``."""
     src = Path(__file__).resolve().parent.parent / "src"

@@ -221,19 +221,23 @@ def test_assignments_match_brute_force():
             assert got == _brute_force_assignments(variables, t), (variables, t)
 
 
+def _draw_matrix(draw, n: int) -> BottMatrix:
+    """A main, random orientable or arbitrary matrix of dimension n."""
+    kind = draw(st.sampled_from(["main", "orientable", "any"]))
+    if kind == "main":
+        return main_matrix(n)
+    if kind == "orientable":
+        return random_orientable_matrix(n, draw(st.integers(0, 2**16)))
+    cells = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return BottMatrix(n, [c for c in cells if draw(st.booleans())])
+
+
 @st.composite
 def _act_cases(draw) -> tuple[tuple[int, ...], Monomial, BottMatrix]:
     """A matrix (main, random orientable or any) with n <= 8, a squarefree
     monomial, and a tuple that often brings it to full degree."""
     n = draw(st.integers(1, 8))
-    kind = draw(st.sampled_from(["main", "orientable", "any"]))
-    if kind == "main":
-        M = main_matrix(n)
-    elif kind == "orientable":
-        M = random_orientable_matrix(n, draw(st.integers(0, 2**16)))
-    else:
-        cells = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        M = BottMatrix(n, [c for c in cells if draw(st.booleans())])
+    M = _draw_matrix(draw, n)
     variables = draw(st.lists(st.integers(1, n), unique=True, max_size=n))
     m = Monomial.from_exponents(dict.fromkeys(variables, 1))
     k = n - m.degree() if draw(st.booleans()) else draw(st.integers(0, n))
@@ -302,8 +306,9 @@ def test_chi_sq_warmup_example():
 
 
 def test_chi_sq_degree_zero_is_identity():
+    # the top class takes the tuple route, the other terms the product
     M = main_matrix(9)
-    z = parse_poly("x1*x4 + x2*x9")
+    z = parse_poly("x1*x4 + x2*x9 + x1*x2*x3*x4*x5*x6*x7*x8*x9")
     assert chi_sq(0, z, M) == z
 
 
@@ -332,6 +337,119 @@ def test_chi_sq_additive_in_z():
 
         z1, z2 = rand_z(), rand_z()
         assert chi_sq(k, z1 + z2, M) == chi_sq(k, z1, M) + chi_sq(k, z2, M)
+
+
+@pytest.mark.parametrize("k", [2.5, True])
+def test_chi_sq_accepts_only_integer_gradings(k):
+    # chi_sq(2.5, 0, M) and chi_sq(True, 0, M) once returned 0
+    with pytest.raises(ValueError, match=r"^grading must be an integer, got "):
+        chi_sq(k, Poly.zero(), main_matrix(5))
+
+
+@pytest.mark.parametrize("k, M", [
+    (1, BottMatrix(6, [(1, 2), (2, 3)])),  # the product route
+    (0, main_matrix(6)),
+    (400, main_matrix(6)),  # above the top degree: once 0, unchecked
+])
+def test_chi_sq_refuses_a_variable_beyond_the_ring(k, M):
+    with pytest.raises(ValueError, match=r"^monomial x7 uses a variable beyond x6$"):
+        chi_sq(k, parse_poly("x2 + x7"), M)
+
+
+@st.composite
+def _chi_sq_cases(draw) -> tuple[int, Poly, BottMatrix]:
+    """A matrix (main, random orientable or any) with n <= 9, a grading
+    0 <= k <= n + 1 that often brings the first term to full degree, and
+    z of up to 3 squarefree terms, the constant 1 among them."""
+    n = draw(st.integers(1, 9))
+    M = _draw_matrix(draw, n)
+    terms = draw(st.lists(st.sets(st.integers(1, n), max_size=n), max_size=3))
+    z = Poly.of(Monomial.from_exponents(dict.fromkeys(s, 1)) for s in terms)
+    full = terms and draw(st.booleans())
+    k = n - len(terms[0]) if full else draw(st.integers(0, n + 1))
+    return k, z, M
+
+
+def _milnor_sum(k: int, z: Poly, M: BottMatrix) -> Poly:
+    """chi(Sq^k) z as the sum of `act` over every tuple of grading k."""
+    return Poly.of(
+        term
+        for m in z.monomials()
+        for t in enumerate_tuples(k, m.degree())
+        for term in act(t, m, M)
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_chi_sq_cases())
+@example((3, parse_poly("x4*x5"), main_matrix(5)))
+@example((0, parse_poly("1 + x2*x3"), random_orientable_matrix(6, 3)))
+@example((2, parse_poly("1"), main_matrix(4)))
+@example((4, parse_poly("x1*x5*x9 + x2*x3 + 1"), random_orientable_matrix(9, 13)))
+@example((6, parse_poly("x2*x3*x7"), BottMatrix(9, [(1, 9), (2, 7), (3, 7), (5, 8)])))
+def test_chi_sq_product_matches_the_milnor_sum(case):
+    k, z, M = case
+    assert chi_sq(k, z, M) == _milnor_sum(k, z, M)
+
+
+def _sums_of_powers(factors: int, limit: int) -> set[int]:
+    """Every sum of exactly ``factors`` powers of two, up to ``limit``."""
+    powers = [1 << i for i in range(limit.bit_length())]
+    return {
+        sum(c) for c in itertools.combinations_with_replacement(powers, factors)
+        if sum(c) <= limit
+    }
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_chi_sq_cases())
+@example((4, parse_poly("x1*x5*x9"), random_orientable_matrix(9, 13)))
+@example((5, parse_poly("x2*x4*x6*x8"), BottMatrix(8, [(1, 2), (2, 4), (3, 6), (1, 7)])))
+@example((2, parse_poly("x3"), main_matrix(6)))  # 3 is no power of two: no sweep
+def test_chi_sq_product_sweeps_only_masks_that_can_reach_the_target(case):
+    # the chain over x_{a_j} starts from masks that the r - j + 1 factors
+    # from a_j on can bring to grade r + k by powers of two, and it sweeps
+    # no mask at or above its cap r + k - (r - j)
+    k, z, M = case
+    for m in z.monomials():
+        variables = m.variables()
+        r, target = len(variables), len(variables) + k
+        if target > M.n or (M.is_main_pattern and target == M.n):
+            continue
+        calls = []
+
+        def recording(elems, l, M, _mul_var=steenrod._mul_var):
+            calls.append((l, [g.bit_count() for g in elems]))
+            return _mul_var(elems, l, M)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(steenrod, "_mul_var", recording)
+            assert chi_sq(k, Poly.of([m]), M) == _milnor_sum(k, Poly.of([m]), M)
+        started = set()
+        for l, grades in calls:
+            left = r - 1 - variables.index(l)
+            assert all(g < target - left for g in grades), (m, l)
+            if l not in started:
+                started.add(l)
+                reach = _sums_of_powers(left + 1, target)
+                assert all(target - g in reach for g in grades), (m, l)
+
+
+def test_chi_sq_off_the_top_class_route_takes_no_tuple(monkeypatch):
+    # non-main matrices at any degree, and the main family below degree n
+    cases = [
+        (4, parse_poly("x1*x5*x9"), random_orientable_matrix(10, 13)),
+        (3, parse_poly("x2*x3 + x1*x6*x8"), main_matrix(9)),
+    ]
+    expected = [_milnor_sum(*case) for case in cases]
+    assert all(p.terms for p in expected)
+
+    def refuse(*args):
+        raise AssertionError("a Milnor tuple was used off the top-class route")
+
+    monkeypatch.setattr(steenrod, "act", refuse)
+    monkeypatch.setattr(steenrod, "enumerate_tuples", refuse)
+    assert [chi_sq(*case) for case in cases] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -211,10 +211,62 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "chi-sq-drops-sq0", "steenrod.py",
-        "for t in enumerate_tuples(k, m.degree()):",
-        "for t in enumerate_tuples(k, m.degree())[not k:]:",
+        "for t in enumerate_tuples(k, len(variables)):",
+        "for t in enumerate_tuples(k, len(variables))[not k:]:",
         (
             "tests/test_steenrod.py::test_chi_sq_degree_zero_is_identity",
+        ),
+    ),
+    Mutant(
+        "chi-sq-power-sum-at-every-step", "steenrod.py",
+        "if not e & (e - 1):",
+        "if e:",
+        (
+            "tests/test_steenrod.py::test_chi_sq_product_matches_the_milnor_sum",
+            "tests/test_steenrod.py::test_kronecker_duality_on_random_orientable_matrices",
+        ),
+    ),
+    Mutant(
+        "chi-sq-power-sum-unfiltered", "steenrod.py",
+        "joined = {g for g in state if _reaches(target - g.bit_count(), left)}",
+        "joined = set(state)",
+        (
+            "tests/test_steenrod.py::test_chi_sq_product_matches_the_milnor_sum",
+            "tests/test_steenrod.py::test_kronecker_duality_on_random_orientable_matrices",
+        ),
+    ),
+    Mutant(
+        "chi-sq-xor-as-union", "steenrod.py",
+        "    a ^= b\n",
+        "    a |= b\n",
+        (
+            "tests/test_steenrod.py::test_chi_sq_product_matches_the_milnor_sum",
+            "tests/test_steenrod.py::test_chi_sq_additive_in_z",
+        ),
+    ),
+    Mutant(
+        "chi-sq-start-unchecked", "steenrod.py",
+        "state = {0} if _reaches(target, len(variables)) else set()",
+        "state = {0}",
+        (
+            "tests/test_steenrod.py::test_chi_sq_product_sweeps_only_masks_that_can_reach_the_target",
+        ),
+    ),
+    Mutant(
+        "chi-sq-cap-one-short", "steenrod.py",
+        "cap = target - left\n",
+        "cap = target - left - 1\n",
+        (
+            "tests/test_steenrod.py::test_chi_sq_product_matches_the_milnor_sum",
+            "tests/test_steenrod.py::test_kronecker_duality_on_random_orientable_matrices",
+        ),
+    ),
+    Mutant(
+        "chi-sq-cap-one-long", "steenrod.py",
+        "cap = target - left\n",
+        "cap = target - left + 1\n",
+        (
+            "tests/test_steenrod.py::test_chi_sq_product_sweeps_only_masks_that_can_reach_the_target",
         ),
     ),
     Mutant(
