@@ -56,6 +56,9 @@ class Monomial:
 
     factors: tuple[tuple[int, int], ...] = ()
 
+    def __hash__(self) -> int:
+        return hash(self.factors)
+
     def __post_init__(self) -> None:
         prev = 0
         for var, exp in self.factors:
@@ -173,9 +176,9 @@ def _canonical_order(terms: Iterable[Monomial]) -> list[Monomial]:
 
     One sort on the factor tuple, compared in C; a stable re-sort by
     degree follows only when the terms differ in degree, so a homogeneous
-    piece pays one sort.  A grade of the dense Bott engine never comes
-    here: for squarefree terms of one degree the order is fixed by their
-    masks alone (see `_DenseRing.to_poly`), and `_ordered_poly` keeps it.
+    piece pays one sort.  `format_poly` never sorts a grade of the dense
+    Bott engine: `_DenseRing.to_poly` writes its text in this order from
+    the masks alone, and the Poly keeps that text.
     """
     ordered = sorted(terms, key=_FACTORS)
     if len(set(map(Monomial.degree, ordered))) > 1:
@@ -192,11 +195,9 @@ class Poly:
     """
 
     terms: frozenset[Monomial] = field(default_factory=frozenset)
-    # the terms in the canonical order, when they came in it; set only by
-    # `_ordered_poly`, and no part of equality, hash or repr
-    _order: tuple[Monomial, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # the `format_poly` text, when it was written with the terms; set only
+    # by `_rendered_poly`, and no part of equality, hash or repr
+    _text: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for t in self.terms:
@@ -237,16 +238,10 @@ class Poly:
         return iter(self.terms)
 
     def monomials(self) -> list[Monomial]:
-        """Terms in the canonical order (degree, then factor tuple).
-
-        The order kept by `_ordered_poly` when there is one, else one sort
-        by `_canonical_order`.  A grade of the dense Bott engine keeps one:
-        squarefree terms of one degree are in the canonical order exactly
-        when their bit-reversed masks descend, an order `_DenseRing.to_poly`
-        builds without comparing terms.
+        """Terms in the canonical order (degree, then factor tuple), sorted
+        by `_canonical_order`.  A grade of the dense Bott engine keeps its
+        text, not this order, so rendering it calls no sort, but this does.
         """
-        if self._order is not None:
-            return list(self._order)
         return _canonical_order(self.terms)
 
     def degree(self) -> int:
@@ -301,20 +296,20 @@ class Poly:
 
 
 _set_terms = Poly.__dict__["terms"].__set__  # bypass the frozen __setattr__
-_set_order = Poly.__dict__["_order"].__set__
+_set_text = Poly.__dict__["_text"].__set__
 
 
-def _ordered_poly(terms: Iterable[Monomial]) -> Poly:
-    """The Poly of distinct terms given in the canonical order, unchecked.
+def _rendered_poly(terms: Iterable[Monomial], text: str) -> Poly:
+    """The Poly of distinct terms and their `format_poly` text, unchecked.
 
-    The caller vouches that the terms are distinct monomials and already in
-    the order `Poly.monomials` gives, so no type check and no sort is made;
-    the order is kept for `monomials` and `format_poly` to read.
+    The caller vouches that the terms are distinct monomials and that the
+    text is what `format_poly` would render from them, so no type check
+    and no sort is made; `format_poly` returns the kept text.  Arithmetic
+    builds a new Poly without it.
     """
-    order = tuple(terms)
     p = object.__new__(Poly)
-    _set_terms(p, frozenset(order))
-    _set_order(p, order)
+    _set_terms(p, frozenset(terms))
+    _set_text(p, text)
     return p
 
 
@@ -357,6 +352,8 @@ def format_monomial(m: Monomial) -> str:
 
 
 def format_poly(p: Poly) -> str:
+    if p._text is not None:
+        return p._text
     if p.is_zero():
         return "0"
     return " + ".join(map(format_monomial, p.monomials()))

@@ -598,6 +598,7 @@ def _grades_match_the_mask_oracle(bits: set[int] | range, n: int) -> None:
         expected = Poly.of(mask_monomial(m) for m in bits if m.bit_count() == k)
         assert piece == expected
         assert piece.monomials() == sorted(expected.terms, key=canonical_key)
+        assert format_poly(piece) == oracle_format_poly(expected)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -615,8 +616,26 @@ def test_to_poly_of_every_full_vector():
         _grades_match_the_mask_oracle(range(1 << n), n)
 
 
+@pytest.mark.parametrize("n", (17, 18))
+@pytest.mark.parametrize("seed", range(4))
+def test_to_poly_matches_the_mask_oracle_past_x16(n, seed):
+    # from x17 on, the factors of a block h span two bytes of h.  A sparse
+    # vector with masks on both sides of the block edges where x17 and
+    # x18 enter (2^16 and 2^17), terms without a low byte among them, and
+    # masks drawn from the whole range
+    rng = random.Random(seed)
+    bits = {0, (1 << n) - 1}
+    for v in range(17, n + 1):
+        edge = 1 << (v - 1)
+        bits |= {edge, edge - 256, edge + 256, edge - 1}
+        bits |= {edge - 1 - rng.getrandbits(10) for _ in range(25)}
+        bits |= {edge + rng.getrandbits(10) for _ in range(25)}
+    bits |= {rng.getrandbits(n) for _ in range(50)}
+    _grades_match_the_mask_oracle(bits, n)
+
+
 def test_to_poly_keeps_equality_hash_and_repr_on_the_terms():
-    # the kept order is no part of a Poly's value: a to_poly grade equals
+    # the kept text is no part of a Poly's value: a to_poly grade equals
     # Poly.of of its terms, and its repr shows only the frozenset of terms,
     # listed in the canonical order
     rng = random.Random(24)
@@ -629,8 +648,32 @@ def test_to_poly_keeps_equality_hash_and_repr_on_the_terms():
             assert hash(piece) == hash(plain)
             assert repr(piece) == repr(Poly(frozenset(piece.monomials()))) == repr(plain)
             assert repr(plain).startswith("Poly(terms=frozenset(")
-            assert "_order" not in repr(piece)
+            assert "_text" not in repr(piece)
             assert plain.monomials() == piece.monomials()
+            assert piece._text == oracle_format_poly(plain)
+            assert plain._text is None
+
+
+def test_arithmetic_on_a_grade_keeps_no_text(monkeypatch):
+    # a Poly made from a to_poly grade holds no kept text, so no text can
+    # outlive the terms it was written from; it renders through the sort
+    sorts = []
+    canonical_order = poly2._canonical_order
+
+    def counting(terms):
+        sorts.append(1)
+        return canonical_order(terms)
+
+    monkeypatch.setattr(poly2, "_canonical_order", counting)
+    v = random.Random(26).getrandbits(1 << 10)
+    for k in (1, 3, 5, 9):
+        piece = _DenseRing.to_poly(_DenseRing.grade_piece(v, 10, k))
+        text = format_poly(piece)
+        assert not sorts and not piece.is_zero()
+        for made in (piece + Poly.zero(), piece * Poly.one(), Poly.of(piece.terms)):
+            assert made == piece and made._text is None
+            assert format_poly(made) == text
+            assert sorts.pop()
 
 
 def test_class_table_pieces_render_without_a_sort(monkeypatch):

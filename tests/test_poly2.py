@@ -252,7 +252,7 @@ def test_rendering_of_dense_grade_pieces_matches_the_per_term_oracle(n, rng):
     # a grade piece of a random vector v < 2^(2^n) is homogeneous with up to
     # about C(12, 6) / 2 terms, which the small mixed-degree draws above
     # never reach.  n = 1..12 covers n < 8 and both sides of each 32-byte
-    # block edge, where the kept order switches to the factors of x9 and up
+    # block edge, where the kept text gains the factors of x9 and up
     v = rng.getrandbits(1 << n)
     pieces = []
     for k in range(n + 1):
@@ -263,7 +263,7 @@ def test_rendering_of_dense_grade_pieces_matches_the_per_term_oracle(n, rng):
             assert Monomial(m.factors) == m  # the unchecked terms re-validate
         pieces.append(piece)
     # the grades together hold every mask of v, each once; their sum keeps
-    # no order, so it renders through the sort by degree, then factor tuple
+    # no text, so it renders through the sort by degree, then factor tuple
     bits = [m for m in range(1 << n) if v >> m & 1]
     whole = sum(pieces, Poly.zero())
     assert whole == Poly.of(map(mask_monomial, bits))
@@ -308,16 +308,17 @@ def _fresh_python(code: str) -> list[str]:
 
 
 def test_import_builds_no_byte_factor_rows():
-    # the table is built row by row on first use, and the low-byte order of
-    # the dense grades on the first grade read; eager ones slow every
+    # the table is built row by row on first use, and the low-byte order and
+    # text of the dense grades on the first grade read; eager ones slow every
     # command-line start
     out = _fresh_python(
         "import charclass.cli, charclass.bott as b, charclass.poly2 as p; "
-        "print(len(p._BYTE_FACTORS), len(b._LOW_BYTE_ORDER)); "
+        "print(len(p._BYTE_FACTORS), len(b._LOW_BYTE_ORDER), len(b._LOW_TEXT)); "
         "p.Monomial.from_mask(1 << 100); print(sorted(p._BYTE_FACTORS)); "
-        "b.total_sw(b.main_matrix(3))[1]; print(sorted(b._LOW_BYTE_ORDER) == list(range(256)))"
+        "b.total_sw(b.main_matrix(3))[1]; print(sorted(b._LOW_BYTE_ORDER) == list(range(256))); "
+        "print([len(t) for t in b._LOW_TEXT])"
     )
-    assert out[:3] == ["0 0", str(list(range(13))), "True"]
+    assert out[:4] == ["0 0 0", str(list(range(13))), "True", "[256, 256]"]
 
 
 def test_factor_text_holds_only_the_variables_rendered():

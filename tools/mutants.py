@@ -176,11 +176,19 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
-        "monomials-ignore-the-kept-order", "poly2.py",
-        "if self._order is not None:",
+        "format-poly-ignores-the-kept-text", "poly2.py",
+        "if p._text is not None:",
         "if False:",
         (
             "tests/test_bott.py::test_class_table_pieces_render_without_a_sort",
+        ),
+    ),
+    Mutant(
+        "to-poly-text-without-the-star", "bott.py",
+        '[t + "*" for t in alone[1:]]',
+        "alone[1:]",
+        (
+            "tests/test_poly2.py::test_rendering_of_dense_grade_pieces_matches_the_per_term_oracle",
         ),
     ),
     Mutant(
