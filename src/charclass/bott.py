@@ -39,13 +39,11 @@ import json
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import accumulate, chain, compress
+from itertools import accumulate
 from random import Random
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .poly2 import (
-    _BYTE_FACTORS, Monomial, Poly, _rendered_poly, _squarefree_monomial, format_monomial,
-)
+from .poly2 import Monomial, Poly, _packed_poly
 
 __all__ = [
     "BottMatrix",
@@ -507,38 +505,6 @@ def top_coefficient(p: Poly, M: BottMatrix) -> int:
 # ---------------------------------------------------------------------------
 # dense engine over the squarefree basis
 
-# the set bit positions of each byte value, in increasing order
-_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
-_LOW_BYTE_ORDER: list[int] = []  # filled on first use by `_low_byte_order`
-_LOW_TEXT: list[list[str]] = []  # filled on first use by `_low_text`
-
-
-def _low_byte_order() -> list[int]:
-    """The byte values b by descending rev_8(b), b with its eight bits
-    reversed: the factor-tuple order of the squarefree monomials over
-    x_1..x_8 of one degree.  Fixed data, built on first use, so importing
-    the module builds none."""
-    if not _LOW_BYTE_ORDER:
-        _LOW_BYTE_ORDER.extend(sorted(range(256), key=_reversed_bits(8), reverse=True))
-    return _LOW_BYTE_ORDER
-
-
-def _low_text() -> list[list[str]]:
-    """The text of the squarefree monomial over x_1..x_8 of each byte b, two
-    ways: alone ("1" for b = 0), and as the head of a term that goes on in a
-    higher block (followed by "*", empty for b = 0).  Fixed data, built on
-    first use, so importing the module builds none."""
-    if not _LOW_TEXT:
-        alone = [format_monomial(_squarefree_monomial(f)) for f in _BYTE_FACTORS[0]]
-        _LOW_TEXT.extend((alone, [""] + [t + "*" for t in alone[1:]]))
-    return _LOW_TEXT
-
-
-def _reversed_bits(width: int) -> Callable[[int], str]:
-    """Sort key: the ``width`` low bits of an int, lowest first, as text;
-    for ints below 2^width its order is the order of their bit reversals."""
-    return lambda x: f"{x:0{width}b}"[::-1]
-
 
 class _DenseRing:
     """GF(2) vectors over the 2^n squarefree basis, one Python int per vector.
@@ -555,13 +521,10 @@ class _DenseRing:
     matrix density.  The ring, and the masks it caches, live only while a
     product is swept: `grade_piece` and `to_poly` need no ring, so
     `GradedClasses` keeps just the product int and cuts and converts one
-    grade when it is first read.  Past the sweeps, rendering is the cost: one
-    unchecked `Monomial` per term, built from shared `_BYTE_FACTORS` rows,
-    and its text, joined from a low-byte table and one text per block.  No
-    sort: within one degree the canonical order of squarefree terms is the
-    descending order of their bit-reversed masks, so `to_poly` writes a
-    grade's text in that order (low-byte buckets over blocks in bit-reversed
-    order) and the Poly keeps the text for `format_poly`.
+    grade when it is first read.  Past the sweeps, rendering is the cost.
+    `to_poly` is `poly2._packed_poly`: this module hands it a grade's bits,
+    and `poly2` builds the terms and writes their text in the canonical
+    order, with no sort.
     """
 
     def __init__(self, M: BottMatrix, sweeps: int) -> None:
@@ -632,52 +595,8 @@ class _DenseRing:
             }
         return v & masks[k]
 
-    @staticmethod
-    def to_poly(v: int) -> Poly:
-        """The Poly of one grade v, with its `format_poly` text written as
-        its terms are read.
-
-        v must be homogeneous: a `grade_piece`, as `GradedClasses` reads it.
-        Bit j of byte i of the 32-byte block h is the term of mask
-        m = 256h + b, with the low byte b = 8i + j.  The factors of b
-        (x_1..x_8) are the row `_BYTE_FACTORS[0]`; those of h are built once
-        per block by `Monomial.from_mask`.  Both are strictly increasing with
-        exponent 1, so each term is made by the unchecked `_squarefree_monomial`.
-        Its text is the text of b from `_low_text`, then that of h, rendered
-        once per block.
-
-        Within one degree, the factor-tuple order is the descending order of
-        rev(m), m with its bits reversed: A precedes B iff the least variable
-        of A ^ B lies in A, the highest bit of rev.  For any width H that
-        covers h, rev(m) = rev_8(b) * 2^H + rev_H(h), so the texts come out
-        ordered when the blocks are walked by descending rev_H(h), each text
-        is put in the bucket of its low byte, and the buckets are joined by
-        descending rev_8(b) (`_low_byte_order`).  No sort runs over the terms,
-        and the terms themselves go into the frozenset in any order.
-        """
-        data = v.to_bytes((v.bit_length() + 7) // 8, "little")
-        chunks = [data[s : s + 32] for s in range(0, len(data), 32)]  # block h
-        blocks = sorted(
-            compress(range(len(chunks)), map(any, chunks)),
-            key=_reversed_bits((len(chunks) - 1).bit_length()),
-            reverse=True,
-        )
-        low = _BYTE_FACTORS[0]
-        alone, head = _low_text()
-        terms: list[Monomial] = []
-        buckets: list[list[str]] = [[] for _ in range(256)]
-        for h in blocks:
-            high = Monomial.from_mask(h << 8)
-            prefixes, high_text = (head, format_monomial(high)) if h else (alone, "")
-            high_factors = high.factors
-            chunk = chunks[h]
-            for i in compress(range(32), chunk):
-                for j in _BYTE_BITS[chunk[i]]:
-                    b = i << 3 | j
-                    terms.append(_squarefree_monomial(low[b] + high_factors))
-                    buckets[b].append(prefixes[b] + high_text)
-        text = " + ".join(chain.from_iterable(map(buckets.__getitem__, _low_byte_order())))
-        return _rendered_poly(terms, text or "0")
+    # a grade's Poly and its text; perfbench times it as the bott.to_poly layer
+    to_poly = staticmethod(_packed_poly)
 
 
 class GradedClasses:

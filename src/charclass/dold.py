@@ -38,7 +38,7 @@ from operator import xor
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bott import FeasibilityError, _block_mask, _is_int, _read_input, _read_report
-from .bott import alpha_hat
+from .bott import _require_int, alpha_hat
 
 __all__ = [
     "DoldReport",
@@ -502,6 +502,8 @@ def scan_dold(target_dim: int, max_r: int) -> list[DoldSpec]:
     as soon as its count passes the budget.  A `DoldSpec` is built only for
     a hit.
     """
+    _require_int("target_dim", target_dim)
+    _require_int("max_r", max_r)
     if target_dim < 1:
         raise ValueError(f"target_dim must be >= 1, got {target_dim}")
     if max_r < 1:

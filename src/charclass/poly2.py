@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
 
@@ -88,19 +89,20 @@ class Monomial:
     def from_mask(cls, mask: int) -> "Monomial":
         """Squarefree monomial whose variable set is the bitmask (bit i-1 <-> x_i).
 
-        One step per byte: the factors of byte k are a row of the lazily
-        built `_BYTE_FACTORS` table, so monomials share their ``(v, 1)``
-        pairs.  Rows of increasing k hold increasing variables, so the
-        joined factors are valid by construction and the term is made by
-        `_squarefree_monomial`; a negative mask has no variable set and
-        raises ValueError.
+        One step per byte: the factors of a nonzero byte k are a row of the
+        lazily built `_BYTE_FACTORS` table, so monomials share their
+        ``(v, 1)`` pairs; a zero byte builds and joins no row.  Rows of
+        increasing k hold increasing variables, so the joined factors are
+        valid by construction and the term is made by `_squarefree_monomial`;
+        a negative mask has no variable set and raises ValueError.
         """
         if mask < 0:
             raise ValueError(f"mask must be >= 0, got {mask}")
         factors: tuple[tuple[int, int], ...] = ()
         k = 0
         while mask:
-            factors += _BYTE_FACTORS[k][mask & 255]
+            if b := mask & 255:
+                factors += _BYTE_FACTORS[k][b]
             mask >>= 8
             k += 1
         return _squarefree_monomial(factors)
@@ -177,8 +179,8 @@ def _canonical_order(terms: Iterable[Monomial]) -> list[Monomial]:
     One sort on the factor tuple, compared in C; a stable re-sort by
     degree follows only when the terms differ in degree, so a homogeneous
     piece pays one sort.  `format_poly` never sorts a grade of the dense
-    Bott engine: `_DenseRing.to_poly` writes its text in this order from
-    the masks alone, and the Poly keeps that text.
+    Bott engine: `_packed_poly` writes its text in this order from the
+    masks alone, and the Poly keeps that text.
     """
     ordered = sorted(terms, key=_FACTORS)
     if len(set(map(Monomial.degree, ordered))) > 1:
@@ -196,7 +198,7 @@ class Poly:
 
     terms: frozenset[Monomial] = field(default_factory=frozenset)
     # the `format_poly` text, when it was written with the terms; set only
-    # by `_rendered_poly`, and no part of equality, hash or repr
+    # by `_packed_poly`, and no part of equality, hash or repr
     _text: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -239,7 +241,7 @@ class Poly:
 
     def monomials(self) -> list[Monomial]:
         """Terms in the canonical order (degree, then factor tuple), sorted
-        by `_canonical_order`.  A grade of the dense Bott engine keeps its
+        by `_canonical_order`.  A Poly built by `_packed_poly` keeps its
         text, not this order, so rendering it calls no sort, but this does.
         """
         return _canonical_order(self.terms)
@@ -297,20 +299,6 @@ class Poly:
 
 _set_terms = Poly.__dict__["terms"].__set__  # bypass the frozen __setattr__
 _set_text = Poly.__dict__["_text"].__set__
-
-
-def _rendered_poly(terms: Iterable[Monomial], text: str) -> Poly:
-    """The Poly of distinct terms and their `format_poly` text, unchecked.
-
-    The caller vouches that the terms are distinct monomials and that the
-    text is what `format_poly` would render from them, so no type check
-    and no sort is made; `format_poly` returns the kept text.  Arithmetic
-    builds a new Poly without it.
-    """
-    p = object.__new__(Poly)
-    _set_terms(p, frozenset(terms))
-    _set_text(p, text)
-    return p
 
 
 # -- text grammar ------------------------------------------------------------
@@ -389,3 +377,82 @@ def parse_poly(text: str) -> Poly:
             mono = mono * Monomial.var(var, exp)
         terms.append(mono)
     return Poly.of(terms)
+
+
+# -- packed grades -----------------------------------------------------------
+
+# the set bit positions of each byte value, in increasing order
+_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+_LOW_BYTES: list[list] = []  # filled on first use by `_low_bytes`
+
+
+def _reversed_binary(x: int) -> str:
+    """Sort key: the binary digits of x, lowest first.
+
+    Descending, it orders ints below 2^H as their H-bit reversals do, for
+    every H: of two keys where one is a prefix of the other, the longer
+    goes on to its top bit, a 1, so the shorter sorts first, as it would
+    padded with zeros.
+    """
+    return f"{x:b}"[::-1]
+
+
+def _low_bytes() -> list[list]:
+    """Three tables of the low byte b of a packed mask (x_1..x_8): the byte
+    values in the factor-tuple order of their squarefree monomials within
+    one degree (descending `_reversed_binary`); the text of each b alone
+    ("1" for b = 0); and that text as the head of a term that goes on in a
+    higher block (followed by "*", empty for b = 0).  Fixed data, built on
+    first use, so importing the module builds none."""
+    if not _LOW_BYTES:
+        alone = [format_monomial(_squarefree_monomial(f)) for f in _BYTE_FACTORS[0]]
+        order = sorted(range(256), key=_reversed_binary, reverse=True)
+        _LOW_BYTES.extend((order, alone, [""] + [t + "*" for t in alone[1:]]))
+    return _LOW_BYTES
+
+
+def _packed_poly(v: int) -> Poly:
+    """The Poly of the homogeneous packed vector v (bit m is the coefficient
+    of the squarefree monomial of mask m), with its `format_poly` text
+    written as its terms are read.
+
+    Bit j of byte i of the 32-byte block h is the term of mask m = 256h + b,
+    with the low byte b = 8i + j.  The factors of b (x_1..x_8) are the row
+    `_BYTE_FACTORS[0]`; those of h are built once per block by
+    `Monomial.from_mask`.  Both are strictly increasing with exponent 1, so
+    each term is made by the unchecked `_squarefree_monomial`.  Its text is
+    the text of b from `_low_bytes`, then that of h, rendered once per block.
+
+    Within one degree, the factor-tuple order is the descending order of
+    rev(m), m with its bits reversed: A precedes B iff the least variable
+    of A ^ B lies in A, the highest bit of rev.  With H bits for h,
+    rev(m) = rev_8(b) * 2^H + rev_H(h), so the texts come out ordered when
+    the blocks are walked by descending rev_H(h), each text is put in the
+    bucket of its low byte, and the buckets are joined by descending
+    rev_8(b); `_reversed_binary` gives both orders without a width.  No
+    sort runs over the terms, and they go into the frozenset in any order.
+    `format_poly` returns the kept text; arithmetic builds a Poly without it.
+    """
+    data = v.to_bytes((v.bit_length() + 7) // 8, "little")
+    chunks = [data[s : s + 32] for s in range(0, len(data), 32)]  # block h
+    blocks = sorted(
+        compress(range(len(chunks)), map(any, chunks)), key=_reversed_binary, reverse=True
+    )
+    order, alone, head = _low_bytes()
+    low = _BYTE_FACTORS[0]
+    terms: list[Monomial] = []
+    buckets: list[list[str]] = [[] for _ in range(256)]
+    for h in blocks:
+        high = Monomial.from_mask(h << 8)
+        prefixes, high_text = (head, format_monomial(high)) if h else (alone, "")
+        high_factors = high.factors
+        chunk = chunks[h]
+        for i in compress(range(32), chunk):
+            for j in _BYTE_BITS[chunk[i]]:
+                b = i << 3 | j
+                terms.append(_squarefree_monomial(low[b] + high_factors))
+                buckets[b].append(prefixes[b] + high_text)
+    p = object.__new__(Poly)
+    _set_terms(p, frozenset(terms))
+    _set_text(p, " + ".join(chain.from_iterable(map(buckets.__getitem__, order))) or "0")
+    return p

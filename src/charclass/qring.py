@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .bott import (
     FeasibilityError, _check_top_class_cost, _is_int, _lane_width, _placements,
-    main_matrix, top_class_bit,
+    _require_int, main_matrix, top_class_bit,
 )
 from .steenrod import _two_adic_parts
 
@@ -297,6 +297,7 @@ def verify_key(p: int, workers: int = 1) -> KeyReport:
     ``workers`` is validated and otherwise unused: the count runs in one
     thread.
     """
+    _require_int("p", p)
     if p < 2:
         raise ValueError(
             f"p must be >= 2, got {p} (for p = 1, x_1^1 = x_1 != 0 in Q_1)"
@@ -345,6 +346,8 @@ def verify_zero_a(n: int, i: int, j: int) -> bool:
     and refused with FeasibilityError above ``TOP_CLASS_BUDGET``.
     """
     parts, totals = _two_adic_parts(n)
+    _require_int("i", i)
+    _require_int("j", j)
     r = len(parts)
     if not (1 <= i < j <= r):
         raise ValueError(f"need 1 <= i < j <= r = {r}, got (i, j) = ({i}, {j})")
@@ -373,6 +376,7 @@ def verify_zero_b(n: int, j: int) -> bool:
     refused with FeasibilityError above ``TOP_CLASS_BUDGET``.
     """
     parts, totals = _two_adic_parts(n)
+    _require_int("j", j)
     r = len(parts)
     if not 1 <= j <= r:
         raise ValueError(f"need 1 <= j <= r = {r}, got j = {j}")

@@ -121,6 +121,7 @@ def _two_adic_parts(n: int) -> tuple[list[int], list[int]]:
 
     Returns them (all >= 2) with their running totals T_j = 2^p_1 + ... + 2^p_j.
     """
+    _require_int("n", n)
     if n < 1 or n % 4 != 1:
         raise ValueError(f"requires n = 1 (mod 4), got n = {n}")
     rest = n - 1

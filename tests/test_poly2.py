@@ -6,6 +6,7 @@ integer multiplicities and reduces mod 2 at the end, so the fast paths in
 `poly2` are checked against an independent computation.
 """
 
+import ast
 from collections import Counter
 import os
 from pathlib import Path
@@ -13,12 +14,13 @@ import random
 import subprocess
 import sys
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
 from charclass.bott import _DenseRing
 from charclass.poly2 import Monomial, Poly, format_monomial, format_poly, parse_poly
+from charclass.poly2 import _reversed_binary
 from oracles import canonical_key as oracle_key
 from oracles import format_monomial as oracle_format_monomial
 from oracles import format_poly as oracle_format_poly
@@ -308,17 +310,72 @@ def _fresh_python(code: str) -> list[str]:
 
 
 def test_import_builds_no_byte_factor_rows():
-    # the table is built row by row on first use, and the low-byte order and
-    # text of the dense grades on the first grade read; eager ones slow every
-    # command-line start
+    # the table is built row by row on first use, one row per nonzero byte
+    # (x101 is bit 4 of byte 12, and bytes 0-11 are zero), and the low-byte
+    # order and texts of the packed grades on the first grade read; eager
+    # ones slow every command-line start
     out = _fresh_python(
         "import charclass.cli, charclass.bott as b, charclass.poly2 as p; "
-        "print(len(p._BYTE_FACTORS), len(b._LOW_BYTE_ORDER), len(b._LOW_TEXT)); "
+        "print(len(p._BYTE_FACTORS), len(p._LOW_BYTES)); "
         "p.Monomial.from_mask(1 << 100); print(sorted(p._BYTE_FACTORS)); "
-        "b.total_sw(b.main_matrix(3))[1]; print(sorted(b._LOW_BYTE_ORDER) == list(range(256))); "
-        "print([len(t) for t in b._LOW_TEXT])"
+        "b.total_sw(b.main_matrix(3))[1]; print(sorted(p._LOW_BYTES[0]) == list(range(256))); "
+        "print([len(t) for t in p._LOW_BYTES])"
     )
-    assert out[:4] == ["0 0 0", str(list(range(13))), "True", "[256, 256]"]
+    assert out[:4] == ["0 0", "[12]", "True", "[256, 256, 256]"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 16).flatmap(
+    lambda H: st.tuples(st.just(H), st.lists(st.integers(0, (1 << H) - 1), max_size=40))
+))
+@example((8, list(range(256))))
+@example((1, [1, 0]))
+@example((5, [0, 2, 4, 8, 16, 1]))
+def test_the_reversed_key_needs_no_width(case):
+    # the order lemma of _packed_poly: descending, the binary digits lowest
+    # first order ints below 2^H as their H-bit reversals do, so neither the
+    # blocks nor the low bytes need a width for their key
+    H, xs = case
+    padded = sorted(xs, key=lambda x: f"{x:0{H}b}"[::-1], reverse=True)
+    assert sorted(xs, key=_reversed_binary, reverse=True) == padded
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "charclass"
+
+
+def _names(path: Path) -> tuple[set[str], set[str]]:
+    """The names a module imports from ``.poly2``, and every name,
+    attribute and imported name it mentions."""
+    tree = ast.parse(path.read_text())
+    from_poly2, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            used |= names
+            if node.level == 1 and node.module == "poly2":
+                from_poly2 |= names
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return from_poly2, used
+
+
+def test_bott_hands_poly2_only_bits():
+    # poly2 writes a polynomial's text in one place: bott imports the
+    # algebra and the writer it hands a packed grade to, not the tables
+    # and unchecked constructors the writer is built from
+    from_poly2, _ = _names(SRC / "bott.py")
+    assert "_packed_poly" in from_poly2
+    assert from_poly2 <= {"Monomial", "Poly", "_packed_poly"}
+
+
+def test_only_poly2_touches_the_kept_text():
+    kept = {"_text", "_set_text"}
+    assert kept <= _names(SRC / "poly2.py")[1]
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "poly2.py":
+            assert not kept & _names(path)[1], path.name
 
 
 def test_factor_text_holds_only_the_variables_rendered():

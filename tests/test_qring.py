@@ -28,6 +28,7 @@ from charclass.qring import (
     verify_zero_b,
 )
 from charclass.bott import FeasibilityError
+from charclass.steenrod import permsum_terms
 
 X = Poly.var
 
@@ -447,6 +448,50 @@ def test_verify_zero_validation():
         verify_zero_b(13, 3)
     with pytest.raises(ValueError):
         verify_zero_b(12, 1)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: verify_key(3.0), "p"),
+        (lambda: verify_key(True), "p"),
+        (lambda: verify_zero_a(13.0, 1, 2), "n"),
+        (lambda: verify_zero_a(13, 1.0, 2), "i"),
+        (lambda: verify_zero_a(13, 1, True), "j"),
+        (lambda: verify_zero_b(5.0, 1), "n"),
+        (lambda: verify_zero_b(5, True), "j"),
+        (lambda: charclass.canonical_z(9.0), "n"),
+        (lambda: charclass.beta_tuple(True), "n"),
+        (lambda: permsum_terms(9.0), "n"),
+        (lambda: charclass.scan_dold(9.0, 2), "target_dim"),
+        (lambda: charclass.scan_dold(True, 2), "target_dim"),
+        (lambda: charclass.scan_dold(9, 2.0), "max_r"),
+    ],
+    ids=[
+        "verify_key-float", "verify_key-bool", "verify_zero_a-n-float",
+        "verify_zero_a-i-float", "verify_zero_a-j-bool", "verify_zero_b-n-float",
+        "verify_zero_b-j-bool", "canonical_z-float", "beta_tuple-bool",
+        "permsum_terms-float", "scan_dold-target_dim-float",
+        "scan_dold-target_dim-bool", "scan_dold-max_r-float",
+    ],
+)
+def test_chain_ring_and_dold_calls_accept_only_integers(call, name):
+    # a float raised TypeError or AttributeError from inside << or
+    # bit_length, and True was read as 1: beta_tuple(True) gave (),
+    # verify_zero_b(5, True) gave True and scan_dold(True, 2) gave []
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()
+
+
+def test_integer_input_keeps_its_messages():
+    with pytest.raises(ValueError, match=r"^requires n = 1 \(mod 4\), got n = 7$"):
+        charclass.canonical_z(7)
+    with pytest.raises(ValueError, match=r"^need 1 <= j <= r = 1, got j = 2$"):
+        verify_zero_b(5, 2)
+    with pytest.raises(ValueError, match=r"^p must be >= 2, got 1 "):
+        verify_key(1)
+    with pytest.raises(ValueError, match=r"^max_r must be >= 1, got 0$"):
+        charclass.scan_dold(9, 0)
 
 
 def test_verify_zero_a_budget_refusal(monkeypatch):

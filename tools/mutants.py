@@ -158,21 +158,29 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
-        "to-poly-blocks-ascending", "bott.py",
-        "key=_reversed_bits((len(chunks) - 1).bit_length()),\n            reverse=True,",
-        "key=_reversed_bits((len(chunks) - 1).bit_length()),\n            reverse=False,",
+        "to-poly-blocks-ascending", "poly2.py",
+        "map(any, chunks)), key=_reversed_binary, reverse=True",
+        "map(any, chunks)), key=_reversed_binary, reverse=False",
         (
             "tests/test_bott.py::test_to_poly_matches_the_mask_oracle",
             "tests/test_poly2.py::test_rendering_of_dense_grade_pieces_matches_the_per_term_oracle",
         ),
     ),
     Mutant(
-        "to-poly-low-byte-buckets-ascending", "bott.py",
-        "key=_reversed_bits(8), reverse=True",
-        "key=_reversed_bits(8), reverse=False",
+        "to-poly-low-byte-buckets-ascending", "poly2.py",
+        "range(256), key=_reversed_binary, reverse=True",
+        "range(256), key=_reversed_binary, reverse=False",
         (
             "tests/test_bott.py::test_to_poly_matches_the_mask_oracle",
             "tests/test_poly2.py::test_rendering_of_dense_grade_pieces_matches_the_per_term_oracle",
+        ),
+    ),
+    Mutant(
+        "to-poly-key-unreversed", "poly2.py",
+        'return f"{x:b}"[::-1]',
+        'return f"{x:b}"',
+        (
+            "tests/test_bott.py::test_to_poly_matches_the_mask_oracle",
         ),
     ),
     Mutant(
@@ -184,7 +192,7 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
-        "to-poly-text-without-the-star", "bott.py",
+        "to-poly-text-without-the-star", "poly2.py",
         '[t + "*" for t in alone[1:]]',
         "alone[1:]",
         (
