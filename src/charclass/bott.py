@@ -455,13 +455,16 @@ def top_class_bit(M: BottMatrix, exponents: Mapping[int, int]) -> int:
     that over-fills by itself gives 0 at once.  Runs in n * k shift-mask-adds
     on ints of 2^k lanes, k = popcount(E-1); priced, and refused with
     FeasibilityError, at n * 3^k steps over ``TOP_CLASS_BUDGET``, the cost
-    of the submask walk it replaced.
+    of the submask walk it replaced.  A variable or an exponent that is not
+    an int (a bool neither) raises ValueError.
     """
     if not M.is_main_pattern:
         raise ValueError("top_class_bit requires the main-family matrix pattern")
     n = M.n
     degree = 0
     for v, e in exponents.items():
+        if type(v) is not int or type(e) is not int:
+            raise ValueError(f"variables and exponents must be integers, got {v!r}: {e!r}")
         if not 1 <= v <= n:
             raise ValueError(f"variable x{v} out of range 1..{n}")
         if e < 0:
@@ -523,8 +526,8 @@ class _DenseRing:
     `GradedClasses` keeps just the product int and cuts and converts one
     grade when it is first read.  Past the sweeps, rendering is the cost.
     `to_poly` is `poly2._packed_poly`: this module hands it a grade's bits,
-    and `poly2` builds the terms and writes their text in the canonical
-    order, with no sort.
+    and `poly2` writes their text in the canonical order, with no sort, and
+    keeps the bits, building the terms only when something reads them.
     """
 
     def __init__(self, M: BottMatrix, sweeps: int) -> None:
@@ -595,7 +598,7 @@ class _DenseRing:
             }
         return v & masks[k]
 
-    # a grade's Poly and its text; perfbench times it as the bott.to_poly layer
+    # a grade's Poly: its bits and text; perfbench times it as the bott.to_poly layer
     to_poly = staticmethod(_packed_poly)
 
 
@@ -605,7 +608,8 @@ class GradedClasses:
     Built by `total_sw` and `dual_sw` from one vector of the dense engine
     over x_1..x_n, exact in grades 0..top; grade k is cut from it and
     rendered as a `Poly` on first access and cached, so a caller that reads
-    one grade converts only that one.
+    one grade converts only that one.  The `Poly` holds the grade's bits and
+    its text; its `Monomial` terms are built only if something reads them.
     """
 
     __slots__ = ("_n", "_pieces", "_vector")

@@ -89,23 +89,17 @@ class Monomial:
     def from_mask(cls, mask: int) -> "Monomial":
         """Squarefree monomial whose variable set is the bitmask (bit i-1 <-> x_i).
 
-        One step per byte: the factors of a nonzero byte k are a row of the
-        lazily built `_BYTE_FACTORS` table, so monomials share their
-        ``(v, 1)`` pairs; a zero byte builds and joins no row.  Rows of
-        increasing k hold increasing variables, so the joined factors are
-        valid by construction and the term is made by `_squarefree_monomial`;
-        a negative mask has no variable set and raises ValueError.
+        `_mask_factors` joins the factors one step per byte: those of a
+        nonzero byte k are a row of the lazily built `_BYTE_FACTORS` table,
+        so monomials share their ``(v, 1)`` pairs; a zero byte builds and
+        joins no row.  Rows of increasing k hold increasing variables, so
+        the joined factors are valid by construction and the term is made by
+        `_squarefree_monomial`; a negative mask has no variable set and
+        raises ValueError.
         """
         if mask < 0:
             raise ValueError(f"mask must be >= 0, got {mask}")
-        factors: tuple[tuple[int, int], ...] = ()
-        k = 0
-        while mask:
-            if b := mask & 255:
-                factors += _BYTE_FACTORS[k][b]
-            mask >>= 8
-            k += 1
-        return _squarefree_monomial(factors)
+        return _squarefree_monomial(_mask_factors(mask))
 
     # -- queries ------------------------------------------------------------
 
@@ -160,6 +154,19 @@ class Monomial:
 _set_factors = Monomial.__dict__["factors"].__set__  # bypasses the frozen __setattr__
 
 
+def _mask_factors(mask: int) -> tuple[tuple[int, int], ...]:
+    """The factors of the squarefree monomial of the mask (>= 0), joined
+    from one `_BYTE_FACTORS` row per nonzero byte."""
+    factors: tuple[tuple[int, int], ...] = ()
+    k = 0
+    while mask:
+        if b := mask & 255:
+            factors += _BYTE_FACTORS[k][b]
+        mask >>= 8
+        k += 1
+    return factors
+
+
 def _squarefree_monomial(factors: tuple[tuple[int, int], ...]) -> Monomial:
     """The monomial of factors joined from `_BYTE_FACTORS` rows, unchecked.
 
@@ -193,13 +200,20 @@ class Poly:
     """A polynomial over GF(2): a finite set of monomials.
 
     Addition is symmetric difference (coefficients live in GF(2)); the zero
-    polynomial is the empty set.
+    polynomial is the empty set.  A grade of a class table is a
+    `_PackedPoly`, which holds its bits and text and builds its terms when
+    they are first read; equality, hash and repr come from the terms alone,
+    so it equals the Poly of the same terms.
     """
 
     terms: frozenset[Monomial] = field(default_factory=frozenset)
-    # the `format_poly` text, when it was written with the terms; set only
-    # by `_packed_poly`, and no part of equality, hash or repr
-    _text: str | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __eq__(self, other: object) -> bool:
+        """Equal terms, whichever class holds them: the dataclass form
+        would refuse a `_PackedPoly` for being another class."""
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self.terms == other.terms
 
     def __post_init__(self) -> None:
         for t in self.terms:
@@ -298,7 +312,45 @@ class Poly:
 
 
 _set_terms = Poly.__dict__["terms"].__set__  # bypass the frozen __setattr__
-_set_text = Poly.__dict__["_text"].__set__
+
+
+class _PackedPoly(Poly):
+    """The Poly `_packed_poly` makes of a homogeneous packed vector: it
+    holds the bits and their `format_poly` text, written when it was made,
+    and leaves ``terms`` unset until something reads them.  `is_zero` and
+    ``len`` answer from the bits, so rendering, testing and counting a
+    class-table grade build no `Monomial`.
+
+    The hook is on this subclass, not on `Poly`: CPython specializes no
+    attribute read on a class that defines ``__getattr__``, and on `Poly`
+    that made every read of ``terms`` several times slower.
+    """
+
+    __slots__ = ("_text", "_bits")
+
+    def __getattr__(self, name: str) -> frozenset[Monomial]:
+        """The terms, built from the bits once, on the first read of the
+        unset ``terms`` slot (Python calls this only for an unset slot);
+        any other unset name is an error."""
+        if name != "terms":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        terms = frozenset(_packed_terms(self._bits))
+        _set_terms(self, terms)
+        return terms
+
+    def __reduce__(self) -> tuple:
+        # a copy or a pickle is made again from the bits, text and all
+        return _packed_poly, (self._bits,)
+
+    def is_zero(self) -> bool:
+        return not self._bits
+
+    def __len__(self) -> int:
+        return self._bits.bit_count()
+
+
+_set_text = _PackedPoly._text.__set__
+_set_bits = _PackedPoly._bits.__set__
 
 
 # -- text grammar ------------------------------------------------------------
@@ -333,14 +385,16 @@ class _FactorText(dict):
 _FACTOR_TEXT = _FactorText()
 
 
+def _factors_text(factors: tuple[tuple[int, int], ...]) -> str:
+    return "*".join(map(_FACTOR_TEXT.__getitem__, factors)) or "1"
+
+
 def format_monomial(m: Monomial) -> str:
-    if not m.factors:
-        return "1"
-    return "*".join(map(_FACTOR_TEXT.__getitem__, m.factors))
+    return _factors_text(m.factors)
 
 
 def format_poly(p: Poly) -> str:
-    if p._text is not None:
+    if type(p) is _PackedPoly:
         return p._text
     if p.is_zero():
         return "0"
@@ -405,23 +459,29 @@ def _low_bytes() -> list[list]:
     higher block (followed by "*", empty for b = 0).  Fixed data, built on
     first use, so importing the module builds none."""
     if not _LOW_BYTES:
-        alone = [format_monomial(_squarefree_monomial(f)) for f in _BYTE_FACTORS[0]]
+        alone = list(map(_factors_text, _BYTE_FACTORS[0]))
         order = sorted(range(256), key=_reversed_binary, reverse=True)
         _LOW_BYTES.extend((order, alone, [""] + [t + "*" for t in alone[1:]]))
     return _LOW_BYTES
 
 
+def _blocks(v: int) -> list[bytes]:
+    """The packed vector v cut into 32-byte blocks, lowest first: byte i of
+    block h holds the masks 256h + 8i .. 256h + 8i + 7."""
+    data = v.to_bytes((v.bit_length() + 7) // 8, "little")
+    return [data[s : s + 32] for s in range(0, len(data), 32)]
+
+
 def _packed_poly(v: int) -> Poly:
     """The Poly of the homogeneous packed vector v (bit m is the coefficient
-    of the squarefree monomial of mask m), with its `format_poly` text
-    written as its terms are read.
+    of the squarefree monomial of mask m): its `format_poly` text is written
+    now, from the bits alone, and v is kept, so its terms are built by
+    `_packed_terms` only when something reads them.
 
     Bit j of byte i of the 32-byte block h is the term of mask m = 256h + b,
-    with the low byte b = 8i + j.  The factors of b (x_1..x_8) are the row
-    `_BYTE_FACTORS[0]`; those of h are built once per block by
-    `Monomial.from_mask`.  Both are strictly increasing with exponent 1, so
-    each term is made by the unchecked `_squarefree_monomial`.  Its text is
-    the text of b from `_low_bytes`, then that of h, rendered once per block.
+    with the low byte b = 8i + j.  Its text is the text of b from
+    `_low_bytes`, then that of h, joined once per block from the factors
+    of `_mask_factors`; no `Monomial` is made.
 
     Within one degree, the factor-tuple order is the descending order of
     rev(m), m with its bits reversed: A precedes B iff the least variable
@@ -430,29 +490,40 @@ def _packed_poly(v: int) -> Poly:
     the blocks are walked by descending rev_H(h), each text is put in the
     bucket of its low byte, and the buckets are joined by descending
     rev_8(b); `_reversed_binary` gives both orders without a width.  No
-    sort runs over the terms, and they go into the frozenset in any order.
-    `format_poly` returns the kept text; arithmetic builds a Poly without it.
+    sort runs over the terms.  `format_poly` returns the kept text;
+    arithmetic builds a Poly without it.
     """
-    data = v.to_bytes((v.bit_length() + 7) // 8, "little")
-    chunks = [data[s : s + 32] for s in range(0, len(data), 32)]  # block h
+    chunks = _blocks(v)
     blocks = sorted(
         compress(range(len(chunks)), map(any, chunks)), key=_reversed_binary, reverse=True
     )
     order, alone, head = _low_bytes()
-    low = _BYTE_FACTORS[0]
-    terms: list[Monomial] = []
     buckets: list[list[str]] = [[] for _ in range(256)]
     for h in blocks:
-        high = Monomial.from_mask(h << 8)
-        prefixes, high_text = (head, format_monomial(high)) if h else (alone, "")
-        high_factors = high.factors
+        prefixes, high_text = (
+            (head, _factors_text(_mask_factors(h << 8))) if h else (alone, "")
+        )
         chunk = chunks[h]
         for i in compress(range(32), chunk):
             for j in _BYTE_BITS[chunk[i]]:
                 b = i << 3 | j
-                terms.append(_squarefree_monomial(low[b] + high_factors))
                 buckets[b].append(prefixes[b] + high_text)
-    p = object.__new__(Poly)
-    _set_terms(p, frozenset(terms))
+    p = object.__new__(_PackedPoly)
     _set_text(p, " + ".join(chain.from_iterable(map(buckets.__getitem__, order))) or "0")
+    _set_bits(p, v)
     return p
+
+
+def _packed_terms(v: int) -> Iterator[Monomial]:
+    """The terms of the packed vector v, in no set order: the factors of
+    the low byte b are the row `_BYTE_FACTORS[0]`, those of the block h are
+    joined once per block by `_mask_factors`.  Both are strictly increasing
+    with exponent 1, so each term is made by the unchecked
+    `_squarefree_monomial`."""
+    low = _BYTE_FACTORS[0]
+    for h, chunk in enumerate(_blocks(v)):
+        if any(chunk):
+            high = _mask_factors(h << 8)
+            for i in compress(range(32), chunk):
+                for j in _BYTE_BITS[chunk[i]]:
+                    yield _squarefree_monomial(low[i << 3 | j] + high)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -651,7 +653,7 @@ def test_to_poly_keeps_equality_hash_and_repr_on_the_terms():
             assert "_text" not in repr(piece)
             assert plain.monomials() == piece.monomials()
             assert piece._text == oracle_format_poly(plain)
-            assert plain._text is None
+            assert not hasattr(plain, "_text")
 
 
 def test_arithmetic_on_a_grade_keeps_no_text(monkeypatch):
@@ -671,7 +673,7 @@ def test_arithmetic_on_a_grade_keeps_no_text(monkeypatch):
         text = format_poly(piece)
         assert not sorts and not piece.is_zero()
         for made in (piece + Poly.zero(), piece * Poly.one(), Poly.of(piece.terms)):
-            assert made == piece and made._text is None
+            assert made == piece and not hasattr(made, "_text")
             assert format_poly(made) == text
             assert sorts.pop()
 
@@ -688,6 +690,82 @@ def test_class_table_pieces_render_without_a_sort(monkeypatch):
         monkeypatch.setattr(poly2, "_canonical_order", refuse)
         assert [format_poly(p) for p in pieces] == expected
         monkeypatch.undo()
+
+
+def _class_tables():
+    for M in (main_matrix(9), main_matrix(10), random_orientable_matrix(9, 5),
+              random_orientable_matrix(10, 7)):
+        yield M, total_sw(M)[:] + dual_sw(M, M.n)[:]
+
+
+def _terms_built(p: Poly) -> bool:
+    # reads the slot itself: a Poly's __getattr__ would build the terms
+    try:
+        object.__getattribute__(p, "terms")
+    except AttributeError:
+        return False
+    return True
+
+
+def test_class_table_grades_build_no_monomial_until_read(monkeypatch):
+    # rendering a grade, testing it for zero and counting its terms read
+    # only its bits and text; the terms are built on the first read of
+    # .terms, once, and equal the masks of its bits
+    def refuse(factors):
+        raise AssertionError("a class-table grade built a Monomial")
+
+    monkeypatch.setattr(poly2, "_squarefree_monomial", refuse)
+    tables = list(_class_tables())
+    for _, grades in tables:
+        for piece in grades:
+            format_poly(piece)
+            assert piece.is_zero() == (len(piece) == 0)
+            assert not _terms_built(piece)
+    monkeypatch.undo()
+    for M, grades in tables:
+        for piece in grades:
+            text = format_poly(piece)
+            bits = [m for m in range(1 << M.n) if piece._bits >> m & 1]
+            terms = piece.terms
+            assert terms == frozenset(map(mask_monomial, bits))
+            assert piece.terms is terms
+            assert len(piece) == len(bits) and piece.is_zero() == (not bits)
+            assert text == oracle_format_poly(Poly(terms))
+
+
+def test_a_grade_equals_its_terms_before_and_after_they_are_built():
+    # equality and hash come from the terms: compared from either side, or
+    # hashed, a packed grade builds them and agrees with the Poly parsed
+    # from its text; once they are built it still does
+    for _, grades in _class_tables():
+        for piece in grades:
+            plain = parse_poly(format_poly(piece))
+            left, right, hashed = (_DenseRing.to_poly(piece._bits) for _ in range(3))
+            assert not any(map(_terms_built, (left, right, hashed)))
+            assert left == plain and plain == right
+            assert hash(hashed) == hash(plain)
+            for built in (left, right, hashed):
+                assert _terms_built(built)
+                assert built == plain and plain == built
+                assert hash(built) == hash(plain) and repr(built) == repr(plain)
+
+
+def test_getattr_of_a_grade_refuses_every_other_name():
+    piece = total_sw(main_matrix(9))[3]
+    assert getattr(piece, "nope", None) is None
+    with pytest.raises(AttributeError, match="object has no attribute 'nope'"):
+        piece.nope
+    assert not hasattr(Poly.zero(), "nope")
+
+
+def test_a_grade_keeps_its_text_through_copy_and_pickle():
+    # a copy is made again from the bits, so it renders without a sort and
+    # equals the grade, whether or not the grade's terms were built
+    for piece in total_sw(main_matrix(9))[:]:
+        for twin in (copy.copy(piece), copy.deepcopy(piece),
+                     pickle.loads(pickle.dumps(piece))):
+            assert type(twin) is type(piece) and not _terms_built(twin)
+            assert format_poly(twin) == format_poly(piece) and twin == piece
 
 
 def test_graded_classes_do_not_keep_the_dense_ring(monkeypatch):
@@ -907,6 +985,19 @@ def test_top_class_bit_matches_rewriting(case):
     M = main_matrix(n)
     reduced = rewrite_normal_form(Poly.of([Monomial.from_exponents(exps)]), M)
     assert top_class_bit(M, exps) == (0 if reduced.is_zero() else 1)
+
+
+@pytest.mark.parametrize("exponents", [
+    {True: 1, 2: 1, 3: 1, 4: 1, 5: 1},  # True was read as x1
+    {1.0: 1, 2: 1, 3: 1, 4: 1, 5: 1},
+    {1: 1, 2: 1, 3: 1, 4: 1, 5: True},  # True was read as exponent 1
+    {1: 1, 2: 1, 3: 1, 4: 1.0, 5: 1},  # returned 1
+    {1: 1, 2: 1, 3: 1, 4: 1, 5: 1.0},  # raised AttributeError
+    {1: 1, 2: 1, 3: 1, 4: 1, 5: "1"},
+])
+def test_top_class_bit_refuses_a_variable_or_exponent_that_is_not_an_int(exponents):
+    with pytest.raises(ValueError, match="must be integers"):
+        top_class_bit(main_matrix(5), exponents)
 
 
 def test_top_class_bit_refuses_before_the_over_full_shortcut():

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
+from charclass import poly2
 from charclass.bott import _DenseRing
 from charclass.poly2 import Monomial, Poly, format_monomial, format_poly, parse_poly
 from charclass.poly2 import _reversed_binary
@@ -273,6 +274,29 @@ def test_rendering_of_dense_grade_pieces_matches_the_per_term_oracle(n, rng):
     assert format_poly(whole) == oracle_format_poly(whole)
 
 
+@pytest.mark.parametrize("n", (1, 7, 8, 9, 12, 13))
+def test_a_dense_grade_piece_builds_its_terms_on_first_read(n, monkeypatch):
+    # to_poly writes the text and keeps the bits: rendering, is_zero and
+    # len make no Monomial; the first read of .terms builds them, from
+    # every block, and a second read returns the same frozenset
+    def refuse(factors):
+        raise AssertionError("a Monomial was built")
+
+    v = random.Random(n).getrandbits(1 << n)
+    monkeypatch.setattr(poly2, "_squarefree_monomial", refuse)
+    pieces = [_DenseRing.to_poly(_DenseRing.grade_piece(v, n, k)) for k in range(n + 1)]
+    texts = [format_poly(p) for p in pieces]
+    sizes = [len(p) for p in pieces]
+    assert [p.is_zero() for p in pieces] == [not size for size in sizes]
+    monkeypatch.undo()
+    for k, (piece, text, size) in enumerate(zip(pieces, texts, sizes)):
+        masks = [m for m in range(1 << n) if v >> m & 1 and m.bit_count() == k]
+        terms = piece.terms
+        assert terms == frozenset(map(mask_monomial, masks)) and size == len(masks)
+        assert piece.terms is terms
+        assert text == oracle_format_poly(Poly(terms))
+
+
 def test_repr_lists_the_terms_in_canonical_order():
     p = parse_poly("x3 + x1*x2 + 1")
     assert repr(p) == (
@@ -371,7 +395,8 @@ def test_bott_hands_poly2_only_bits():
 
 
 def test_only_poly2_touches_the_kept_text():
-    kept = {"_text", "_set_text"}
+    # the text and the bits a packed grade keeps are read and set in poly2 alone
+    kept = {"_PackedPoly", "_text", "_set_text", "_bits", "_set_bits"}
     assert kept <= _names(SRC / "poly2.py")[1]
     for path in sorted(SRC.glob("*.py")):
         if path.name != "poly2.py":

@@ -185,7 +185,7 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "format-poly-ignores-the-kept-text", "poly2.py",
-        "if p._text is not None:",
+        "if type(p) is _PackedPoly:",
         "if False:",
         (
             "tests/test_bott.py::test_class_table_pieces_render_without_a_sort",
@@ -197,6 +197,40 @@ MUTANTS: tuple[Mutant, ...] = (
         "alone[1:]",
         (
             "tests/test_poly2.py::test_rendering_of_dense_grade_pieces_matches_the_per_term_oracle",
+        ),
+    ),
+    Mutant(
+        "packed-terms-skip-block-0", "poly2.py",
+        "for h, chunk in enumerate(_blocks(v)):",
+        "for h, chunk in enumerate(_blocks(v)[1:], 1):",
+        (
+            "tests/test_bott.py::test_to_poly_matches_the_mask_oracle",
+            "tests/test_poly2.py::test_a_dense_grade_piece_builds_its_terms_on_first_read",
+        ),
+    ),
+    Mutant(
+        "packed-len-bit-length", "poly2.py",
+        "self._bits.bit_count()",
+        "self._bits.bit_length()",
+        (
+            "tests/test_poly2.py::test_a_dense_grade_piece_builds_its_terms_on_first_read",
+            "tests/test_bott.py::test_class_table_grades_build_no_monomial_until_read",
+        ),
+    ),
+    Mutant(
+        "packed-is-zero-builds-the-terms", "poly2.py",
+        "return not self._bits",
+        "return not self.terms",
+        (
+            "tests/test_bott.py::test_class_table_grades_build_no_monomial_until_read",
+        ),
+    ),
+    Mutant(
+        "poly-getattr-answers-any-name", "poly2.py",
+        'if name != "terms":',
+        "if False:",
+        (
+            "tests/test_bott.py::test_getattr_of_a_grade_refuses_every_other_name",
         ),
     ),
     Mutant(
