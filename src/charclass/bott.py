@@ -25,7 +25,9 @@ This module provides:
   truncated inverses that give wbar.  2^n GF(2) coefficients are the bits
   of one Python int, multiplied by sweeps that take the same shift-and-mask
   step for every variable; a grade becomes a `Poly` only when it is read,
-  and a request over ``DENSE_BUDGET`` is refused before any allocation,
+  a `Poly` that holds the grade's bits alone until its text or terms are
+  asked for, and a request over ``DENSE_BUDGET`` is refused before any
+  allocation,
 * the end-to-end verifier `verify_main`, whose witness for every
   n != 0 mod 4 is a main-family manifold M_m (m = 1 mod 4) times circles,
   and whose Steenrod route pairs on M_m.
@@ -526,8 +528,9 @@ class _DenseRing:
     `GradedClasses` keeps just the product int and cuts and converts one
     grade when it is first read.  Past the sweeps, rendering is the cost.
     `to_poly` is `poly2._packed_poly`: this module hands it a grade's bits,
-    and `poly2` writes their text in the canonical order, with no sort, and
-    keeps the bits, building the terms only when something reads them.
+    and the Poly it returns keeps only them; `poly2` writes their text in
+    the canonical order, with no sort, when the grade is rendered, and
+    builds the terms only when something reads them.
     """
 
     def __init__(self, M: BottMatrix, sweeps: int) -> None:
@@ -598,7 +601,7 @@ class _DenseRing:
             }
         return v & masks[k]
 
-    # a grade's Poly: its bits and text; perfbench times it as the bott.to_poly layer
+    # a grade's Poly, which holds its bits; perfbench times it as the bott.to_poly layer
     to_poly = staticmethod(_packed_poly)
 
 
@@ -608,8 +611,9 @@ class GradedClasses:
     Built by `total_sw` and `dual_sw` from one vector of the dense engine
     over x_1..x_n, exact in grades 0..top; grade k is cut from it and
     rendered as a `Poly` on first access and cached, so a caller that reads
-    one grade converts only that one.  The `Poly` holds the grade's bits and
-    its text; its `Monomial` terms are built only if something reads them.
+    one grade converts only that one.  The `Poly` holds the grade's bits
+    alone: its text is written when it is rendered, and its `Monomial`
+    terms are built only if something reads them.
     """
 
     __slots__ = ("_n", "_pieces", "_vector")

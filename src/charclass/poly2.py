@@ -9,7 +9,7 @@ arithmetic here is exact -- there are no floats and no tolerances anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from itertools import chain, compress
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
@@ -24,6 +24,8 @@ __all__ = [
 
 _EXPONENT = itemgetter(1)
 _FACTORS = attrgetter("factors")
+# the set bit positions of each byte value, in increasing order
+_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
 
 
 class _ByteFactors(dict):
@@ -36,10 +38,7 @@ class _ByteFactors(dict):
 
     def __missing__(self, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         pairs = [(8 * k + i + 1, 1) for i in range(8)]
-        row = self[k] = tuple(
-            tuple(pair for i, pair in enumerate(pairs) if b >> i & 1)
-            for b in range(256)
-        )
+        row = self[k] = tuple(tuple(map(pairs.__getitem__, bits)) for bits in _BYTE_BITS)
         return row
 
 
@@ -66,7 +65,8 @@ class Monomial:
             if type(var) is not int or type(exp) is not int:
                 raise ValueError(f"factors must be pairs of integers: {self.factors}")
             if var <= prev:
-                raise ValueError(f"variables must be strictly increasing: {self.factors}")
+                rule = "must be >= 1" if var < 1 else "must be strictly increasing"
+                raise ValueError(f"variables {rule}: {self.factors}")
             if exp < 1:
                 raise ValueError(f"exponents must be >= 1: {self.factors}")
             prev = var
@@ -186,8 +186,8 @@ def _canonical_order(terms: Iterable[Monomial]) -> list[Monomial]:
     One sort on the factor tuple, compared in C; a stable re-sort by
     degree follows only when the terms differ in degree, so a homogeneous
     piece pays one sort.  `format_poly` never sorts a grade of the dense
-    Bott engine: `_packed_poly` writes its text in this order from the
-    masks alone, and the Poly keeps that text.
+    Bott engine: `_packed_text` writes its text in this order from the
+    bits alone.
     """
     ordered = sorted(terms, key=_FACTORS)
     if len(set(map(Monomial.degree, ordered))) > 1:
@@ -201,9 +201,10 @@ class Poly:
 
     Addition is symmetric difference (coefficients live in GF(2)); the zero
     polynomial is the empty set.  A grade of a class table is a
-    `_PackedPoly`, which holds its bits and text and builds its terms when
-    they are first read; equality, hash and repr come from the terms alone,
-    so it equals the Poly of the same terms.
+    `_PackedPoly`, which holds only its bits: its text is written from
+    them when it is rendered, and its terms are built when they are first
+    read; equality, hash and repr come from the terms alone, so it equals
+    the Poly of the same terms.
     """
 
     terms: frozenset[Monomial] = field(default_factory=frozenset)
@@ -255,8 +256,8 @@ class Poly:
 
     def monomials(self) -> list[Monomial]:
         """Terms in the canonical order (degree, then factor tuple), sorted
-        by `_canonical_order`.  A Poly built by `_packed_poly` keeps its
-        text, not this order, so rendering it calls no sort, but this does.
+        by `_canonical_order`.  A Poly built by `_packed_poly` is rendered
+        from its bits, in this order, with no sort, but this sorts.
         """
         return _canonical_order(self.terms)
 
@@ -314,19 +315,36 @@ class Poly:
 _set_terms = Poly.__dict__["terms"].__set__  # bypass the frozen __setattr__
 
 
+def _frozen_setattr(self: object, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self: object, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# The methods a frozen slots dataclass generates refuse a field, but for any
+# other name they call super() with the class as it was before the slots
+# rebuilt it, which raises TypeError.  These refuse every name alike; the
+# constructors and the descriptor setters never call them.
+Monomial.__setattr__ = Poly.__setattr__ = _frozen_setattr
+Monomial.__delattr__ = Poly.__delattr__ = _frozen_delattr
+
+
 class _PackedPoly(Poly):
     """The Poly `_packed_poly` makes of a homogeneous packed vector: it
-    holds the bits and their `format_poly` text, written when it was made,
-    and leaves ``terms`` unset until something reads them.  `is_zero` and
-    ``len`` answer from the bits, so rendering, testing and counting a
-    class-table grade build no `Monomial`.
+    holds only the bits, and leaves ``terms`` unset until something reads
+    them.  `format_poly` writes its text from the bits when asked, and
+    `is_zero` and ``len`` answer from them, so rendering, testing and
+    counting a class-table grade build no `Monomial`, and testing or
+    counting one writes no text.
 
     The hook is on this subclass, not on `Poly`: CPython specializes no
     attribute read on a class that defines ``__getattr__``, and on `Poly`
     that made every read of ``terms`` several times slower.
     """
 
-    __slots__ = ("_text", "_bits")
+    __slots__ = ("_bits",)
 
     def __getattr__(self, name: str) -> frozenset[Monomial]:
         """The terms, built from the bits once, on the first read of the
@@ -339,7 +357,7 @@ class _PackedPoly(Poly):
         return terms
 
     def __reduce__(self) -> tuple:
-        # a copy or a pickle is made again from the bits, text and all
+        # a copy or a pickle is made again from the bits
         return _packed_poly, (self._bits,)
 
     def is_zero(self) -> bool:
@@ -349,7 +367,6 @@ class _PackedPoly(Poly):
         return self._bits.bit_count()
 
 
-_set_text = _PackedPoly._text.__set__
 _set_bits = _PackedPoly._bits.__set__
 
 
@@ -395,7 +412,7 @@ def format_monomial(m: Monomial) -> str:
 
 def format_poly(p: Poly) -> str:
     if type(p) is _PackedPoly:
-        return p._text
+        return _packed_text(p._bits)
     if p.is_zero():
         return "0"
     return " + ".join(map(format_monomial, p.monomials()))
@@ -435,8 +452,6 @@ def parse_poly(text: str) -> Poly:
 
 # -- packed grades -----------------------------------------------------------
 
-# the set bit positions of each byte value, in increasing order
-_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
 _LOW_BYTES: list[list] = []  # filled on first use by `_low_bytes`
 
 
@@ -465,23 +480,38 @@ def _low_bytes() -> list[list]:
     return _LOW_BYTES
 
 
-def _blocks(v: int) -> list[bytes]:
-    """The packed vector v cut into 32-byte blocks, lowest first: byte i of
-    block h holds the masks 256h + 8i .. 256h + 8i + 7."""
+def _nonzero_blocks(v: int) -> dict[int, list[int]]:
+    """The one walk over the bits of the packed vector v, for its text and
+    its terms: each nonzero 32-byte block h, lowest first, with the low
+    bytes b = 8i + j of its set bits in increasing order, where bit j of
+    byte i of the block is the mask 256h + b."""
     data = v.to_bytes((v.bit_length() + 7) // 8, "little")
-    return [data[s : s + 32] for s in range(0, len(data), 32)]
+    chunks = [data[s : s + 32] for s in range(0, len(data), 32)]
+    return {
+        h: [i << 3 | j for i in compress(range(32), c) for j in _BYTE_BITS[c[i]]]
+        for h, c in enumerate(chunks)
+        if any(c)
+    }
 
 
 def _packed_poly(v: int) -> Poly:
     """The Poly of the homogeneous packed vector v (bit m is the coefficient
-    of the squarefree monomial of mask m): its `format_poly` text is written
-    now, from the bits alone, and v is kept, so its terms are built by
-    `_packed_terms` only when something reads them.
+    of the squarefree monomial of mask m).  It keeps v alone: `format_poly`
+    writes its text with `_packed_text`, and its terms are built by
+    `_packed_terms` when something first reads them."""
+    p = object.__new__(_PackedPoly)
+    _set_bits(p, v)
+    return p
 
-    Bit j of byte i of the 32-byte block h is the term of mask m = 256h + b,
-    with the low byte b = 8i + j.  Its text is the text of b from
-    `_low_bytes`, then that of h, joined once per block from the factors
-    of `_mask_factors`; no `Monomial` is made.
+
+def _packed_text(v: int) -> str:
+    """The `format_poly` text of the homogeneous packed vector v, written
+    from the bits alone: no `Monomial` is made and no sort runs over the
+    terms.
+
+    The term of mask m = 256h + b (block h, low byte b) is the text of b
+    from `_low_bytes`, then that of h, joined once per block from the
+    factors of `_mask_factors`.
 
     Within one degree, the factor-tuple order is the descending order of
     rev(m), m with its bits reversed: A precedes B iff the least variable
@@ -489,29 +519,16 @@ def _packed_poly(v: int) -> Poly:
     rev(m) = rev_8(b) * 2^H + rev_H(h), so the texts come out ordered when
     the blocks are walked by descending rev_H(h), each text is put in the
     bucket of its low byte, and the buckets are joined by descending
-    rev_8(b); `_reversed_binary` gives both orders without a width.  No
-    sort runs over the terms.  `format_poly` returns the kept text;
-    arithmetic builds a Poly without it.
+    rev_8(b); `_reversed_binary` gives both orders without a width.
     """
-    chunks = _blocks(v)
-    blocks = sorted(
-        compress(range(len(chunks)), map(any, chunks)), key=_reversed_binary, reverse=True
-    )
+    blocks = _nonzero_blocks(v)
     order, alone, head = _low_bytes()
     buckets: list[list[str]] = [[] for _ in range(256)]
-    for h in blocks:
-        prefixes, high_text = (
-            (head, _factors_text(_mask_factors(h << 8))) if h else (alone, "")
-        )
-        chunk = chunks[h]
-        for i in compress(range(32), chunk):
-            for j in _BYTE_BITS[chunk[i]]:
-                b = i << 3 | j
-                buckets[b].append(prefixes[b] + high_text)
-    p = object.__new__(_PackedPoly)
-    _set_text(p, " + ".join(chain.from_iterable(map(buckets.__getitem__, order))) or "0")
-    _set_bits(p, v)
-    return p
+    for h in sorted(blocks, key=_reversed_binary, reverse=True):
+        prefixes, high = (head, _factors_text(_mask_factors(h << 8))) if h else (alone, "")
+        for b in blocks[h]:
+            buckets[b].append(prefixes[b] + high)
+    return " + ".join(chain.from_iterable(map(buckets.__getitem__, order))) or "0"
 
 
 def _packed_terms(v: int) -> Iterator[Monomial]:
@@ -521,9 +538,7 @@ def _packed_terms(v: int) -> Iterator[Monomial]:
     with exponent 1, so each term is made by the unchecked
     `_squarefree_monomial`."""
     low = _BYTE_FACTORS[0]
-    for h, chunk in enumerate(_blocks(v)):
-        if any(chunk):
-            high = _mask_factors(h << 8)
-            for i in compress(range(32), chunk):
-                for j in _BYTE_BITS[chunk[i]]:
-                    yield _squarefree_monomial(low[i << 3 | j] + high)
+    for h, bs in _nonzero_blocks(v).items():
+        high = _mask_factors(h << 8)
+        for b in bs:
+            yield _squarefree_monomial(low[b] + high)

@@ -637,9 +637,9 @@ def test_to_poly_matches_the_mask_oracle_past_x16(n, seed):
 
 
 def test_to_poly_keeps_equality_hash_and_repr_on_the_terms():
-    # the kept text is no part of a Poly's value: a to_poly grade equals
+    # the kept bits are no part of a Poly's value: a to_poly grade equals
     # Poly.of of its terms, and its repr shows only the frozenset of terms,
-    # listed in the canonical order
+    # listed in the canonical order; its text is that of the plain Poly
     rng = random.Random(24)
     for n in (3, 9, 12):
         v = rng.getrandbits(1 << n)
@@ -650,15 +650,16 @@ def test_to_poly_keeps_equality_hash_and_repr_on_the_terms():
             assert hash(piece) == hash(plain)
             assert repr(piece) == repr(Poly(frozenset(piece.monomials()))) == repr(plain)
             assert repr(plain).startswith("Poly(terms=frozenset(")
-            assert "_text" not in repr(piece)
+            assert "_bits" not in repr(piece)
             assert plain.monomials() == piece.monomials()
-            assert piece._text == oracle_format_poly(plain)
-            assert not hasattr(plain, "_text")
+            assert format_poly(piece) == format_poly(plain) == oracle_format_poly(plain)
+            assert type(plain) is Poly and not hasattr(plain, "_bits")
 
 
 def test_arithmetic_on_a_grade_keeps_no_text(monkeypatch):
-    # a Poly made from a to_poly grade holds no kept text, so no text can
-    # outlive the terms it was written from; it renders through the sort
+    # a Poly made from a to_poly grade is a plain Poly that holds no bits,
+    # so no text can be written from bits that are not its terms; it
+    # renders through the sort
     sorts = []
     canonical_order = poly2._canonical_order
 
@@ -673,7 +674,7 @@ def test_arithmetic_on_a_grade_keeps_no_text(monkeypatch):
         text = format_poly(piece)
         assert not sorts and not piece.is_zero()
         for made in (piece + Poly.zero(), piece * Poly.one(), Poly.of(piece.terms)):
-            assert made == piece and not hasattr(made, "_text")
+            assert made == piece and type(made) is Poly and not hasattr(made, "_bits")
             assert format_poly(made) == text
             assert sorts.pop()
 
@@ -709,7 +710,7 @@ def _terms_built(p: Poly) -> bool:
 
 def test_class_table_grades_build_no_monomial_until_read(monkeypatch):
     # rendering a grade, testing it for zero and counting its terms read
-    # only its bits and text; the terms are built on the first read of
+    # only its bits; the terms are built on the first read of
     # .terms, once, and equal the masks of its bits
     def refuse(factors):
         raise AssertionError("a class-table grade built a Monomial")
@@ -748,6 +749,28 @@ def test_a_grade_equals_its_terms_before_and_after_they_are_built():
                 assert _terms_built(built)
                 assert built == plain and plain == built
                 assert hash(built) == hash(plain) and repr(built) == repr(plain)
+
+
+def test_a_verdict_read_writes_no_text(monkeypatch):
+    # testing a boundary grade for zero and counting its terms, as the
+    # verdicts of scan-bott and verify-main do, read only its bits; the
+    # text is written when the grade is first rendered
+    def refuse():
+        raise AssertionError("a verdict read wrote a grade's text")
+
+    monkeypatch.setattr(poly2, "_low_bytes", refuse)
+    grades = []
+    for n in (5, 9, 13):
+        k = n - alpha_hat(n)
+        for M in (main_matrix(n), random_orientable_matrix(n, n)):
+            grade = dual_sw(M, k)[k]
+            assert grade.is_zero() == (len(grade) == 0)
+            grades.append(grade)
+        assert verify_main(n, "direct").verified
+    assert not grades[0].is_zero()
+    monkeypatch.undo()
+    for grade in grades:
+        assert format_poly(grade) == oracle_format_poly(Poly.of(grade.terms))
 
 
 def test_getattr_of_a_grade_refuses_every_other_name():

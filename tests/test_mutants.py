@@ -1,6 +1,6 @@
 """The mutant table of ``tools/mutants.py`` stays in step with the code.
 
-A full mutant run takes most of a minute, so these tests check the table:
+A full mutant run takes a minute or two, so these tests check the table:
 every snippet occurs exactly once in its file, and every mutant names tests
 that exist.
 """

@@ -8,6 +8,7 @@ integer multiplicities and reduces mod 2 at the end, so the fast paths in
 
 import ast
 from collections import Counter
+from dataclasses import FrozenInstanceError
 import os
 from pathlib import Path
 import random
@@ -255,7 +256,7 @@ def test_rendering_of_dense_grade_pieces_matches_the_per_term_oracle(n, rng):
     # a grade piece of a random vector v < 2^(2^n) is homogeneous with up to
     # about C(12, 6) / 2 terms, which the small mixed-degree draws above
     # never reach.  n = 1..12 covers n < 8 and both sides of each 32-byte
-    # block edge, where the kept text gains the factors of x9 and up
+    # block edge, where the text gains the factors of x9 and up
     v = rng.getrandbits(1 << n)
     pieces = []
     for k in range(n + 1):
@@ -265,8 +266,8 @@ def test_rendering_of_dense_grade_pieces_matches_the_per_term_oracle(n, rng):
         for m in piece:
             assert Monomial(m.factors) == m  # the unchecked terms re-validate
         pieces.append(piece)
-    # the grades together hold every mask of v, each once; their sum keeps
-    # no text, so it renders through the sort by degree, then factor tuple
+    # the grades together hold every mask of v, each once; their sum is a
+    # plain Poly, so it renders through the sort by degree, then factor tuple
     bits = [m for m in range(1 << n) if v >> m & 1]
     whole = sum(pieces, Poly.zero())
     assert whole == Poly.of(map(mask_monomial, bits))
@@ -276,9 +277,9 @@ def test_rendering_of_dense_grade_pieces_matches_the_per_term_oracle(n, rng):
 
 @pytest.mark.parametrize("n", (1, 7, 8, 9, 12, 13))
 def test_a_dense_grade_piece_builds_its_terms_on_first_read(n, monkeypatch):
-    # to_poly writes the text and keeps the bits: rendering, is_zero and
-    # len make no Monomial; the first read of .terms builds them, from
-    # every block, and a second read returns the same frozenset
+    # to_poly keeps only the bits: rendering, is_zero and len make no
+    # Monomial; the first read of .terms builds them, from every block, and
+    # a second read returns the same frozenset
     def refuse(factors):
         raise AssertionError("a Monomial was built")
 
@@ -336,16 +337,17 @@ def _fresh_python(code: str) -> list[str]:
 def test_import_builds_no_byte_factor_rows():
     # the table is built row by row on first use, one row per nonzero byte
     # (x101 is bit 4 of byte 12, and bytes 0-11 are zero), and the low-byte
-    # order and texts of the packed grades on the first grade read; eager
-    # ones slow every command-line start
+    # order and texts of the packed grades on the first grade rendered, not
+    # the first grade read; eager ones slow every command-line start
     out = _fresh_python(
         "import charclass.cli, charclass.bott as b, charclass.poly2 as p; "
         "print(len(p._BYTE_FACTORS), len(p._LOW_BYTES)); "
         "p.Monomial.from_mask(1 << 100); print(sorted(p._BYTE_FACTORS)); "
-        "b.total_sw(b.main_matrix(3))[1]; print(sorted(p._LOW_BYTES[0]) == list(range(256))); "
+        "g = b.total_sw(b.main_matrix(5))[3]; print(g.is_zero(), len(g), len(p._LOW_BYTES)); "
+        "p.format_poly(g); print(sorted(p._LOW_BYTES[0]) == list(range(256))); "
         "print([len(t) for t in p._LOW_BYTES])"
     )
-    assert out[:4] == ["0 0", "[12]", "True", "[256, 256, 256]"]
+    assert out[:5] == ["0 0", "[12]", "False 1 0", "True", "[256, 256, 256]"]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -395,12 +397,16 @@ def test_bott_hands_poly2_only_bits():
 
 
 def test_only_poly2_touches_the_kept_text():
-    # the text and the bits a packed grade keeps are read and set in poly2 alone
-    kept = {"_PackedPoly", "_text", "_set_text", "_bits", "_set_bits"}
+    # a packed grade keeps its bits alone, read and set in poly2 alone, and
+    # its text is written from them, by poly2 alone; no module keeps a text
+    kept = {"_PackedPoly", "_bits", "_set_bits", "_packed_text"}
     assert kept <= _names(SRC / "poly2.py")[1]
+    assert poly2._PackedPoly.__slots__ == ("_bits",)
     for path in sorted(SRC.glob("*.py")):
+        names = _names(path)[1]
+        assert not {"_text", "_set_text"} & names, path.name
         if path.name != "poly2.py":
-            assert not kept & _names(path)[1], path.name
+            assert not kept & names, path.name
 
 
 def test_factor_text_holds_only_the_variables_rendered():
@@ -433,3 +439,35 @@ def test_monomial_accepts_only_integer_factors(factors):
         Monomial(factors)
     with pytest.raises(ValueError, match="factors must be pairs of integers"):
         Monomial.var(*factors[-1])
+
+
+def test_a_variable_below_x1_names_the_index_rule():
+    # these once said "strictly increasing", which they may well be
+    for make in (
+        lambda: Monomial(((0, 1),)), lambda: Monomial.var(0), lambda: Poly.var(-2),
+        lambda: Monomial.from_exponents({0: 1}), lambda: Monomial(((-1, 1), (2, 1))),
+        lambda: Monomial(((3, 1), (0, 2))),
+    ):
+        with pytest.raises(ValueError, match=r"^variables must be >= 1: "):
+            make()
+
+
+def test_a_misordered_variable_still_names_the_order_rule():
+    for factors in (((2, 1), (1, 1)), ((1, 1), (1, 2))):
+        with pytest.raises(ValueError, match=r"^variables must be strictly increasing: "):
+            Monomial(factors)
+
+
+def test_every_assignment_to_a_frozen_value_is_refused():
+    # a frozen slots dataclass once raised TypeError (from super()) for a
+    # name that is not a field, and let a subclass slot be set
+    grade = _DenseRing.to_poly(sum(1 << m for m in (7, 11, 13, 14)))
+    text = format_poly(grade)
+    for obj in (Monomial.one(), Monomial.from_mask(5), Poly.zero(), Poly.var(2), grade):
+        for name in ("x", "terms", "factors", "_bits"):
+            with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+                setattr(obj, name, 0)
+            with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+                delattr(obj, name)
+    assert format_poly(grade) == text == "x1*x2*x3 + x1*x2*x4 + x1*x3*x4 + x2*x3*x4"
+    assert Monomial.from_mask(5).factors == ((1, 1), (3, 1)) and Poly.zero().is_zero()
