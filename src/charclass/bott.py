@@ -193,6 +193,18 @@ class BottMatrix:
             raise ValueError(f"column index {j} out of range 1..{self.n}")
         return self._cols[j]
 
+    def _tower(self, a: int) -> "BottMatrix":
+        """The sub-tower over x_1..x_a: the ones (i, j) with j <= a.  Its
+        entries are this matrix's, so they are not checked again, and it
+        shares this matrix's columns."""
+        tower = object.__new__(BottMatrix)
+        object.__setattr__(tower, "n", a)
+        object.__setattr__(tower, "ones", frozenset(
+            (i, j) for j in range(2, a + 1) for i in self._cols[j]
+        ))
+        object.__setattr__(tower, "_cols", self._cols[: a + 1])
+        return tower
+
     def row(self, i: int) -> tuple[int, ...]:
         if not 1 <= i <= self.n:
             raise ValueError(f"row index {i} out of range 1..{self.n}")
@@ -523,10 +535,14 @@ class _DenseRing:
         gain = w & low; out ^= gain << 2^(l-1); w ^= gain
 
     Each sweep costs O(n + #ones) operations on 2^n-bit ints regardless of
-    matrix density.  The ring, and the masks it caches, live only while a
-    product is swept: `grade_piece` and `to_poly` need no ring, so
-    `GradedClasses` keeps just the product int and cuts and converts one
-    grade when it is first read.  Past the sweeps, rendering is the cost.
+    matrix density, and starts at the highest pending variable.  A ring may
+    be built on a sub-tower (`BottMatrix._tower`): `steenrod.chi_sq` sweeps
+    a term whose largest variable is x_a in the 2^a-bit ring over
+    x_1..x_a, since every product of x_1..x_a stays there.  The ring, and
+    the masks it caches, live only while a product is swept: `grade_piece`
+    and `to_poly` need no ring, so `GradedClasses` keeps just the product
+    int and cuts and converts one grade when it is first read.  Past the
+    sweeps, rendering is the cost.
     `to_poly` is `poly2._packed_poly`: this module hands it a grade's bits,
     and the Poly it returns keeps only them; `poly2` writes their text in
     the canonical order, with no sort, when the grade is rendered, and
@@ -562,10 +578,14 @@ class _DenseRing:
         return low
 
     def _mul_by_seeds(self, seeds: dict[int, int]) -> int:
-        """Sum of ``seeds[i] * x_i``; consumes the seeds dict."""
+        """Sum of ``seeds[i] * x_i``; consumes the seeds dict.
+
+        The sweep starts at the highest seed (none for empty seeds), since
+        carries only move down."""
         out = 0
         pend = seeds
-        for l in range(self.n, 0, -1):
+        cols = self.M._cols
+        for l in range(max(pend, default=0), 0, -1):
             w = pend.pop(l, 0)
             if not w:
                 continue
@@ -573,7 +593,7 @@ class _DenseRing:
             out ^= gain << (1 << (l - 1))
             w ^= gain
             if w:
-                for i in self.M.col(l):
+                for i in cols[l]:
                     pend[i] = pend.get(i, 0) ^ w
         return out
 

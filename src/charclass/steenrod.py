@@ -14,9 +14,12 @@ Milnor sum term for term: the term that gives factor j the power 2^(i_j) is
 the assignment of the tuple t with t_i = #{j : i_j = i}.
 
 Everything here reduces through the ring of a :class:`~charclass.bott.BottMatrix`.
-`chi_sq` expands the product by `_mul_var` sweeps in the squarefree basis,
-except on full-degree terms in the main family, which take the tuples and
-the fast exact evaluator :func:`~charclass.bott.top_class_bit`.  `act`, one
+`chi_sq` expands the product of a term whose largest variable is x_a on the
+dense kernel of `bott` (`_DenseRing`), in the sub-tower over x_1..x_a, whose
+2^a basis elements are the bits of one int, when a <= 12; past x12 it
+sweeps sets of basis masks (`_mul_var`).  Full-degree terms in the main
+family take the tuples and the fast exact evaluator
+:func:`~charclass.bott.top_class_bit` instead.  `act`, one
 Milnor element at a time, sums its assignments by that evaluator or by one
 :func:`~charclass.bott.normal_form`; the test suite checks `chi_sq` against
 the sum of `act` over the tuples.
@@ -29,6 +32,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .bott import (
     BottMatrix,
+    _DenseRing,
     _check_top_class_cost,
     _is_int,
     _mul_var,
@@ -37,7 +41,7 @@ from .bott import (
     normal_form,
     top_class_bit,
 )
-from .poly2 import Monomial, Poly
+from .poly2 import Monomial, Poly, _nonzero_blocks
 
 __all__ = [
     "act",
@@ -226,18 +230,73 @@ def _xor(a: set[int], b: set[int]) -> set[int]:
     return a
 
 
+# the largest variable a term may have to take the dense route.  On 40
+# random terms of 1-4 variables per a, the 2^a-bit vectors summed to less
+# time than the mask sets from a = 7 on, but their worst call against the
+# sets grew with 2^a: +0.06 ms at a = 12, +0.21 ms at 14, +1.6 ms at 18;
+# up to 12 no call is slower than the sets by more than 0.1 ms
+_DENSE_CHI_SQ_MAX = 12
+
+
 def _chi_sq_product(k: int, variables: Sequence[int], M: BottMatrix) -> set[int]:
     """chi(Sq^k) of the squarefree monomial on ``variables``, as basis masks.
 
-    The grade deg + k part of prod_a (x_a + x_a^2 + x_a^4 + ...), by one
-    chain of `_mul_var` sweeps per variable: the chain multiplies the whole
-    state by x_a, one sweep a step, and adds the state to the factor's sum
-    at the steps that are powers of two.  The basis is graded, so a mask's
-    popcount is its grade.  A mask joins the sum only when the factors
-    still to come can bring it to the target by powers of two (`_reaches`;
-    after the last factor, only masks at the target), and it leaves the
-    chain once it reaches the cap, the target less one degree for each
-    later factor.
+    The grade deg + k part of prod_a (x_a + x_a^2 + x_a^4 + ...): on the
+    dense kernel (`_chi_sq_dense`) when the largest variable is at most
+    x12, else by chains of mask sets (`_chi_sq_sets`).
+    """
+    if variables and variables[-1] > _DENSE_CHI_SQ_MAX:
+        return _chi_sq_sets(k, variables, M)
+    blocks = _nonzero_blocks(_chi_sq_dense(k, variables, M))
+    return {h << 8 | b for h, bs in blocks.items() for b in bs}
+
+
+def _chi_sq_dense(k: int, variables: Sequence[int], M: BottMatrix) -> int:
+    """`_chi_sq_product` as a packed vector (bit m is the coefficient of
+    mask m), by one chain of `_DenseRing` sweeps per variable.
+
+    Every mask of the chain lies below 2^a for the largest variable a: x_a
+    times a mask either adds x_a or carries along column a, which holds only
+    variables below a.  So the product lives in the sub-tower M_a (the ones
+    (i, j) of M with j <= a), and the ring and its vectors span 2^a bits,
+    whatever n is; the unit alone takes the ring of x1.  The chain
+    multiplies the whole vector by x_a, one sweep a step, and adds it to the
+    factor's sum at the steps that are powers of two.  A step raises every
+    grade by one, the least grade after j factors is j, and each of the
+    r - 1 - j later factors adds at least one more, so what step k + 2 or
+    later adds lies above the target r + k: the chain stops at the last
+    power of two up to k + 1, or once the vector is 0.  No step cuts
+    grades; one `grade_piece` at the end keeps the target.
+    """
+    target, a = len(variables) + k, max(variables, default=1)
+    if target > a or not _reaches(target, len(variables)):
+        return 0
+    last = 1 << (k + 1).bit_length() - 1  # the last power of two up to k + 1
+    ring = _DenseRing(M._tower(a), sweeps=len(variables) * last)
+    v = 1  # the unit, basis element 0
+    for x in variables:
+        power_sum = 0
+        for step in range(1, last + 1):
+            v = ring._mul_by_seeds({x: v})
+            if not v:
+                break
+            if not step & (step - 1):
+                power_sum ^= v
+        v = power_sum
+    return _DenseRing.grade_piece(v, a, target)
+
+
+def _chi_sq_sets(k: int, variables: Sequence[int], M: BottMatrix) -> set[int]:
+    """`_chi_sq_product` by one chain of `_mul_var` sweeps per variable, for
+    terms whose sub-tower is too large for the dense kernel.
+
+    The chain multiplies the whole state by x_a, one sweep a step, and adds
+    the state to the factor's sum at the steps that are powers of two.  The
+    basis is graded, so a mask's popcount is its grade.  A mask joins the
+    sum only when the factors still to come can bring it to the target by
+    powers of two (`_reaches`; after the last factor, only masks at the
+    target), and it leaves the chain once it reaches the cap, the target
+    less one degree for each later factor.
     """
     target = len(variables) + k
     state = {0} if _reaches(target, len(variables)) else set()
@@ -268,7 +327,9 @@ def chi_sq(k: int, z: Poly, M: BottMatrix) -> Poly:
     sum_j (2^(i_j) - 1) = k.  Terms whose image has degree n in the main
     family take the tuples, their assignments and `top_class_bit` (`act`);
     every other term is the product, expanded in the ring by
-    `_chi_sq_product`, and terms above degree n vanish.
+    `_chi_sq_product`: on the dense kernel, in the 2^a-bit ring of the
+    sub-tower over x_1..x_a, when the term's largest variable a is at most
+    12, and by sets of basis masks past x12.  Terms above degree n vanish.
     """
     _require_int("grading", k)
     if k < 0:

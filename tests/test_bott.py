@@ -240,6 +240,17 @@ def test_extend_with_circles():
     assert extend_with_circles(BottMatrix(1, []), 2) == BottMatrix(3, [])
 
 
+def test_sub_tower_is_the_checked_matrix_cut_at_a():
+    for M in (main_matrix(9), random_orientable_matrix(12, 3), chain_matrix(5),
+              BottMatrix(7, [(1, 7), (2, 4), (3, 6)]), BottMatrix(1)):
+        for a in range(1, M.n + 1):
+            cut = BottMatrix(a, [(i, j) for i, j in M.ones if j <= a])
+            tower = M._tower(a)
+            assert tower == cut and hash(tower) == hash(cut)
+            assert tower._cols == cut._cols and tower._rows == cut._rows
+    assert main_matrix(509)._tower(7) == chain_matrix(7)  # x_509 is past x7
+
+
 @pytest.mark.parametrize(
     "call",
     [

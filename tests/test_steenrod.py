@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from charclass import steenrod
 from charclass.bott import (
     BottMatrix,
+    FeasibilityError,
+    _DenseRing,
     alpha,
     dual_sw,
     main_matrix,
@@ -380,6 +382,21 @@ def _milnor_sum(k: int, z: Poly, M: BottMatrix) -> Poly:
     )
 
 
+def _term_milnor_sums(k: int, z: Poly, M: BottMatrix) -> dict[Monomial, Poly]:
+    return {m: _milnor_sum(k, Poly.of([m]), M) for m in z.monomials()}
+
+
+# the two product routes of a term, called directly, as Polys
+_ROUTES = {
+    "dense": lambda k, variables, M: _DenseRing.to_poly(
+        steenrod._chi_sq_dense(k, variables, M)
+    ),
+    "sets": lambda k, variables, M: Poly.of(
+        map(Monomial.from_mask, steenrod._chi_sq_sets(k, variables, M))
+    ),
+}
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_chi_sq_cases())
 @example((3, parse_poly("x4*x5"), main_matrix(5)))
@@ -388,8 +405,61 @@ def _milnor_sum(k: int, z: Poly, M: BottMatrix) -> Poly:
 @example((4, parse_poly("x1*x5*x9 + x2*x3 + 1"), random_orientable_matrix(9, 13)))
 @example((6, parse_poly("x2*x3*x7"), BottMatrix(9, [(1, 9), (2, 7), (3, 7), (5, 8)])))
 def test_chi_sq_product_matches_the_milnor_sum(case):
+    # chi_sq, and each product route on its own, term by term
     k, z, M = case
-    assert chi_sq(k, z, M) == _milnor_sum(k, z, M)
+    sums = _term_milnor_sums(k, z, M)
+    assert chi_sq(k, z, M) == sum(sums.values(), Poly.zero())
+    for m, expected in sums.items():
+        for name, route in _ROUTES.items():
+            assert route(k, m.variables(), M) == expected, (name, m)
+
+
+@st.composite
+def _route_cases(draw) -> tuple[int, tuple[int, ...], BottMatrix]:
+    """A squarefree term whose largest variable a <= 14 lies past x12 about
+    half the time, a matrix (main, random orientable or any) with
+    a <= n <= 14, and a grading 0 <= k <= n + 1, often one that keeps the
+    target grade within x1..xa."""
+    a = draw(st.integers(1, 12) | st.integers(13, 14))
+    M = _draw_matrix(draw, draw(st.integers(a, 14)))
+    variables = tuple(sorted(draw(st.sets(st.integers(1, a))) | {a}))
+    k = draw(st.integers(0, M.n + 1) | st.integers(0, a - len(variables)))
+    return k, variables, M
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_route_cases())
+@example((5, (3, 9, 13, 14), random_orientable_matrix(14, 7)))
+@example((6, (2, 5, 13), main_matrix(13)))
+def test_chi_sq_dense_and_set_routes_agree(case):
+    # past x12 too, where chi_sq takes the sets
+    k, variables, M = case
+    assert _ROUTES["dense"](k, variables, M) == _ROUTES["sets"](k, variables, M)
+
+
+def test_chi_sq_dense_route_rings_span_the_sub_tower_only(monkeypatch):
+    # x3*x7 at n = 509 sweeps 2^7 bits; the ring of M_509 itself is refused
+    sizes = []
+    init = _DenseRing.__init__
+
+    def recording(self, M, sweeps):
+        sizes.append(M.n)
+        init(self, M, sweeps)
+
+    monkeypatch.setattr(_DenseRing, "__init__", recording)
+    with pytest.raises(FeasibilityError):
+        _DenseRing(main_matrix(509), sweeps=1)
+    cases = [(k, (3, 7), main_matrix(509)) for k in range(6)]
+    cases += [(k, (2, 5, 12), random_orientable_matrix(40, 11)) for k in range(10)]
+    nonzero = 0
+    for k, variables, M in cases:
+        sizes.clear()
+        product = chi_sq(k, Poly.of([Monomial.from_exponents(dict.fromkeys(variables, 1))]), M)
+        assert product == _ROUTES["sets"](k, variables, M)
+        reached = steenrod._reaches(len(variables) + k, len(variables))
+        assert sizes == [variables[-1]] * reached  # no ring for an early zero
+        nonzero += not product.is_zero()
+    assert nonzero
 
 
 def _sums_of_powers(factors: int, limit: int) -> set[int]:
@@ -407,15 +477,13 @@ def _sums_of_powers(factors: int, limit: int) -> set[int]:
 @example((5, parse_poly("x2*x4*x6*x8"), BottMatrix(8, [(1, 2), (2, 4), (3, 6), (1, 7)])))
 @example((2, parse_poly("x3"), main_matrix(6)))  # 3 is no power of two: no sweep
 def test_chi_sq_product_sweeps_only_masks_that_can_reach_the_target(case):
-    # the chain over x_{a_j} starts from masks that the r - j + 1 factors
-    # from a_j on can bring to grade r + k by powers of two, and it sweeps
-    # no mask at or above its cap r + k - (r - j)
+    # the set route: the chain over x_{a_j} starts from masks that the
+    # r - j + 1 factors from a_j on can bring to grade r + k by powers of
+    # two, and it sweeps no mask at or above its cap r + k - (r - j)
     k, z, M = case
-    for m in z.monomials():
+    for m, expected in _term_milnor_sums(k, z, M).items():
         variables = m.variables()
         r, target = len(variables), len(variables) + k
-        if target > M.n or (M.is_main_pattern and target == M.n):
-            continue
         calls = []
 
         def recording(elems, l, M, _mul_var=steenrod._mul_var):
@@ -424,7 +492,7 @@ def test_chi_sq_product_sweeps_only_masks_that_can_reach_the_target(case):
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(steenrod, "_mul_var", recording)
-            assert chi_sq(k, Poly.of([m]), M) == _milnor_sum(k, Poly.of([m]), M)
+            assert _ROUTES["sets"](k, variables, M) == expected
         started = set()
         for l, grades in calls:
             left = r - 1 - variables.index(l)

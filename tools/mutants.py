@@ -282,7 +282,7 @@ MUTANTS: tuple[Mutant, ...] = (
         "if e:",
         (
             "tests/test_steenrod.py::test_chi_sq_product_matches_the_milnor_sum",
-            "tests/test_steenrod.py::test_kronecker_duality_on_random_orientable_matrices",
+            "tests/test_steenrod.py::test_chi_sq_dense_and_set_routes_agree",
         ),
     ),
     Mutant(
@@ -291,7 +291,7 @@ MUTANTS: tuple[Mutant, ...] = (
         "joined = set(state)",
         (
             "tests/test_steenrod.py::test_chi_sq_product_matches_the_milnor_sum",
-            "tests/test_steenrod.py::test_kronecker_duality_on_random_orientable_matrices",
+            "tests/test_steenrod.py::test_chi_sq_dense_and_set_routes_agree",
         ),
     ),
     Mutant(
@@ -317,7 +317,7 @@ MUTANTS: tuple[Mutant, ...] = (
         "cap = target - left - 1\n",
         (
             "tests/test_steenrod.py::test_chi_sq_product_matches_the_milnor_sum",
-            "tests/test_steenrod.py::test_kronecker_duality_on_random_orientable_matrices",
+            "tests/test_steenrod.py::test_chi_sq_dense_and_set_routes_agree",
         ),
     ),
     Mutant(
@@ -326,6 +326,57 @@ MUTANTS: tuple[Mutant, ...] = (
         "cap = target - left + 1\n",
         (
             "tests/test_steenrod.py::test_chi_sq_product_sweeps_only_masks_that_can_reach_the_target",
+        ),
+    ),
+    Mutant(
+        "chi-sq-dense-steps-one-short", "steenrod.py",
+        "for step in range(1, last + 1):",
+        "for step in range(1, last):",
+        (
+            "tests/test_steenrod.py::test_chi_sq_product_matches_the_milnor_sum",
+            "tests/test_steenrod.py::test_chi_sq_dense_and_set_routes_agree",
+        ),
+    ),
+    Mutant(
+        "chi-sq-dense-power-sum-at-every-step", "steenrod.py",
+        "if not step & (step - 1):",
+        "if step:",
+        (
+            "tests/test_steenrod.py::test_chi_sq_product_matches_the_milnor_sum",
+            "tests/test_steenrod.py::test_chi_sq_dense_and_set_routes_agree",
+        ),
+    ),
+    Mutant(
+        "chi-sq-dense-without-the-early-zero", "steenrod.py",
+        "if target > a or not _reaches(target, len(variables)):",
+        "if target > a:",
+        (
+            "tests/test_steenrod.py::test_chi_sq_dense_route_rings_span_the_sub_tower_only",
+        ),
+    ),
+    Mutant(
+        "chi-sq-dense-cutoff-one-low", "steenrod.py",
+        "variables[-1] > _DENSE_CHI_SQ_MAX",
+        "variables[-1] >= _DENSE_CHI_SQ_MAX",
+        (
+            "tests/test_steenrod.py::test_chi_sq_dense_route_rings_span_the_sub_tower_only",
+        ),
+    ),
+    Mutant(
+        "sub-tower-keeps-a-column-past-a", "bott.py",
+        "for j in range(2, a + 1) for i in self._cols[j]",
+        "for j in range(2, a + 2) for i in self._cols[j]",
+        (
+            "tests/test_bott.py::test_sub_tower_is_the_checked_matrix_cut_at_a",
+        ),
+    ),
+    Mutant(
+        "dense-sweep-skips-the-top-seed", "bott.py",
+        "for l in range(max(pend, default=0), 0, -1):",
+        "for l in range(max(pend, default=0) - 1, 0, -1):",
+        (
+            "tests/test_bott.py::test_total_sw_main_five_frozen",
+            "tests/test_steenrod.py::test_chi_sq_product_matches_the_milnor_sum",
         ),
     ),
     Mutant(
