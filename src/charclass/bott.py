@@ -193,18 +193,6 @@ class BottMatrix:
             raise ValueError(f"column index {j} out of range 1..{self.n}")
         return self._cols[j]
 
-    def _tower(self, a: int) -> "BottMatrix":
-        """The sub-tower over x_1..x_a: the ones (i, j) with j <= a.  Its
-        entries are this matrix's, so they are not checked again, and it
-        shares this matrix's columns."""
-        tower = object.__new__(BottMatrix)
-        object.__setattr__(tower, "n", a)
-        object.__setattr__(tower, "ones", frozenset(
-            (i, j) for j in range(2, a + 1) for i in self._cols[j]
-        ))
-        object.__setattr__(tower, "_cols", self._cols[: a + 1])
-        return tower
-
     def row(self, i: int) -> tuple[int, ...]:
         if not 1 <= i <= self.n:
             raise ValueError(f"row index {i} out of range 1..{self.n}")
@@ -366,18 +354,17 @@ def normal_form(p: Poly, M: BottMatrix) -> Poly:
     return Poly(frozenset(map(Monomial.from_mask, out)))
 
 
-def _check_top_class_cost(
-    n: int, last_exponents: Iterable[int], calls: int = 1
-) -> None:
+def _check_top_class_cost(n: int, calls: Mapping[int, int]) -> None:
     """Refuse, before any work, `top_class_bit` calls over TOP_CLASS_BUDGET.
 
-    A call on a degree-n monomial with x_n^E is priced at n * 3^popcount(E-1)
-    steps; ``last_exponents`` lists E for each planned call, ``calls`` times
-    over, and their costs add up.  The price counts the (U, S) pairs of the
-    submask walk the placement DP replaced; the packed DP takes
-    n * popcount(E-1) big-int operations, so the budget over-prices it.
+    A call on a degree-n monomial with x_n^E (E >= 1) is priced at
+    n * 3^popcount(E-1) steps; ``calls`` maps each E to the number of
+    planned calls with it, and their costs add up.  The price counts the
+    (U, S) pairs of the submask walk the placement DP replaced; the packed
+    DP takes n * popcount(E-1) big-int operations, so the budget
+    over-prices it.
     """
-    cost = calls * sum(n * 3 ** (e - 1).bit_count() for e in last_exponents if e)
+    cost = sum(count * n * 3 ** (e - 1).bit_count() for e, count in calls.items())
     if cost > TOP_CLASS_BUDGET:
         raise FeasibilityError(
             f"top-class evaluation at n = {n} needs n * 3^popcount(E-1) = "
@@ -489,7 +476,7 @@ def top_class_bit(M: BottMatrix, exponents: Mapping[int, int]) -> int:
     e_n = exponents.get(n, 0)
     if e_n == 0:
         return 0
-    _check_top_class_cost(n, (e_n,))
+    _check_top_class_cost(n, {e_n: 1})
     chain = [exponents.get(v, 0) for v in range(1, n - 1)]
     if any(acc > d for d, acc in enumerate(accumulate(chain), start=1)):
         return 0
@@ -535,10 +522,13 @@ class _DenseRing:
         gain = w & low; out ^= gain << 2^(l-1); w ^= gain
 
     Each sweep costs O(n + #ones) operations on 2^n-bit ints regardless of
-    matrix density, and starts at the highest pending variable.  A ring may
-    be built on a sub-tower (`BottMatrix._tower`): `steenrod.chi_sq` sweeps
-    a term whose largest variable is x_a in the 2^a-bit ring over
-    x_1..x_a, since every product of x_1..x_a stays there.  The ring, and
+    matrix density, and starts at the highest pending variable.  The ring
+    takes a size n and the column table of a matrix (`BottMatrix._cols`),
+    and n may be below the matrix's own size: a sweep from seeds at or
+    below x_n reads only the columns up to n, since carries move down, so
+    `steenrod.chi_sq` sweeps a term whose largest variable is x_a in the
+    2^a-bit ring over x_1..x_a, where every product of x_1..x_a stays, with
+    the columns of the whole matrix.  The ring, and
     the masks it caches, live only while a product is swept: `grade_piece`
     and `to_poly` need no ring, so `GradedClasses` keeps just the product
     int and cuts and converts one grade when it is first read.  Past the
@@ -549,24 +539,25 @@ class _DenseRing:
     builds the terms only when something reads them.
     """
 
-    def __init__(self, M: BottMatrix, sweeps: int) -> None:
-        """A ring for ``sweeps`` sweeps, refused before any allocation when
-        it costs more than DENSE_BUDGET.
+    def __init__(self, n: int, cols: Sequence[Sequence[int]], sweeps: int) -> None:
+        """The ring over x_1..x_n with the columns ``cols`` (``cols[l]`` the
+        rows i of the ones (i, l)), for ``sweeps`` sweeps, refused before
+        any allocation when it costs more than DENSE_BUDGET.
 
         The cost is (sweeps + 1) * words, a vector spanning 2^(n-6) 64-bit
         words: the +1 prices the vectors that are built and read outside the
         sweeps.
         """
-        shift = max(M.n - 6, 0)  # a vector spans 2^shift words
+        shift = max(n - 6, 0)  # a vector spans 2^shift words
         # past shift 64 the budget is long exceeded; skip the bignum
         if shift > 64 or (sweeps + 1) << shift > DENSE_BUDGET:
             raise FeasibilityError(
-                f"the dense engine at n = {M.n} needs (sweeps + 1) * words = "
+                f"the dense engine at n = {n} needs (sweeps + 1) * words = "
                 f"{sweeps + 1} * 2^{shift} word operations "
                 f"(> budget {DENSE_BUDGET})"
             )
-        self.M = M
-        self.n = M.n
+        self.n = n
+        self._cols = cols
         self._lows: dict[int, int] = {}
 
     def _low(self, l: int) -> int:
@@ -584,7 +575,7 @@ class _DenseRing:
         carries only move down."""
         out = 0
         pend = seeds
-        cols = self.M._cols
+        cols = self._cols
         for l in range(max(pend, default=0), 0, -1):
             w = pend.pop(l, 0)
             if not w:
@@ -682,7 +673,7 @@ def _class_product(M: BottMatrix, t: int, top: int) -> GradedClasses:
     series stops once a power vanishes.  Makes at most t * n sweeps;
     refused with FeasibilityError above ``DENSE_BUDGET``.
     """
-    ring = _DenseRing(M, sweeps=t * M.n)
+    ring = _DenseRing(M.n, M._cols, sweeps=t * M.n)
     v = 1  # the unit, basis element 0
     for j in range(1, M.n + 1):
         power = v
@@ -788,14 +779,17 @@ def verify_main(
             "steenrod method)"
         )
     m = n - (n % 4 - 1)  # largest m <= n with m = 1 mod 4
+    run_steenrod = method in ("steenrod", "both")
+    if run_steenrod:
+        from .steenrod import _permsum, _permsum_calls
+
+        _check_top_class_cost(m, _permsum_calls(m))  # before M is built
     M = main_matrix(m)  # built once; the circles add only zero rows
     grade = n - alpha_hat(n)
     direct = steenrod = None
     if run_direct:
         direct = not dual_sw(extend_with_circles(M, n - m), grade)[grade].is_zero()
-    if method in ("steenrod", "both"):
-        from .steenrod import _permsum
-
+    if run_steenrod:
         steenrod = not _permsum(M).is_zero()  # the top class or zero
     return MainReport(
         n=n,

@@ -355,7 +355,7 @@ def verify_zero_a(n: int, i: int, j: int) -> bool:
     l_degree = T_j - P_i - P_j + 1
     l_top = T_j - P_i - 1
     count = math.comb(l_top + l_degree - 1, l_degree)
-    _check_top_class_cost(n, (P_j,), calls=count)
+    _check_top_class_cost(n, {P_j: count})
     M = main_matrix(n)
     base = {v: 1 for v in range(T_j - P_i + 1, n)}
     base[n] = P_j
@@ -381,7 +381,7 @@ def verify_zero_b(n: int, j: int) -> bool:
     if not 1 <= j <= r:
         raise ValueError(f"need 1 <= j <= r = {r}, got j = {j}")
     P_j = 1 << parts[j - 1]
-    _check_top_class_cost(n, (P_j,))
+    _check_top_class_cost(n, {P_j: 1})
     T_j = totals[j - 1]
     T_prev = totals[j - 2] if j >= 2 else 0
     exps = {v: 1 for v in range(1, T_prev + 1)}

@@ -14,12 +14,12 @@ Milnor sum term for term: the term that gives factor j the power 2^(i_j) is
 the assignment of the tuple t with t_i = #{j : i_j = i}.
 
 Everything here reduces through the ring of a :class:`~charclass.bott.BottMatrix`.
-`chi_sq` expands the product of a term whose largest variable is x_a on the
-dense kernel of `bott` (`_DenseRing`), in the sub-tower over x_1..x_a, whose
-2^a basis elements are the bits of one int, when a <= 12; past x12 it
-sweeps sets of basis masks (`_mul_var`).  Full-degree terms in the main
-family take the tuples and the fast exact evaluator
-:func:`~charclass.bott.top_class_bit` instead.  `act`, one
+`chi_sq` picks each term's route: full-degree terms in the main family take
+the tuples and the fast exact evaluator :func:`~charclass.bott.top_class_bit`;
+the product of any other term whose largest variable is x_a is expanded on
+the dense kernel of `bott` (`_DenseRing`), in the ring over x_1..x_a, whose
+2^a basis elements are the bits of one int, when a <= 12, and past x12 by
+sets of basis masks (`_mul_var`).  `act`, one
 Milnor element at a time, sums its assignments by that evaluator or by one
 :func:`~charclass.bott.normal_form`; the test suite checks `chi_sq` against
 the sum of `act` over the tuples.
@@ -41,7 +41,7 @@ from .bott import (
     normal_form,
     top_class_bit,
 )
-from .poly2 import Monomial, Poly, _nonzero_blocks
+from .poly2 import Monomial, Poly, _packed_terms
 
 __all__ = [
     "act",
@@ -238,28 +238,18 @@ def _xor(a: set[int], b: set[int]) -> set[int]:
 _DENSE_CHI_SQ_MAX = 12
 
 
-def _chi_sq_product(k: int, variables: Sequence[int], M: BottMatrix) -> set[int]:
-    """chi(Sq^k) of the squarefree monomial on ``variables``, as basis masks.
-
-    The grade deg + k part of prod_a (x_a + x_a^2 + x_a^4 + ...): on the
-    dense kernel (`_chi_sq_dense`) when the largest variable is at most
-    x12, else by chains of mask sets (`_chi_sq_sets`).
-    """
-    if variables and variables[-1] > _DENSE_CHI_SQ_MAX:
-        return _chi_sq_sets(k, variables, M)
-    blocks = _nonzero_blocks(_chi_sq_dense(k, variables, M))
-    return {h << 8 | b for h, bs in blocks.items() for b in bs}
-
-
 def _chi_sq_dense(k: int, variables: Sequence[int], M: BottMatrix) -> int:
-    """`_chi_sq_product` as a packed vector (bit m is the coefficient of
-    mask m), by one chain of `_DenseRing` sweeps per variable.
+    """chi(Sq^k) of the squarefree monomial on ``variables`` (the grade
+    deg + k part of prod_a (x_a + x_a^2 + x_a^4 + ...)) as a packed vector,
+    bit m the coefficient of mask m, by one chain of `_DenseRing` sweeps
+    per variable.
 
     Every mask of the chain lies below 2^a for the largest variable a: x_a
     times a mask either adds x_a or carries along column a, which holds only
     variables below a.  So the product lives in the sub-tower M_a (the ones
-    (i, j) of M with j <= a), and the ring and its vectors span 2^a bits,
-    whatever n is; the unit alone takes the ring of x1.  The chain
+    (i, j) of M with j <= a): the ring is `_DenseRing(a, M._cols)`, whose
+    sweeps never read a column past a, and it and its vectors span 2^a
+    bits, whatever n is; the unit alone takes the ring of x1.  The chain
     multiplies the whole vector by x_a, one sweep a step, and adds it to the
     factor's sum at the steps that are powers of two.  A step raises every
     grade by one, the least grade after j factors is j, and each of the
@@ -272,7 +262,7 @@ def _chi_sq_dense(k: int, variables: Sequence[int], M: BottMatrix) -> int:
     if target > a or not _reaches(target, len(variables)):
         return 0
     last = 1 << (k + 1).bit_length() - 1  # the last power of two up to k + 1
-    ring = _DenseRing(M._tower(a), sweeps=len(variables) * last)
+    ring = _DenseRing(a, M._cols, sweeps=len(variables) * last)
     v = 1  # the unit, basis element 0
     for x in variables:
         power_sum = 0
@@ -287,8 +277,9 @@ def _chi_sq_dense(k: int, variables: Sequence[int], M: BottMatrix) -> int:
 
 
 def _chi_sq_sets(k: int, variables: Sequence[int], M: BottMatrix) -> set[int]:
-    """`_chi_sq_product` by one chain of `_mul_var` sweeps per variable, for
-    terms whose sub-tower is too large for the dense kernel.
+    """The product of `_chi_sq_dense` as a set of basis masks, by one chain
+    of `_mul_var` sweeps per variable, for terms whose sub-tower is too
+    large for the dense kernel.
 
     The chain multiplies the whole state by x_a, one sweep a step, and adds
     the state to the factor's sum at the steps that are powers of two.  The
@@ -326,15 +317,18 @@ def chi_sq(k: int, z: Poly, M: BottMatrix) -> Poly:
     assignment of the tuple t with t_i = #{j : i_j = i}, whose grading is
     sum_j (2^(i_j) - 1) = k.  Terms whose image has degree n in the main
     family take the tuples, their assignments and `top_class_bit` (`act`);
-    every other term is the product, expanded in the ring by
-    `_chi_sq_product`: on the dense kernel, in the 2^a-bit ring of the
-    sub-tower over x_1..x_a, when the term's largest variable a is at most
-    12, and by sets of basis masks past x12.  Terms above degree n vanish.
+    every other term is the product, expanded in the ring: on the dense
+    kernel (`_chi_sq_dense`), in the 2^a-bit ring of the sub-tower over
+    x_1..x_a, when the term's largest variable a is at most 12, and by sets
+    of basis masks (`_chi_sq_sets`) past x12.  Terms above degree n vanish.
+    The dense products add up in one packed int, the others in one set of
+    masks, and the result is the GF(2) sum of the two.
     """
     _require_int("grading", k)
     if k < 0:
         raise ValueError(f"grading must be >= 0, got {k}")
     out: set[int] = set()
+    packed = 0
     for m in z.monomials():
         if not m.is_squarefree():
             raise ValueError(f"z must be in normal form; {m} is not squarefree")
@@ -347,9 +341,12 @@ def chi_sq(k: int, z: Poly, M: BottMatrix) -> Poly:
         if M.is_main_pattern and degree == M.n:
             for t in enumerate_tuples(k, len(variables)):
                 out.symmetric_difference_update(p.mask() for p in act(t, m, M))
+        elif variables and variables[-1] > _DENSE_CHI_SQ_MAX:
+            out = _xor(out, _chi_sq_sets(k, variables, M))
         else:
-            out = _xor(out, _chi_sq_product(k, variables, M))
-    return Poly(frozenset(map(Monomial.from_mask, out)))
+            packed ^= _chi_sq_dense(k, variables, M)
+    terms = frozenset(map(Monomial.from_mask, out))
+    return Poly(terms.symmetric_difference(_packed_terms(packed)))
 
 
 def _admissible_bijections(r: int) -> Iterator[tuple[int, ...]]:
@@ -389,14 +386,28 @@ def permsum(n: int) -> Poly:
 
     Evaluated in ``main_matrix(n)``; each summand has full degree n, so the
     sum is the parity of the summands' exact top-class bits.  Refused with
-    FeasibilityError, before any summand is evaluated, when their summed
-    cost exceeds ``TOP_CLASS_BUDGET``.
+    FeasibilityError, before the matrix or any summand is built, when their
+    summed cost exceeds ``TOP_CLASS_BUDGET``.
     """
+    _check_top_class_cost(n, _permsum_calls(n))
     return _permsum(main_matrix(n))
 
 
+def _permsum_calls(n: int) -> dict[int, int]:
+    """The exponents E of x_n in the summands of `permsum` (n = 1 mod 4),
+    each with its number of summands, for `_check_top_class_cost`.
+
+    In sigma, x_n takes the power of the value at position r + 1, and each
+    bijection for r - 1 gives two (`_admissible_bijections`): one with r
+    there, one that keeps its old value there.  So x_n gets 2^p_j in
+    2^(j-1) summands, j = 1..r, and 1 in one, and the price is
+    n * (1 + sum_j 2^(j-1) * 3^p_j) steps, found without building a summand.
+    """
+    parts, _ = _two_adic_parts(n)
+    return {1: 1} | {1 << p: 1 << j for j, p in enumerate(parts)}
+
+
 def _permsum(M: BottMatrix) -> Poly:
-    """`permsum` of M.n in ``M = main_matrix(M.n)``, for a caller that holds M."""
-    terms = permsum_terms(M.n)
-    _check_top_class_cost(M.n, [term.exponent(M.n) for term in terms])
-    return _top_class_sum(M, (term.exponents() for term in terms))
+    """`permsum` of M.n in ``M = main_matrix(M.n)``, for a caller that holds
+    M and has priced it by `_permsum_calls`."""
+    return _top_class_sum(M, (term.exponents() for term in permsum_terms(M.n)))

@@ -240,15 +240,24 @@ def test_extend_with_circles():
     assert extend_with_circles(BottMatrix(1, []), 2) == BottMatrix(3, [])
 
 
-def test_sub_tower_is_the_checked_matrix_cut_at_a():
-    for M in (main_matrix(9), random_orientable_matrix(12, 3), chain_matrix(5),
-              BottMatrix(7, [(1, 7), (2, 4), (3, 6)]), BottMatrix(1)):
-        for a in range(1, M.n + 1):
-            cut = BottMatrix(a, [(i, j) for i, j in M.ones if j <= a])
-            tower = M._tower(a)
-            assert tower == cut and hash(tower) == hash(cut)
-            assert tower._cols == cut._cols and tower._rows == cut._rows
-    assert main_matrix(509)._tower(7) == chain_matrix(7)  # x_509 is past x7
+def test_dense_ring_over_x1_to_xa_is_the_ring_of_the_sub_tower():
+    # _DenseRing(a, M._cols) holds the columns of all of M but sweeps only
+    # those up to a: its products are the ring's of the checked sub-tower
+    rng = random.Random(20261020)
+    matrices = [main_matrix(509), chain_matrix(5), BottMatrix(1)]
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        cells = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
+        matrices.append(BottMatrix(n, [c for c in cells if rng.random() < 0.4]))
+        matrices.append(random_orientable_matrix(n, rng.randrange(2**16)))
+    for M in matrices:
+        a = rng.randint(1, min(M.n, 10))
+        cut = BottMatrix(a, [(i, j) for i, j in M.ones if j <= a])
+        ring, sub_tower_ring = (_DenseRing(a, cols, sweeps=4) for cols in (M._cols, cut._cols))
+        for _ in range(4):
+            seeds = {rng.randint(1, a): rng.getrandbits(1 << a) for _ in range(3)}
+            product = ring._mul_by_seeds(dict(seeds))
+            assert product == sub_tower_ring._mul_by_seeds(seeds), (M, a)
 
 
 @pytest.mark.parametrize(

@@ -473,8 +473,10 @@ def test_check_zero_five_and_thirteen():
 
 def test_steenrod_requests_over_budget_are_refused_fast():
     # 512 permutation-sum terms at n = 2045 sum to ~3.7e10 top-class steps,
-    # and part b at n = 4097 needs one call of ~2.2e9
-    for args in (("verify-main", "--n", "2045"), ("qm", "check-zero", "--n", "4097")):
+    # and part b at n = 4097 needs one call of ~2.2e9; at n = 10000001 the
+    # price comes before the matrix, whose 2e7 ones would take gigabytes
+    for args in (("verify-main", "--n", "2045"), ("qm", "check-zero", "--n", "4097"),
+                 ("verify-main", "--n", "10000001")):
         start = time.perf_counter()
         res = invoke(*args)
         assert time.perf_counter() - start < 1.0
@@ -493,8 +495,7 @@ def test_verify_main_refuses_from_the_base_749():
         assert res.stdout == ""
         assert "at n = 749 " in res.stderr
         assert "(> budget 500000000)" in res.stderr
-    terms = steenrod.permsum_terms(745)  # the base below is admitted
-    _check_top_class_cost(745, [t.exponent(745) for t in terms])
+    _check_top_class_cost(745, steenrod._permsum_calls(745))  # the base below is admitted
 
 
 def test_check_zero_is_priced_by_its_top_class_calls():

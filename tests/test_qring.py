@@ -273,7 +273,7 @@ def test_key_sum_vanishes_in_dense_chain_ring():
     from charclass.bott import _DenseRing
 
     m = 15
-    ring = _DenseRing(chain_matrix(m), sweeps=m)
+    ring = _DenseRing(m, chain_matrix(m)._cols, sweeps=m)
     v = 1
     for _ in range(m):
         v = ring._mul_by_seeds({i: v for i in range(1, m + 1)})
@@ -384,7 +384,7 @@ def _dense_product_is_zero(n: int, exps: dict[int, int]) -> bool:
     """Multiply out the monomial on the dense main-family basis."""
     from charclass.bott import _DenseRing
 
-    ring = _DenseRing(main_matrix(n), sweeps=sum(exps.values()))
+    ring = _DenseRing(n, main_matrix(n)._cols, sweeps=sum(exps.values()))
     v = 1
     for var, e in sorted(exps.items()):
         for _ in range(e):

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charclass import steenrod
+from charclass import bott, steenrod
 from charclass.bott import (
     BottMatrix,
     FeasibilityError,
@@ -442,13 +443,13 @@ def test_chi_sq_dense_route_rings_span_the_sub_tower_only(monkeypatch):
     sizes = []
     init = _DenseRing.__init__
 
-    def recording(self, M, sweeps):
-        sizes.append(M.n)
-        init(self, M, sweeps)
+    def recording(self, n, cols, sweeps):
+        sizes.append(n)
+        init(self, n, cols, sweeps)
 
     monkeypatch.setattr(_DenseRing, "__init__", recording)
     with pytest.raises(FeasibilityError):
-        _DenseRing(main_matrix(509), sweeps=1)
+        _DenseRing(509, main_matrix(509)._cols, sweeps=1)
     cases = [(k, (3, 7), main_matrix(509)) for k in range(6)]
     cases += [(k, (2, 5, 12), random_orientable_matrix(40, 11)) for k in range(10)]
     nonzero = 0
@@ -460,6 +461,19 @@ def test_chi_sq_dense_route_rings_span_the_sub_tower_only(monkeypatch):
         assert sizes == [variables[-1]] * reached  # no ring for an early zero
         nonzero += not product.is_zero()
     assert nonzero
+
+
+def test_chi_sq_sums_its_three_routes_in_one_call():
+    # at k = 7 on main_matrix(14), x3*x10 and x8*x10 take the dense route
+    # and their images share a mask, x1*x13 takes the sets, and the
+    # 7-variable term reaches degree 14 and takes the top class
+    M = main_matrix(14)
+    z = parse_poly("x3*x10 + x8*x10 + x1*x13 + x1*x2*x3*x4*x5*x13*x14")
+    sums = _term_milnor_sums(7, z, M)
+    assert not any(p.is_zero() for p in sums.values())
+    dense = [sums[m] for m in z.monomials() if m.variables()[-1] <= 12]
+    assert len(dense) == 2 and dense[0].terms & dense[1].terms
+    assert chi_sq(7, z, M) == sum(sums.values(), Poly.zero())
 
 
 def _sums_of_powers(factors: int, limit: int) -> set[int]:
@@ -547,6 +561,33 @@ def test_permsum_matches_chi_sq():
         M = main_matrix(n)
         z = Poly.of([canonical_z(n)])
         assert permsum(n) == chi_sq(n - alpha(n), z, M)
+
+
+def test_permsum_price_is_read_from_the_two_adic_parts():
+    # x_n gets 2^p_j in 2^(j-1) summands and 1 in one, as in the built
+    # summands: so the price is n * (1 + sum_j 2^(j-1) * 3^p_j)
+    for n in range(1, 1200, 4):
+        built = Counter(t.exponent(n) for t in permsum_terms(n))
+        assert steenrod._permsum_calls(n) == built, n
+
+
+def test_permsum_is_priced_before_the_matrix_is_built(monkeypatch):
+    # n = 10000001 is refused at once: main_matrix would hold 2e7 ones and
+    # permsum_terms 2^8 summands
+    def refuse(*args):
+        raise AssertionError("built before the price check")
+
+    for module in (bott, steenrod):
+        monkeypatch.setattr(module, "main_matrix", refuse)
+    monkeypatch.setattr(steenrod, "permsum_terms", refuse)
+    calls = (
+        lambda: verify_main(10_000_001, "steenrod"),
+        lambda: verify_main(10_000_001, "both", direct_cap=10**8),
+        lambda: permsum(10_000_001),
+    )
+    for call in calls:
+        with pytest.raises(FeasibilityError, match=r"^top-class evaluation at n = 10000001 "):
+            call()
 
 
 def test_permsum_top_coefficient():

@@ -363,11 +363,35 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
-        "sub-tower-keeps-a-column-past-a", "bott.py",
-        "for j in range(2, a + 1) for i in self._cols[j]",
-        "for j in range(2, a + 2) for i in self._cols[j]",
+        "chi-sq-dense-ring-over-the-whole-matrix", "steenrod.py",
+        "_DenseRing(a, M._cols,",
+        "_DenseRing(M.n, M._cols,",
         (
-            "tests/test_bott.py::test_sub_tower_is_the_checked_matrix_cut_at_a",
+            "tests/test_steenrod.py::test_chi_sq_dense_route_rings_span_the_sub_tower_only",
+        ),
+    ),
+    Mutant(
+        "chi-sq-dense-sum-assigned", "steenrod.py",
+        "packed ^= _chi_sq_dense(",
+        "packed = _chi_sq_dense(",
+        (
+            "tests/test_steenrod.py::test_chi_sq_sums_its_three_routes_in_one_call",
+        ),
+    ),
+    Mutant(
+        "chi-sq-dense-sum-as-union", "steenrod.py",
+        "packed ^= _chi_sq_dense(",
+        "packed |= _chi_sq_dense(",
+        (
+            "tests/test_steenrod.py::test_chi_sq_sums_its_three_routes_in_one_call",
+        ),
+    ),
+    Mutant(
+        "permsum-price-one-summand-per-exponent", "steenrod.py",
+        "{1 << p: 1 << j for j, p in enumerate(parts)}",
+        "{1 << p: 1 for j, p in enumerate(parts)}",
+        (
+            "tests/test_steenrod.py::test_permsum_price_is_read_from_the_two_adic_parts",
         ),
     ),
     Mutant(
