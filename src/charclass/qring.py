@@ -13,8 +13,9 @@ behind `top_class_bit` too: m * p shift-mask-adds on one int of 2^p exact
 counting lanes.  ``KEY_DP_BUDGET`` still prices the m * 3^p steps of the
 submask walk that DP replaced, so it over-prices the count and admits
 p <= 10 as before.  For p <= 4 the ledger is cross-checked against a
-vectorized fold over the streamed summands.  The zero test and the
-decomposition read the prefix rule from `excess`.
+bit-sliced fold over the streamed summands, one bit per summand of one
+int.  The zero test and the decomposition read the prefix rule from
+`excess`.
 
 The second half verifies the two families of vanishing products (parts a and
 b) in the main-family Bott ring, converting each product-with-S-power into a
@@ -27,16 +28,13 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from itertools import accumulate, combinations_with_replacement, product
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .bott import (
     FeasibilityError, _check_top_class_cost, _is_int, _lane_width, _placements,
     _require_int, main_matrix, top_class_bit,
 )
 from .steenrod import _two_adic_parts
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Decomposition",
@@ -129,6 +127,7 @@ def decompose(e: Sequence[int]) -> Decomposition | None:
 
 
 def _stream_p(m: int) -> int:
+    _require_int("m", m)
     if m < 1 or (m + 1) & m:
         raise ValueError(f"m must be of the form 2^p - 1, got {m}")
     return (m + 1).bit_length() - 1
@@ -157,44 +156,50 @@ def stream_count(m: int) -> int:
     return math.prod(m + 1 - (1 << i) for i in range(p))
 
 
-def _fold_range(m: int, p: int, start: int, stop: int) -> tuple[int, np.ndarray]:
+def _fold_range(m: int, p: int, start: int, stop: int) -> tuple[int, list[int]]:
     """Count zero monomials and their gap positions over an odometer range.
 
     Returns (zero_count, gap_histogram) where gap_histogram[D] counts items
-    whose decomposition head has degree D.  Vectorized: for each factor i the
-    chosen variable is J_i, and the monomial is zero iff for some i the
-    running prefix at J_i, S_i = sum_k 2^k [J_k <= J_i], exceeds J_i; the
-    maximal over-full index is then max_i min(next_i - 1, S_i - 1).
+    whose decomposition head has degree D.  Bit-sliced: item t of the
+    odometer (factor 0 slowest) is bit t of one int, factor k choosing the
+    variable J_k.  Bit k of the prefix S_d = sum_k 2^k [J_k <= d] is the set
+    {J_k <= d}, which loses one shifted periodic row, {J_k = d + 1}, per step
+    down from d = m.  A p-step comparator, low bit first, marks the items
+    with S_d > d; going down, an item first marked at d has d as its largest
+    over-full index, hence its gap at d + 1.  A range that leaves the
+    stream's items 0..total - 1 raises ValueError.
     """
-    import numpy as np  # on first use only: it costs half a command-line start
-
-    sizes = [m + 1 - (1 << i) for i in range(p)]
-    zero_count = 0
-    gap_hist = np.zeros(m + 2, dtype=np.int64)
-    block = 1 << 18
-    for lo in range(start, stop, block):
-        hi = min(lo + block, stop)
-        rem = np.arange(lo, hi, dtype=np.int64)
-        J = np.empty((p, hi - lo), dtype=np.int32)
-        for i in range(p - 1, -1, -1):
-            rem, offset = np.divmod(rem, sizes[i])
-            J[i] = offset.astype(np.int32) + (1 << i)
-        dstar = np.zeros(hi - lo, dtype=np.int32)
-        for i in range(p):
-            s_i = np.zeros(hi - lo, dtype=np.int32)
-            next_i = np.full(hi - lo, m + 1, dtype=np.int32)
-            for k in range(p):
-                le = J[k] <= J[i]
-                s_i += (1 << k) * le.astype(np.int32)
-                gt = ~le & (J[k] < next_i)
-                np.copyto(next_i, J[k], where=gt)
-            cand = np.minimum(next_i - 1, s_i - 1)
-            np.copyto(dstar, np.maximum(dstar, cand), where=s_i > J[i])
-        zero_mask = dstar > 0
-        zero_count += int(np.count_nonzero(zero_mask))
-        gaps = dstar[zero_mask] + 1
-        gap_hist += np.bincount(gaps, minlength=m + 2)
-    return zero_count, gap_hist
+    sizes = [m + 1 - (1 << k) for k in range(p)]
+    total = math.prod(sizes)
+    if not 0 <= start <= stop <= total:
+        raise ValueError(
+            f"need 0 <= start <= stop <= {total} items, got [{start}, {stop})"
+        )
+    full = (1 << stop) - 1  # bits past stop may go wrong; none is counted
+    rows, stride = [], 1
+    for size in reversed(sizes):  # {J_k = 2^k}: stride ones once per period
+        period = size * stride
+        row, width = (1 << stride) - 1, period
+        while width < stop:
+            row |= row << width
+            width *= 2
+        rows.append((row & full, stride))
+        stride = period
+    rows.reverse()
+    planes = [full] * p  # {J_k <= m}: every item
+    unseen = full >> start << start
+    gap_hist = [0] * (m + 2)
+    for d in range(m - 1, 0, -1):
+        over = 0  # S_d > d on the bits compared so far
+        for k, (row, stride) in enumerate(rows):
+            j = d + 1 - (1 << k)
+            if j >= 0:
+                planes[k] ^= row << j * stride
+            over = planes[k] & over if d >> k & 1 else planes[k] | over
+        first = over & unseen
+        gap_hist[d + 1] = first.bit_count()
+        unseen ^= first
+    return sum(gap_hist), gap_hist
 
 
 def _check_key_budget(p: int) -> None:
@@ -270,6 +275,7 @@ class KeyReport:
 
     def gap_count(self, D: int) -> int:
         """Number of expansion monomials whose gap sits at D, 1 <= D <= m."""
+        _require_int("D", D)
         if not 1 <= D <= self.m:
             raise ValueError(f"D must lie in 1..{self.m}, got {D}")
         return dict(self.gap_counts).get(D, 0)
@@ -293,7 +299,8 @@ def verify_key(p: int, workers: int = 1) -> KeyReport:
     top class, so the identity holds iff the nonzero count is even; the gap
     ledger refines the zero count.  The counted zero and nonzero items must
     add up to the closed-form total, and for p <= 4 the ledger is
-    cross-checked against the streamed fold ``_fold_range`` over all items.
+    cross-checked against ``_fold_range``, a bit-sliced fold over all
+    streamed items that shares no step with the count.
     ``workers`` is validated and otherwise unused: the count runs in one
     thread.
     """
@@ -320,7 +327,7 @@ def verify_key(p: int, workers: int = 1) -> KeyReport:
     )
     if p <= 4:
         fold_zero, gap_hist = _fold_range(m, p, 0, total)
-        fold_gaps = {D: int(c) for D, c in enumerate(gap_hist) if c}
+        fold_gaps = {D: c for D, c in enumerate(gap_hist) if c}
         if (fold_zero, fold_gaps) != (zero, gaps):
             raise RuntimeError(
                 f"counted ledger disagrees with the streamed fold at p = {p}: "

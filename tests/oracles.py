@@ -3,9 +3,10 @@
 Nothing in ``src/`` imports this module.  Each route here shares no
 recurrence with the production code it is compared against, except
 `placements_submask_walk`: the loop form of the placement DP, kept as the
-reference for its packed form.  The Dold oracle works on NumPy grids of its
-own, not on the package's packed ints, and converts at its ends through
-`_numpy_grid`.
+reference for its packed form.  `numpy_fold_range` is the vectorized fold
+over the key-identity stream that the package's bit-sliced fold replaced.
+The Dold oracle works on NumPy grids of its own, not on the package's
+packed ints, and converts at its ends through `_numpy_grid`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "format_monomial",
     "format_poly",
     "mask_monomial",
+    "numpy_fold_range",
     "placements_submask_walk",
     "power_closed_form",
     "rewrite_normal_form",
@@ -251,3 +253,44 @@ def whitney_dual_dold(spec: DoldSpec, up_to: int) -> TruncPoly:
             result ^= piece
             running ^= _shifted_product(piece, w)
     return TruncPoly(spec, _numpy_grid(spec, result))
+
+
+# -- the key-identity stream: the vectorized fold the package replaced -----
+
+
+def numpy_fold_range(m: int, p: int, start: int, stop: int) -> tuple[int, np.ndarray]:
+    """Count zero monomials and their gap positions over an odometer range.
+
+    Returns (zero_count, gap_histogram) where gap_histogram[D] counts items
+    whose decomposition head has degree D.  Vectorized: for each factor i the
+    chosen variable is J_i, and the monomial is zero iff for some i the
+    running prefix at J_i, S_i = sum_k 2^k [J_k <= J_i], exceeds J_i; the
+    maximal over-full index is then max_i min(next_i - 1, S_i - 1).
+    """
+    sizes = [m + 1 - (1 << i) for i in range(p)]
+    zero_count = 0
+    gap_hist = np.zeros(m + 2, dtype=np.int64)
+    block = 1 << 18
+    for lo in range(start, stop, block):
+        hi = min(lo + block, stop)
+        rem = np.arange(lo, hi, dtype=np.int64)
+        J = np.empty((p, hi - lo), dtype=np.int32)
+        for i in range(p - 1, -1, -1):
+            rem, offset = np.divmod(rem, sizes[i])
+            J[i] = offset.astype(np.int32) + (1 << i)
+        dstar = np.zeros(hi - lo, dtype=np.int32)
+        for i in range(p):
+            s_i = np.zeros(hi - lo, dtype=np.int32)
+            next_i = np.full(hi - lo, m + 1, dtype=np.int32)
+            for k in range(p):
+                le = J[k] <= J[i]
+                s_i += (1 << k) * le.astype(np.int32)
+                gt = ~le & (J[k] < next_i)
+                np.copyto(next_i, J[k], where=gt)
+            cand = np.minimum(next_i - 1, s_i - 1)
+            np.copyto(dstar, np.maximum(dstar, cand), where=s_i > J[i])
+        zero_mask = dstar > 0
+        zero_count += int(np.count_nonzero(zero_mask))
+        gaps = dstar[zero_mask] + 1
+        gap_hist += np.bincount(gaps, minlength=m + 2)
+    return zero_count, gap_hist

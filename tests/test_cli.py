@@ -664,10 +664,22 @@ def test_help_screens():
         assert res.exit_code == 0
 
 
-def test_numpy_loads_only_with_the_key_fold():
-    # NumPy costs about half of a command-line start; only the p <= 4 key
-    # fold imports it, on first use.  The Dold grids are packed ints: neither
-    # a scan, nor a verdict, nor reading its classes loads it.
+def _run_src_python(code: str, check: bool = True) -> subprocess.CompletedProcess:
+    """``python -c code`` in a fresh interpreter with this tree's ``src``
+    first on the path; stdout and stderr are kept as bytes."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, check=check,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+def test_numpy_never_loads():
+    # NumPy costs about half of a command-line start, and the package needs
+    # none: the Dold grids are packed ints and the p <= 4 key fold is
+    # bit-sliced on one int.  No scan, verdict, class table or key check
+    # loads it.
     code = "\n".join([
         "import sys",
         "import charclass.cli",
@@ -683,14 +695,27 @@ def test_numpy_loads_only_with_the_key_fold():
         "assert verify_dold(spec).verified",
         "wbar = dual_sw_dold(spec, 10)",
         "str(trunc_mul(wbar, graded_piece(wbar, 10), spec))",
-        "print('numpy' in sys.modules)",
-        "assert verify_key(4).nonzero == 4096",
+        "assert [verify_key(p).verified for p in (2, 3, 4)] == [True] * 3",
         "print('numpy' in sys.modules)",
     ])
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    ).stdout
-    assert out == "False\nTrue\n"
+    assert _run_src_python(code).stdout == b"False\n"
+
+
+def test_check_key_runs_with_numpy_unimportable():
+    # the golden bytes of `qm check-key --p 4 --stats`, the last command
+    # that once imported NumPy, with any import of NumPy made to fail
+    args = ["qm", "check-key", "--p", "4", "--stats"]
+    golden = json.loads(
+        (Path(__file__).resolve().parent / "data" / "cli_golden.json").read_text()
+    )
+    (case,) = [case for case in golden["cases"] if case["args"] == args]
+    code = "\n".join([
+        "import sys",
+        "sys.modules['numpy'] = None",
+        "from charclass.cli import main",
+        f"main({args!r}, prog_name='charclass')",
+    ])
+    res = _run_src_python(code, check=False)
+    assert res.returncode == case["exit"]
+    assert hashlib.sha256(res.stdout).hexdigest() == case["stdout"]
+    assert hashlib.sha256(res.stderr).hexdigest() == case["stderr"]

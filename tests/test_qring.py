@@ -10,6 +10,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import charclass
 from charclass import qring
@@ -29,6 +31,7 @@ from charclass.qring import (
 )
 from charclass.bott import FeasibilityError
 from charclass.steenrod import permsum_terms
+from oracles import numpy_fold_range
 
 X = Poly.var
 
@@ -290,11 +293,12 @@ def test_gap_count_accessor():
         report.gap_count(8)
 
 
-def _fold_report(p: int) -> KeyReport:
-    """The ledger of the vectorized fold over every streamed item."""
+def _fold_report(p: int, fold=_fold_range) -> KeyReport:
+    """The ledger of a fold over every streamed item: the package's
+    bit-sliced one unless ``fold`` names another."""
     m = 2 ** p - 1
     total = stream_count(m)
-    zero, gap_hist = _fold_range(m, p, 0, total)
+    zero, gap_hist = fold(m, p, 0, total)
     return KeyReport(
         m=m,
         total=total,
@@ -357,6 +361,62 @@ def test_fold_cross_check_catches_a_disagreement(monkeypatch):
     monkeypatch.setattr(qring, "_fold_range", off_by_two)
     with pytest.raises(RuntimeError, match="streamed fold"):
         verify_key(3)
+
+
+def test_bit_sliced_fold_ties_numpy_and_scalar_oracles():
+    for p in (2, 3, 4):
+        scalar = _scalar_key_report(p)
+        assert _fold_report(p) == _fold_report(p, numpy_fold_range) == scalar
+
+
+def _window_ledger(m: int, start: int, stop: int) -> tuple[int, list[int]]:
+    """Zero count and gap histogram of the items start..stop - 1 of the
+    stream, one `decompose` per item."""
+    gap_hist = [0] * (m + 2)
+    for e in itertools.islice(expand_stream(m), start, stop):
+        dec = decompose(e)
+        if dec is not None:
+            gap_hist[dec.gap] += 1
+    return sum(gap_hist), gap_hist
+
+
+@st.composite
+def _fold_windows(draw):
+    p = draw(st.integers(2, 4))
+    total = stream_count(2 ** p - 1)
+    start = draw(st.integers(0, total))
+    stop = draw(st.one_of(
+        st.just(start), st.just(min(start + 1, total)), st.integers(start, total),
+    ))
+    return p, start, stop
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fold_windows())
+@example((2, 0, 0))
+@example((4, 20159, 20160))
+@example((3, 5, 6))
+@example((4, 0, 20160))
+def test_fold_window_matches_oracles(window):
+    p, start, stop = window
+    m = 2 ** p - 1
+    zero, gap_hist = _fold_range(m, p, start, stop)
+    ref_zero, ref_hist = numpy_fold_range(m, p, start, stop)
+    assert (zero, gap_hist) == (ref_zero, [int(c) for c in ref_hist])
+    assert len(gap_hist) == m + 2
+    if p <= 3 or stop - start <= 2000:
+        assert (zero, gap_hist) == _window_ledger(m, start, stop)
+
+
+@pytest.mark.parametrize(
+    "p, start, stop",
+    [(2, -1, 3), (2, 0, 7), (3, 5, 4), (4, 20160, 20161), (4, 0, 20161)],
+)
+def test_fold_refuses_a_range_past_the_stream(p, start, stop):
+    # a stop past the end once read J out of range and counted garbage
+    total = stream_count(2 ** p - 1)
+    with pytest.raises(ValueError, match=rf"^need 0 <= start <= stop <= {total} "):
+        _fold_range(2 ** p - 1, p, start, stop)
 
 
 def test_key_count_refused_over_budget():
@@ -466,6 +526,11 @@ def test_verify_zero_validation():
         (lambda: charclass.scan_dold(9.0, 2), "target_dim"),
         (lambda: charclass.scan_dold(True, 2), "target_dim"),
         (lambda: charclass.scan_dold(9, 2.0), "max_r"),
+        (lambda: list(expand_stream(True)), "m"),
+        (lambda: stream_count(True), "m"),
+        (lambda: list(expand_stream(3.0)), "m"),
+        (lambda: verify_key(3).gap_count(3.5), "D"),
+        (lambda: verify_key(3).gap_count(7.0), "D"),
     ],
     ids=[
         "verify_key-float", "verify_key-bool", "verify_zero_a-n-float",
@@ -473,12 +538,15 @@ def test_verify_zero_validation():
         "verify_zero_b-j-bool", "canonical_z-float", "beta_tuple-bool",
         "permsum_terms-float", "scan_dold-target_dim-float",
         "scan_dold-target_dim-bool", "scan_dold-max_r-float",
+        "expand_stream-bool", "stream_count-bool", "expand_stream-float",
+        "gap_count-fraction", "gap_count-float",
     ],
 )
 def test_chain_ring_and_dold_calls_accept_only_integers(call, name):
     # a float raised TypeError or AttributeError from inside << or
     # bit_length, and True was read as 1: beta_tuple(True) gave (),
-    # verify_zero_b(5, True) gave True and scan_dold(True, 2) gave []
+    # verify_zero_b(5, True) gave True and scan_dold(True, 2) gave [];
+    # expand_stream(True) yielded (1,), and gap_count(7.0) read the count at 7
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         call()
 

@@ -500,6 +500,58 @@ MUTANTS: tuple[Mutant, ...] = (
             "tests/test_dold.py::test_verify_dold_p12",
         ),
     ),
+    Mutant(
+        "fold-over-full-at-equality", "qring.py",
+        'over = 0  # S_d > d',
+        'over = full  # S_d > d',
+        (
+            "tests/test_qring.py::test_bit_sliced_fold_ties_numpy_and_scalar_oracles",
+            "tests/test_qring.py::test_fold_window_matches_oracles",
+        ),
+    ),
+    Mutant(
+        "fold-comparator-and-or-swapped", "qring.py",
+        'planes[k] & over if d >> k & 1 else planes[k] | over',
+        'planes[k] | over if d >> k & 1 else planes[k] & over',
+        (
+            "tests/test_qring.py::test_bit_sliced_fold_ties_numpy_and_scalar_oracles",
+            "tests/test_qring.py::test_fold_window_matches_oracles",
+        ),
+    ),
+    Mutant(
+        "fold-gap-at-d", "qring.py",
+        'gap_hist[d + 1] = first.bit_count()',
+        'gap_hist[d] = first.bit_count()',
+        (
+            "tests/test_qring.py::test_bit_sliced_fold_ties_numpy_and_scalar_oracles",
+            "tests/test_qring.py::test_fold_window_matches_oracles",
+        ),
+    ),
+    Mutant(
+        "fold-window-ignores-start", "qring.py",
+        'unseen = full >> start << start',
+        'unseen = full',
+        (
+            "tests/test_qring.py::test_fold_window_matches_oracles",
+        ),
+    ),
+    Mutant(
+        "fold-first-row-never-leaves", "qring.py",
+        'if j >= 0:',
+        'if j > 0:',
+        (
+            "tests/test_qring.py::test_bit_sliced_fold_ties_numpy_and_scalar_oracles",
+            "tests/test_qring.py::test_fold_window_matches_oracles",
+        ),
+    ),
+    Mutant(
+        "fold-range-unchecked-past-the-end", "qring.py",
+        '<= stop <= total:',
+        '<= stop:',
+        (
+            "tests/test_qring.py::test_fold_refuses_a_range_past_the_stream",
+        ),
+    ),
 )
 
 
