@@ -22,9 +22,11 @@ This module provides:
 * total and dual Stiefel-Whitney classes over the dense squarefree basis
   (`total_sw`, `dual_sw`), as one product of the factors
   1 + Lambda_j + ... + Lambda_j^t: t = 1 for w, and t = up_to for the
-  truncated inverses that give wbar.  2^n GF(2) coefficients are the bits
-  of one Python int, multiplied by sweeps that take the same shift-and-mask
-  step for every variable; a grade becomes a `Poly` only when it is read,
+  truncated inverses that give wbar.  The product stays in x_1..x_h, h the
+  highest row of the matrix that holds a one, and its 2^h GF(2)
+  coefficients are the bits of one Python int, multiplied by sweeps that
+  take the same shift-and-mask step for every variable; the grades are cut
+  from it in one pass of masks, a grade becomes a `Poly` only when it is read,
   a `Poly` that holds the grade's bits alone until its text or terms are
   asked for, and a request over ``DENSE_BUDGET`` is refused before any
   allocation,
@@ -510,6 +512,24 @@ def top_coefficient(p: Poly, M: BottMatrix) -> int:
 # dense engine over the squarefree basis
 
 
+def _check_dense_cost(n: int, sweeps: int) -> None:
+    """Refuse, before any allocation, ``sweeps`` sweeps of the ring over
+    x_1..x_n when they cost more than DENSE_BUDGET.
+
+    The cost is (sweeps + 1) * words, a vector spanning 2^(n-6) 64-bit
+    words: the +1 prices the vectors that are built and read outside the
+    sweeps.
+    """
+    shift = max(n - 6, 0)  # a vector spans 2^shift words
+    # past shift 64 the budget is long exceeded; skip the bignum
+    if shift > 64 or (sweeps + 1) << shift > DENSE_BUDGET:
+        raise FeasibilityError(
+            f"the dense engine at n = {n} needs (sweeps + 1) * words = "
+            f"{sweeps + 1} * 2^{shift} word operations "
+            f"(> budget {DENSE_BUDGET})"
+        )
+
+
 class _DenseRing:
     """GF(2) vectors over the 2^n squarefree basis, one Python int per vector.
 
@@ -525,14 +545,15 @@ class _DenseRing:
     matrix density, and starts at the highest pending variable.  The ring
     takes a size n and the column table of a matrix (`BottMatrix._cols`),
     and n may be below the matrix's own size: a sweep from seeds at or
-    below x_n reads only the columns up to n, since carries move down, so
-    `steenrod.chi_sq` sweeps a term whose largest variable is x_a in the
-    2^a-bit ring over x_1..x_a, where every product of x_1..x_a stays, with
-    the columns of the whole matrix.  The ring, and
-    the masks it caches, live only while a product is swept: `grade_piece`
-    and `to_poly` need no ring, so `GradedClasses` keeps just the product
-    int and cuts and converts one grade when it is first read.  Past the
-    sweeps, rendering is the cost.
+    below x_n reads only the columns up to n, since carries move down.  So
+    every user sweeps in the ring its products span, with the columns of
+    the whole matrix: `steenrod.chi_sq` a term whose largest variable is
+    x_a in the 2^a-bit ring over x_1..x_a, and the class products
+    (`_class_product`) the 2^h-bit ring over x_1..x_h, h the highest row
+    that holds a one.  The ring, and the masks it caches, live only while
+    a product is swept: `grade_piece` and `to_poly` need no ring, so
+    `GradedClasses` keeps just the product int, cuts its grades when one
+    is first read and converts each grade when it is read.
     `to_poly` is `poly2._packed_poly`: this module hands it a grade's bits,
     and the Poly it returns keeps only them; `poly2` writes their text in
     the canonical order, with no sort, when the grade is rendered, and
@@ -542,20 +563,10 @@ class _DenseRing:
     def __init__(self, n: int, cols: Sequence[Sequence[int]], sweeps: int) -> None:
         """The ring over x_1..x_n with the columns ``cols`` (``cols[l]`` the
         rows i of the ones (i, l)), for ``sweeps`` sweeps, refused before
-        any allocation when it costs more than DENSE_BUDGET.
-
-        The cost is (sweeps + 1) * words, a vector spanning 2^(n-6) 64-bit
-        words: the +1 prices the vectors that are built and read outside the
-        sweeps.
+        any allocation when it costs more than DENSE_BUDGET
+        (`_check_dense_cost`).
         """
-        shift = max(n - 6, 0)  # a vector spans 2^shift words
-        # past shift 64 the budget is long exceeded; skip the bignum
-        if shift > 64 or (sweeps + 1) << shift > DENSE_BUDGET:
-            raise FeasibilityError(
-                f"the dense engine at n = {n} needs (sweeps + 1) * words = "
-                f"{sweeps + 1} * 2^{shift} word operations "
-                f"(> budget {DENSE_BUDGET})"
-            )
+        _check_dense_cost(n, sweeps)
         self.n = n
         self._cols = cols
         self._lows: dict[int, int] = {}
@@ -590,48 +601,65 @@ class _DenseRing:
 
     @staticmethod
     def grade_piece(v: int, n: int, k: int) -> int:
-        """The degree-k part of v over x_1..x_n: an AND with the popcount-k mask.
-
-        The mask doubles one variable at a time: over x_1..x_l, popcount j
-        holds the popcount-j elements over x_1..x_{l-1} and the popcount-
-        (j-1) ones with x_l added.  Only the counts that can still reach k
-        are kept, so the masks in hand span about 2^(n+1) bits.
-
-        The Dold grades take the same kind of pass (`dold._grade_mask`), but
-        over boxes of any extents, and it is slower on this box of 2s: with
-        every weight 1, at n = 14 it took 0.094 ms for the boundary grade
-        against 0.040 ms here, and 0.79 ms against 0.49 ms for all grades
-        (best of 5, 2-vCPU host, CPython 3.11.7), so the two stay apart.
-        """
-        masks = {0: 1}  # popcount -> mask over x_1..x_l
-        for l in range(1, n + 1):
-            half = 1 << (l - 1)
-            masks = {
-                j: masks.get(j, 0) | masks.get(j - 1, 0) << half
-                for j in range(max(k - n + l, 0), min(k, l) + 1)
-            }
-        return v & masks[k]
+        """The degree-k part of v over x_1..x_n: an AND with the popcount-k
+        mask, from a `_grade_window` one grade wide."""
+        return _grade_window(v, n, k, k)[0]
 
     # a grade's Poly, which holds its bits; perfbench times it as the bott.to_poly layer
     to_poly = staticmethod(_packed_poly)
 
 
+def _grade_window(v: int, h: int, lo: int, hi: int) -> list[int]:
+    """The degree-lo..hi parts of v over x_1..x_h, from one pass of masks.
+
+    The masks double one variable at a time: over x_1..x_l, popcount j
+    holds the popcount-j elements over x_1..x_{l-1} and the popcount-(j-1)
+    ones with x_l added.  Level l keeps only the counts that can still end
+    in the window, max(lo - h + l, 0)..min(hi, l), so one grade keeps masks
+    over about 2^(h+1) bits in hand, and the whole window costs one pass
+    where a pass per grade would repeat the shared low levels.  A degree
+    above h has no mask, and its part is 0.
+
+    The Dold grades take the same kind of pass (`dold._grade_mask`), but
+    over boxes of any extents, and it is slower on this box of 2s: with
+    every weight 1, at n = 14 it took 0.094 ms for the boundary grade
+    against 0.040 ms here, and 0.79 ms against 0.49 ms for all grades cut
+    one at a time (best of 5, 2-vCPU host, CPython 3.11.7), so the two stay
+    apart.
+    """
+    masks = {0: 1}  # popcount -> mask over x_1..x_l
+    for l in range(1, h + 1):
+        half = 1 << (l - 1)
+        masks = {
+            j: masks.get(j, 0) | masks.get(j - 1, 0) << half
+            for j in range(max(lo - h + l, 0), min(hi, l) + 1)
+        }
+    return [v & masks.get(k, 0) for k in range(lo, hi + 1)]
+
+
 class GradedClasses:
     """Graded classes by degree (index k holds the degree-k piece, normalized).
 
-    Built by `total_sw` and `dual_sw` from one vector of the dense engine
-    over x_1..x_n, exact in grades 0..top; grade k is cut from it and
-    rendered as a `Poly` on first access and cached, so a caller that reads
-    one grade converts only that one.  The `Poly` holds the grade's bits
-    alone: its text is written when it is rendered, and its `Monomial`
-    terms are built only if something reads them.
+    Built by `total_sw` and `dual_sw` from one vector of the dense engine,
+    exact in grades 0..top.  The vector's masks lie below 2^h for h the
+    highest variable of its highest mask, so its grades are cut over
+    x_1..x_h, and those above h are 0.  The first read of a grade k cuts
+    every grade from k up to the lowest one cut before (top at first) in
+    one `_grade_window`: a verdict, whose top is its grade, cuts just that
+    grade, and a table read from grade 0 cuts all of them in one pass.
+    Each grade is rendered as a `Poly` when it is first read and cached,
+    so a caller that reads one grade converts only that one.  The `Poly`
+    holds the grade's bits alone: its text is written when it is rendered,
+    and its `Monomial` terms are built only if something reads them.
     """
 
-    __slots__ = ("_n", "_pieces", "_vector")
+    __slots__ = ("_cut", "_n", "_pieces", "_uncut", "_vector")
 
     def __init__(self, n: int, vector: int, top: int) -> None:
         self._n = n
         self._vector = vector
+        self._uncut = top + 1  # grades _uncut..top are cut into _cut
+        self._cut = [0] * (top + 1)
         self._pieces: list[Poly | None] = [None] * (top + 1)  # None: unread
 
     @property
@@ -645,9 +673,12 @@ class GradedClasses:
         piece = self._pieces[k]  # IndexError or TypeError for a bad index
         if piece is None:
             k %= len(self)  # the grade of a negative index
-            piece = self._pieces[k] = _DenseRing.to_poly(
-                _DenseRing.grade_piece(self._vector, self._n, k)
-            )
+            if k < self._uncut:
+                v = self._vector
+                span = (v.bit_length() - 1).bit_length()
+                self._cut[k : self._uncut] = _grade_window(v, span, k, self._uncut - 1)
+                self._uncut = k
+            piece = self._pieces[k] = _DenseRing.to_poly(self._cut[k])
         return piece
 
     def __len__(self) -> int:
@@ -670,10 +701,15 @@ def _class_product(M: BottMatrix, t: int, top: int) -> GradedClasses:
     grades 0..top.
 
     Each factor is multiplied in one power of Lambda_j at a time, and its
-    series stops once a power vanishes.  Makes at most t * n sweeps;
-    refused with FeasibilityError above ``DENSE_BUDGET``.
+    series stops once a power vanishes.  Lambda_j is a form in the rows
+    above j, so the product never leaves x_1..x_h, h the highest row that
+    holds a one (0 for none), and is swept in the 2^h-bit ring.  Makes at
+    most t * n sweeps, priced in the 2^n-bit ring all the same: refused
+    with FeasibilityError above ``DENSE_BUDGET``.
     """
-    ring = _DenseRing(M.n, M._cols, sweeps=t * M.n)
+    _check_dense_cost(M.n, t * M.n)
+    h = max((i for i, _ in M.ones), default=0)
+    ring = _DenseRing(h, M._cols, sweeps=t * M.n)
     v = 1  # the unit, basis element 0
     for j in range(1, M.n + 1):
         power = v

@@ -104,14 +104,29 @@ def _matrix_options(command):
     )(command)
 
 
-def _load_matrix(n: int | None, matrix_path: str | None) -> BottMatrix:
+def _load_matrix(
+    n: int | None, matrix_path: str | None, cap: int | None = None
+) -> BottMatrix:
+    """The matrix of --n or --matrix; with a ``cap``, a dimension over it is
+    refused, and a main-family one before its matrix is built."""
     if (n is None) == (matrix_path is None):
         raise ValueError(
             "provide exactly one of --n (main-family matrix) or --matrix PATH"
         )
     if n is not None:
+        _check_direct_cap(n, cap)
         return main_matrix(n)
-    return BottMatrix.from_json(Path(matrix_path).read_text())
+    matrix = BottMatrix.from_json(Path(matrix_path).read_text())
+    _check_direct_cap(matrix.n, cap)
+    return matrix
+
+
+def _check_direct_cap(n: int, cap: int | None) -> None:
+    if cap is not None and n > cap:
+        raise FeasibilityError(
+            f"dimension {n} exceeds the direct-method cap "
+            f"{cap}; raise --direct-cap to force the computation"
+        )
 
 
 def _falsified(what: str) -> NoReturn:
@@ -197,12 +212,7 @@ def cmd_class_table(
     up_to: int | None,
 ) -> None:
     """CSV table of w_i (or dual w_i) normal forms, degrees 0..up-to."""
-    matrix = _load_matrix(n, matrix_path)
-    if matrix.n > cap:
-        raise FeasibilityError(
-            f"dimension {matrix.n} exceeds the direct-method cap "
-            f"{cap}; raise --direct-cap to force the computation"
-        )
+    matrix = _load_matrix(n, matrix_path, cap)
     if up_to is None:
         up_to = matrix.n
     if not 0 <= up_to <= matrix.n:

@@ -586,6 +586,103 @@ def test_packed_engine_matches_scalar_route(M):
     assert dual_sw(M, M.n)[:] == tuple(_scalar_dual_sw(M, M.n))
 
 
+def _span_cases():
+    """Matrices whose highest row holding a one, h, takes every shape:
+    none (h = 0), below n - 1 (main, circles, a low corner), and random."""
+    rng = random.Random(33)
+    yield from (BottMatrix(1), BottMatrix(6), BottMatrix(7, [(1, 7), (2, 4)]))
+    yield from (main_matrix(n) for n in (2, 3, 5, 6, 8))
+    yield from (chain_matrix(1), chain_matrix(7))
+    yield extend_with_circles(main_matrix(5), 2)
+    yield extend_with_circles(random_orientable_matrix(5, 4), 3)
+    yield extend_with_circles(_random_matrix(rng, 4), 4)
+    for n in (3, 5, 7, 8):
+        yield random_orientable_matrix(n, n)
+        yield _random_matrix(rng, n)  # orientable or not
+
+
+def test_classes_in_the_ring_their_columns_span_match_the_scalar_route():
+    # every u and every grade, read in a shuffled order so that the first
+    # read falls anywhere and the later reads cut windows of every width
+    rng = random.Random(34)
+    for M in _span_cases():
+        total, dual = _scalar_total_sw(M), _scalar_dual_sw(M, M.n)
+        grades = list(range(M.n + 1))
+        rng.shuffle(grades)
+        classes = total_sw(M)
+        assert [classes[k] for k in grades] == [total[k] for k in grades], M
+        for u in range(M.n + 1):
+            grades = list(range(u + 1))
+            rng.shuffle(grades)
+            classes = dual_sw(M, u)
+            assert [classes[k] for k in grades] == [dual[k] for k in grades], (M, u)
+
+
+def test_class_products_sweep_the_ring_up_to_the_highest_row(monkeypatch):
+    # the ring spans x_1..x_h, h the highest row holding a one: n - 2 for
+    # the main family, 15 for the n = 19 direct witness M_17 x (S^1)^2
+    sizes = []
+    init = _DenseRing.__init__
+
+    def recording(self, n, cols, sweeps):
+        sizes.append(n)
+        init(self, n, cols, sweeps)
+
+    monkeypatch.setattr(_DenseRing, "__init__", recording)
+    rng = random.Random(35)
+    cases = [(main_matrix(n), max(n - 2, 0)) for n in range(1, 18)]
+    for n in range(2, 15):
+        M = _random_matrix(rng, n)
+        cases.append((M, max((i for i, _ in M.ones), default=0)))
+    cases.append((BottMatrix(9), 0))
+    for M, h in cases:
+        for classes_of in (total_sw, lambda M: dual_sw(M, M.n // 2)):
+            sizes.clear()
+            classes_of(M)
+            assert sizes == [h], (M, h)
+    sizes.clear()
+    assert verify_main(19, "direct", direct_cap=19).verified
+    assert sizes == [15]
+
+
+def test_a_class_reader_cuts_its_grades_in_one_window(monkeypatch):
+    # a verdict cuts the one grade it reads; a table read from grade 0 cuts
+    # every grade in one pass, over the span of its own vector; a first
+    # read higher up leaves the grades below it for a later window
+    windows = []
+    grade_window = bott._grade_window
+
+    def counting(v, h, lo, hi):
+        windows.append((h, lo, hi))
+        return grade_window(v, h, lo, hi)
+
+    monkeypatch.setattr(bott, "_grade_window", counting)
+    for M in (main_matrix(13), random_orientable_matrix(12, 6),
+              extend_with_circles(main_matrix(9), 2), BottMatrix(5)):
+        n = M.n
+        for k in range(n + 1):
+            windows.clear()
+            dual_sw(M, k)[k].is_zero()
+            assert [(lo, hi) for _, lo, hi in windows] == [(k, k)]
+        for classes in (total_sw(M), dual_sw(M, n)):
+            v = classes._vector
+            span = (v.bit_length() - 1).bit_length()
+            assert span <= max((i for i, _ in M.ones), default=0)
+            windows.clear()
+            pieces = classes[:]
+            assert windows == [(span, 0, n)]
+            assert [p._bits for p in pieces] == [
+                _DenseRing.grade_piece(v, n, k) for k in range(n + 1)
+            ]
+        windows.clear()
+        partly = dual_sw(M, n)
+        for k in (n // 2, n, n // 2 - 1, 0, 1):
+            partly[k]
+        half = n // 2
+        assert [(lo, hi) for _, lo, hi in windows] == [(half, n), (half - 1,) * 2, (0, half - 2)]
+        assert partly[:] == dual_sw(M, n)[:]
+
+
 def test_dual_sw_renders_only_the_grade_read(monkeypatch):
     rendered = []
     to_poly = _DenseRing.to_poly

@@ -281,6 +281,27 @@ def test_class_table_honours_direct_cap():
     assert res.exit_code == 0
 
 
+def test_class_table_cap_is_checked_before_the_matrix(monkeypatch):
+    # main_matrix(400001) alone holds 800,000 entries; the cap on --n
+    # refuses it unbuilt, with the message and exit code of a matrix file
+    def unbuilt(n):
+        raise AssertionError(f"main_matrix({n}) built before the cap check")
+
+    monkeypatch.setattr("charclass.cli.main_matrix", unbuilt)
+    for n in ("400001", "18"):
+        start = time.perf_counter()
+        res = invoke("class-table", "--n", n)
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == (
+            f"error: dimension {n} exceeds the direct-method cap 17; raise "
+            "--direct-cap to force the computation\n"
+        )
+    res = invoke("--direct-cap", "5", "class-table", "--n", "5")
+    assert res.exit_code == 1 and "built before the cap check" in repr(res.exception)
+
+
 def test_class_table_dense_budget_is_refused_fast():
     # 41 sweeps over 2^34 words, refused before any allocation
     start = time.perf_counter()

@@ -122,6 +122,33 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
+        "class-ring-one-row-short", "bott.py",
+        "_DenseRing(h, M._cols,",
+        "_DenseRing(h - 1, M._cols,",
+        (
+            "tests/test_bott.py::test_classes_in_the_ring_their_columns_span_match_the_scalar_route",
+            "tests/test_bott.py::test_class_products_sweep_the_ring_up_to_the_highest_row",
+        ),
+    ),
+    Mutant(
+        "grade-window-starts-past-the-grade-read", "bott.py",
+        "_grade_window(v, span, k, self._uncut - 1)",
+        "_grade_window(v, span, k + 1, self._uncut - 1)",
+        (
+            "tests/test_bott.py::test_classes_in_the_ring_their_columns_span_match_the_scalar_route",
+            "tests/test_bott.py::test_a_class_reader_cuts_its_grades_in_one_window",
+        ),
+    ),
+    Mutant(
+        "graded-span-one-variable-short", "bott.py",
+        "span = (v.bit_length() - 1).bit_length()",
+        "span = (v.bit_length() - 1).bit_length() - 1",
+        (
+            "tests/test_bott.py::test_classes_in_the_ring_their_columns_span_match_the_scalar_route",
+            "tests/test_bott.py::test_a_class_reader_cuts_its_grades_in_one_window",
+        ),
+    ),
+    Mutant(
         "dense-low-block-half-period", "bott.py",
         "mask, period = (1 << ones) - 1, period or 2 * ones",
         "mask, period = (1 << ones) - 1, period or ones",
