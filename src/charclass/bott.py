@@ -97,7 +97,19 @@ def alpha(n: int) -> int:
 
 
 def alpha_hat(n: int) -> int:
-    """``alpha(n)`` if n = 1 mod 4, else ``alpha(n) + 1``."""
+    """``alpha(n)`` if n = 1 mod 4, else ``alpha(n) + 1``.
+
+    Product lemma: if a + b = 0 mod 4, then alpha_hat(a) + alpha_hat(b) >
+    alpha_hat(a + b) = alpha(a + b) + 1.  Adding a and b takes
+    alpha(a) + alpha(b) - alpha(a + b) carries (Kummer).  With residues
+    (0, 0) or (2, 2) mod 4 both +1 terms count; with (1, 3) or (3, 1) one
+    does, and the carries out of bits 0 and 1 add two more.  The dual class
+    of a product is the cross product of the factors' dual classes, so its
+    height is the sum of theirs, and a product is orientable only when both
+    factors are.  Each orientable factor has height at most its dimension
+    less its alpha_hat, so no product of orientable manifolds reaches the
+    bound n - alpha_hat(n) at n = 0 mod 4.
+    """
     a = alpha(n)
     return a if n % 4 == 1 else a + 1
 

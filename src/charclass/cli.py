@@ -422,7 +422,10 @@ def cmd_dold_verify(
 def cmd_dold_scan(dim: int, max_r: int) -> None:
     """List every spec of dimension N (r <= max-r) whose verification passes.
 
-    A scan of over 50,000 specs is refused (the full scan from N = 76).
+    Only the specs the factor lemma leaves are screened.  A scan of over
+    50,000 of them is refused, and so is a scan with a hit whose ring is too
+    large to confirm; the first full scans refused are at N = 8191 and at
+    N = 611.
     """
     specs = scan_dold(dim, max_r)
     click.echo(json.dumps([{"n": s.n, "ms": list(s.ms)} for s in specs]))

@@ -21,9 +21,11 @@ cells (`_grade_mask`), built axis by axis.
 
 The verdicts of `verify_dold` also have a grid-free closed form,
 `_lucas_verdict`: each coefficient of the dual class is a product of r + 1
-binomial parities read by Lucas's theorem.  `scan_dold` decides every spec
-by it, so a scan costs the specs it screens, and confirms each hit on the
-grids; `verify_dold` runs both routes and requires them to agree.
+binomial parities read by Lucas's theorem.  Its factor lemma bounds which
+m_i a nonvanishing spec can hold; `scan_dold` enumerates only those specs,
+decides each by the closed form and confirms each hit on the grids.
+`verify_dold` runs both routes and requires them to agree; its grid route
+reads w_1 in the box cut to grades <= 1.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ __all__ = [
 ]
 
 MAX_GRID_CELLS = 1 << 24
-SCAN_BUDGET = 50_000  # specs one scan_dold screens
+SCAN_BUDGET = 50_000  # candidate specs one scan_dold screens
 
 
 def binom_parity(p: int, q: int) -> int:
@@ -253,14 +255,19 @@ def trunc_mul(a: TruncPoly, b: TruncPoly, spec: DoldSpec) -> TruncPoly:
     return TruncPoly(spec, _mul_grids(a.grid, b.grid, spec.shape))
 
 
-def _class_grid(spec: DoldSpec, exponents: Sequence[int]) -> int:
-    """Grid of (1+c)^e_0 * prod_i (1+c+d_i)^e_i for ``exponents`` (e_0, e_1..e_r).
+def _class_grid(
+    spec: DoldSpec, exponents: Sequence[int], shape: Sequence[int]
+) -> int:
+    """Grid of (1+c)^e_0 * prod_i (1+c+d_i)^e_i for ``exponents`` (e_0, e_1..e_r),
+    multiplied in the box ``shape``: the ring's own box, or a corner of it
+    from cell 0, the quotient by the powers of c and d_i past that corner.
 
     In characteristic 2, (1+c+d_i)^(2^t) = 1 + c^(2^t) + d_i^(2^t), so the
     product takes one shifted XOR per axis for each binary digit 2^t of each
     exponent (`_times_digit`), so it costs the cells times the digits; cells
     past the box are dropped.  The masks and offsets of the moves are built
-    once per product (`_moves`).
+    once per product (`_moves`).  The class formula and the price are
+    checked on the ring of ``spec`` whatever the box.
     """
     if spec.r > spec.n + 1:
         raise ValueError(
@@ -268,11 +275,11 @@ def _class_grid(spec: DoldSpec, exponents: Sequence[int]) -> int:
             "has a negative (1+c) exponent"
         )
     _check_cells(spec)
-    move = _moves(spec.shape)
+    move = _moves(shape)
     grid = 1  # the unit, cell 0
     for i, e in enumerate(exponents):
         for k in (1 << t for t in range(e.bit_length()) if e >> t & 1):
-            grid = _times_digit(grid, [move(j, k) for j in {0, i} if k < spec.shape[j]])
+            grid = _times_digit(grid, [move(j, k) for j in {0, i} if k < shape[j]])
     return grid
 
 
@@ -332,7 +339,7 @@ def total_sw_dold(spec: DoldSpec) -> TruncPoly:
 
     One shifted XOR per binary digit of the exponents (`_class_grid`).
     """
-    return TruncPoly(spec, _class_grid(spec, _total_exponents(spec)))
+    return TruncPoly(spec, _class_grid(spec, _total_exponents(spec), spec.shape))
 
 
 def _total_exponents(spec: DoldSpec) -> tuple[int, ...]:
@@ -416,7 +423,7 @@ def dual_sw_dold(spec: DoldSpec, up_to: int) -> TruncPoly:
     if not 0 <= up_to <= spec.dimension:
         raise ValueError(f"up_to must lie in 0..{spec.dimension}, got {up_to}")
     period = _period(spec.n, spec.ms)
-    grid = _class_grid(spec, [period - e for e in _total_exponents(spec)])
+    grid = _class_grid(spec, [period - e for e in _total_exponents(spec)], spec.shape)
     if up_to < spec.dimension:
         grid &= _grade_mask(spec.shape, up_to, at_most=True)
     return TruncPoly(spec, grid)
@@ -463,14 +470,20 @@ class DoldReport:
 def verify_dold(spec: DoldSpec) -> DoldReport:
     """Orientability (vanishing w_1) and nonvanishing of wbar_{N - alpha_hat(N)}.
 
-    Two routes: the class grids (`total_sw_dold`, `dual_sw_dold`, refused
-    above ``MAX_GRID_CELLS``) and the Lucas-parity closed form
-    (`_lucas_verdict`); RuntimeError if they disagree.
+    Two routes: the class grids and the Lucas-parity closed form
+    (`_lucas_verdict`); RuntimeError if they disagree.  On the grids, w_1
+    is read from the total class multiplied in the box cut to grades <= 1,
+    (min(n, 1) + 1, 1, ..., 1): the quotient by (c^2, d_i), which keeps
+    grades 0 and 1 exactly, so w_1 is its c cell.  The dual class is
+    multiplied in the ring's own box (`dual_sw_dold`).  Both products check
+    r <= n + 1 and then refuse a ring above ``MAX_GRID_CELLS``, so the cut
+    refuses what the full box would.
     """
     N = spec.dimension
     a_hat = alpha_hat(N)
     grade = N - a_hat
-    orientable = graded_piece(total_sw_dold(spec), 1).is_zero()
+    cut = (min(spec.n, 1) + 1, *(1,) * spec.r)
+    orientable = not _class_grid(spec, _total_exponents(spec), cut) >> 1  # the c cell
     # the unclipped dual class: the one grade is read by its own mask
     nonvanishing = not graded_piece(dual_sw_dold(spec, N), grade).is_zero()
     closed = _lucas_verdict(spec.n, spec.ms)
@@ -489,18 +502,18 @@ def verify_dold(spec: DoldSpec) -> DoldReport:
 def scan_dold(target_dim: int, max_r: int) -> list[DoldSpec]:
     """All specs of the target dimension (r <= max_r) that verify_dold accepts.
 
-    Factor multisets are canonicalized ascending.  The class formula needs
-    r <= n + 1, so with every m_i >= 1 the loops stop at r <= (N + 1) // 3
-    and at factor totals leaving n >= r - 1; every iteration yields a spec.
-    Deterministic order by (n, ms).  Every enumerated spec is decided by the
-    Lucas-parity closed form (`_lucas_verdict`), and every hit is confirmed
-    by the grid route of `verify_dold` (refused above ``MAX_GRID_CELLS``);
-    RuntimeError if a hit is not confirmed.
+    Only the candidates the factor lemma of `_lucas_verdict` leaves are
+    enumerated (`_lemma_specs`); a spec it drops has a vanishing boundary
+    grade.  Each candidate is decided by the Lucas-parity closed form, every
+    hit's ring is priced (refused above ``MAX_GRID_CELLS``) and then every
+    hit is confirmed by the grid route of `verify_dold`; RuntimeError if a
+    hit is not confirmed, so no unconfirmed hit is returned.  Deterministic
+    order by (n, ms).
 
-    The (n, ms) pairs are enumerated and counted before any is screened; a
-    scan of more than ``SCAN_BUDGET`` specs is refused with FeasibilityError
-    as soon as its count passes the budget.  A `DoldSpec` is built only for
-    a hit.
+    The candidates are enumerated and counted before any is screened; a
+    scan of more than ``SCAN_BUDGET`` candidates is refused with
+    FeasibilityError as soon as its count passes the budget.  A `DoldSpec`
+    is built only for a hit.
     """
     _require_int("target_dim", target_dim)
     _require_int("max_r", max_r)
@@ -508,33 +521,66 @@ def scan_dold(target_dim: int, max_r: int) -> list[DoldSpec]:
         raise ValueError(f"target_dim must be >= 1, got {target_dim}")
     if max_r < 1:
         raise ValueError(f"max_r must be >= 1, got {max_r}")
-    specs = (
-        (target_dim - 2 * total, ms)
-        for r in range(1, min(max_r, (target_dim + 1) // 3) + 1)
-        for total in range(r, (target_dim - r + 1) // 2 + 1)
-        for ms in _ascending_multisets(total, r)
-    )
-    pairs = list(islice(specs, SCAN_BUDGET + 1))
+    pairs = list(islice(_lemma_specs(target_dim, max_r), SCAN_BUDGET + 1))
     if len(pairs) > SCAN_BUDGET:
         raise FeasibilityError(
             f"the scan of dimension {target_dim} with r <= {max_r} "
             f"screens more specs than the budget of {SCAN_BUDGET}"
         )
     hits = [DoldSpec(n, ms) for n, ms in pairs if _lucas_verdict(n, ms) == (True, True)]
+    for spec in hits:  # every hit's ring is priced before any is built
+        _check_cells(spec)
     for spec in hits:
         if not verify_dold(spec).verified:
             raise RuntimeError(f"the grid route does not confirm the hit {spec}")
     return sorted(hits, key=lambda s: (s.n, s.ms))
 
 
-def _ascending_multisets(
-    total: int, r: int, minimum: int = 1
+def _lemma_specs(N: int, max_r: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The (n, ms) of dimension N with r <= max_r that the factor lemma of
+    `_lucas_verdict` leaves, ms ascending, lazily.
+
+    A nonvanishing spec takes z_i >= 1 on every factor with
+    (m_i - z_i) & m_i = 0, and sum(z_i) = (alpha_hat(N) - rest) / 2 <=
+    floor(alpha_hat(N) / 2), the cost budget.  Write m = 2^t + s with
+    s < 2^t.  Then m - z < 2^(t+1) shares no bit with m, bit t included, so
+    it is a submask of 2^t - 1 - s, the t-bit complement of s, and the
+    least z is m - (2^t - 1 - s) = 2s + 1.  So the candidates are
+    the ascending multisets of such m with sum(2s_i + 1) within the budget
+    (`_lemma_multisets`), for r <= min(max_r, (N + 1) // 3, budget), whose
+    totals leave n = N - 2*sum(m_i) >= r - 1, as the class formula needs.
+    """
+    budget = alpha_hat(N) // 2
+    for r in range(1, min(max_r, (N + 1) // 3, budget) + 1):
+        for ms in _lemma_multisets(r, budget, (N - r + 1) // 2):
+            yield N - 2 * sum(ms), ms
+
+
+def _lemma_multisets(
+    k: int, cost: int, room: int, low: int = 1
 ) -> Iterator[tuple[int, ...]]:
-    """All ascending r-tuples of integers >= minimum summing to total."""
-    if r == 1:
-        if total >= minimum:
-            yield (total,)
+    """Ascending k-tuples of m_i = 2^t_i + s_i >= low (s_i < 2^t_i) with
+    sum(2s_i + 1) <= cost and sum(m_i) <= room, for k <= cost.
+
+    Every branch opened yields a tuple, so the work is the tuples times k.
+    With the first factor m = 2^t + s, the s range ends where 2s + 1 and
+    k - 1 more factors of cost 1 would pass ``cost``.  The lightest ways to
+    add the k - 1 from m on are copies of m, each costing 2s + 1, and of
+    2^(t+1), the least larger power of two, each costing 1: any other
+    m' >= m costs and weighs at least as much as one of them.  So m fits
+    iff as many copies of m as the cost leaves (at most k - 1), topped up
+    with 2^(t+1), weigh at most ``room``.  That weight grows with s, so the
+    s loop stops at the first misfit; the power-of-two loop stops where k
+    copies of 2^t pass ``room``, and every s = 0 before that fits.
+    """
+    if k == 0:
+        yield ()
         return
-    for first in range(minimum, total // r + 1):
-        for rest in _ascending_multisets(total - first, r - 1, first):
-            yield (first, *rest)
+    for t in range(low.bit_length() - 1, (room // k).bit_length()):
+        for s in range(max(low - (1 << t), 0), min(1 << t, (cost - k) // 2 + 1)):
+            m = (1 << t) + s
+            copies = min(k - 1, (cost - k - 2 * s) // (2 * s)) if s else k - 1
+            if (1 + copies) * m + (k - 1 - copies) * (2 << t) > room:
+                break
+            for rest in _lemma_multisets(k - 1, cost - 2 * s - 1, room - m, m):
+                yield (m, *rest)

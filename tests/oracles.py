@@ -7,6 +7,8 @@ reference for its packed form.  `numpy_fold_range` is the vectorized fold
 over the key-identity stream that the package's bit-sliced fold replaced.
 The Dold oracle works on NumPy grids of its own, not on the package's
 packed ints, and converts at its ends through `_numpy_grid`.
+`exhaustive_dold_specs` is every (n, ms) a Dold scan could name, the
+enumeration the package's factor-lemma enumerator replaced.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from charclass.poly2 import Monomial, Poly
 
 __all__ = [
     "canonical_key",
+    "exhaustive_dold_specs",
     "format_monomial",
     "format_poly",
     "mask_monomial",
@@ -253,6 +256,26 @@ def whitney_dual_dold(spec: DoldSpec, up_to: int) -> TruncPoly:
             result ^= piece
             running ^= _shifted_product(piece, w)
     return TruncPoly(spec, _numpy_grid(spec, result))
+
+
+def _ascending_multisets(total: int, r: int, minimum: int = 1) -> Iterator[tuple[int, ...]]:
+    """All ascending r-tuples of integers >= minimum summing to total."""
+    if r == 1:
+        if total >= minimum:
+            yield (total,)
+        return
+    for first in range(minimum, total // r + 1):
+        for rest in _ascending_multisets(total - first, r - 1, first):
+            yield (first, *rest)
+
+
+def exhaustive_dold_specs(N: int, max_r: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every (n, ms) of dimension N with r <= max_r, ms ascending, m_i >= 1
+    and r <= n + 1 (the class formula's range)."""
+    for r in range(1, min(max_r, (N + 1) // 3) + 1):
+        for total in range(r, (N - r + 1) // 2 + 1):
+            for ms in _ascending_multisets(total, r):
+                yield N - 2 * total, ms
 
 
 # -- the key-identity stream: the vectorized fold the package replaced -----

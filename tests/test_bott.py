@@ -156,6 +156,13 @@ def test_alpha_hat_table():
         assert alpha_hat(n) == expected
 
 
+def test_no_product_meets_the_bound_at_n_divisible_by_four():
+    # the product lemma of alpha_hat's docstring, for every a + b <= 256
+    for n in range(4, 257, 4):
+        for a in range(1, n):
+            assert alpha_hat(a) + alpha_hat(n - a) > alpha_hat(n), (a, n - a)
+
+
 def test_alpha_rejects_nonpositive():
     with pytest.raises(ValueError):
         alpha(0)

@@ -640,15 +640,23 @@ def test_dold_scan():
 
 
 def test_dold_scan_is_priced_before_any_work():
-    # 58,498 specs, the first full scan over the budget
+    # the first full scan over the budget of 50,000 candidates
     start = time.perf_counter()
-    res = invoke("dold", "scan", "--dim", "76", "--max-r", "38")
+    res = invoke("dold", "scan", "--dim", "8191", "--max-r", "2730")
     assert time.perf_counter() - start < 1.0
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr == (
-        "error: the scan of dimension 76 with r <= 38 screens more specs "
+        "error: the scan of dimension 8191 with r <= 2730 screens more specs "
         "than the budget of 50000\n"
+    )
+    # the first full scan with a hit too large for the grids: no hit printed
+    res = invoke("dold", "scan", "--dim", "611", "--max-r", "204")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == (
+        "error: ring of DoldSpec(n=259, ms=(16, 32, 128)) needs 18815940 dense "
+        "cells (> 16777216)\n"
     )
 
 

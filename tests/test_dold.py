@@ -30,7 +30,7 @@ from charclass.dold import (
 )
 
 from conftest import ALL_DOLD_FIXTURES
-from oracles import whitney_dual_dold
+from oracles import exhaustive_dold_specs, whitney_dual_dold
 
 P12 = DoldSpec(1, (2,))
 
@@ -437,7 +437,7 @@ def test_class_grid_matches_general_product(spec_and_exponents):
     product = TruncPoly.one(spec)
     for i, e in enumerate(exponents):
         product = trunc_mul(product, _factor_power(spec, i, e), spec)
-    assert TruncPoly(spec, dold._class_grid(spec, exponents)) == product
+    assert TruncPoly(spec, dold._class_grid(spec, exponents, spec.shape)) == product
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -662,10 +662,89 @@ def _screens(monkeypatch) -> list[DoldSpec]:
 
 
 def test_scan_dold_dimensions_divisible_by_four():
-    for D in (12, 20, 24, 28, 36, 40, 44, 48, 52, 56, 60):
-        assert scan_dold(D, D // 2) == []
-    for D in (4, 8, 16, 32, 64):
-        assert scan_dold(D, D // 2) == [DoldSpec(0, (D // 2,))]
+    # the only hits at N = 0 mod 4 are CP^(N/2) = P(0; N/2), at powers of two
+    for D in range(4, 1025, 4):
+        expected = [DoldSpec(0, (D // 2,))] if D & (D - 1) == 0 else []
+        assert scan_dold(D, D // 2) == expected, D
+
+
+def test_scan_dold_ties_the_exhaustive_screen():
+    # the factor lemma drops no hit: every spec screened, up to D = 72
+    for D in range(1, 73):
+        hits = sorted(
+            (n, ms) for n, ms in exhaustive_dold_specs(D, D)
+            if dold._lucas_verdict(n, ms) == (True, True)
+        )
+        for max_r in {1, 2, 3, (D + 1) // 3 or 1}:  # the full scan
+            expected = [DoldSpec(n, ms) for n, ms in hits if len(ms) <= max_r]
+            assert scan_dold(D, max_r) == expected, (D, max_r)
+
+
+_NEAR_A_POWER = st.builds(
+    lambda t, s: min((1 << t) + s, 70), st.integers(0, 6), st.integers(0, 3)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    # r <= 4 factors m_i <= 70, drawn near powers of two as often as
+    # anywhere, since nonvanishing specs lie there
+    st.lists(st.one_of(st.integers(1, 70), _NEAR_A_POWER), min_size=1, max_size=4)
+)
+@example([64])  # CP^64 at n = 0
+@example([2, 4])  # P(26; 2, 4): nonvanishing but not orientable
+@example([4, 8, 16])
+@example([2, 4, 8, 16])
+def test_factor_lemma_keeps_every_nonvanishing_spec(factors):
+    # every n <= 40 the class formula admits, for the drawn factors
+    ms = tuple(sorted(factors))
+    for n in range(len(ms) - 1, 41):
+        if dold._lucas_verdict(n, ms)[1]:
+            N = n + 2 * sum(ms)
+            assert (n, ms) in set(dold._lemma_specs(N, len(ms))), (n, ms)
+
+
+def test_lemma_enumeration_opens_no_dead_branch(monkeypatch):
+    # every call of the enumerator yields, so a scan's work is its count
+    yields = []
+    original = dold._lemma_multisets
+
+    def counted(*args):
+        yields.append(0)
+        call = len(yields) - 1
+        for ms in original(*args):
+            yields[call] += 1
+            yield ms
+
+    monkeypatch.setattr(dold, "_lemma_multisets", counted)
+    for D in range(1, 1100):
+        specs = list(dold._lemma_specs(D, D))
+        assert len(set(specs)) == len(specs)
+    assert yields and all(yields)
+
+
+@pytest.mark.parametrize("max_r", [3, 10**12])
+def test_scan_dold_at_a_huge_dimension_ends_within_a_second(max_r):
+    start = time.perf_counter()
+    try:
+        scan_dold(10**12, max_r)
+    except FeasibilityError:
+        pass
+    assert time.perf_counter() - start < 1.0
+
+
+def test_verify_dold_reads_w1_in_the_cut_box():
+    # the quotient by (c^2, d_i) keeps grade 1 exactly; n = 0 has no c
+    specs = [
+        DoldSpec(n, ms)
+        for n in range(12)
+        for r in range(1, min(3, n + 1) + 1)
+        for ms in combinations_with_replacement(range(1, 7), r)
+    ]
+    assert len(specs) == 863
+    for spec in specs:
+        full = graded_piece(total_sw_dold(spec), 1).is_zero()
+        assert verify_dold(spec).orientable == full, spec
 
 
 def test_scan_dold_builds_grids_only_for_hits(monkeypatch):
@@ -694,19 +773,28 @@ def test_scan_dold_price_refuses_before_verifying(monkeypatch):
     monkeypatch.setattr(
         dold, "DoldSpec", lambda n, ms: built.append(ms) or DoldSpec(n, ms)
     )
-    # the first refused full scan: 58,498 specs
+    # the first refused full scan: over 50,000 candidates
     start = time.perf_counter()
     with pytest.raises(FeasibilityError) as info:
-        scan_dold(76, 38)
+        scan_dold(8191, 2730)
     assert time.perf_counter() - start < 1.0
     assert str(info.value) == (
-        "the scan of dimension 76 with r <= 38 screens more specs than the "
+        "the scan of dimension 8191 with r <= 2730 screens more specs than the "
         "budget of 50000"
     )
     assert screens == [] and calls == [] and built == []
-    # the largest admitted full scan: 40,025 specs, each screened, no hit
-    assert scan_dold(72, 36) == []
-    assert len(screens) == 40025 and calls == [] and built == []
+    # the full scan below it: 21,139 candidates, each screened, no hit
+    assert scan_dold(8190, 2730) == []
+    assert len(screens) == 21139 and calls == [] and built == []
+    # the first full scan refused by the grids: its hit P(259; 16, 32, 128)
+    # is priced before any hit is verified
+    with pytest.raises(FeasibilityError) as info:
+        scan_dold(611, 204)
+    assert str(info.value) == (
+        "ring of DoldSpec(n=259, ms=(16, 32, 128)) needs 18815940 dense cells "
+        "(> 16777216)"
+    )
+    assert calls == [] and (16, 32, 128) in built
     # one verify_dold per hit
     hits = scan_dold(31, 3)
     assert hits and sorted(calls, key=lambda s: (s.n, s.ms)) == hits

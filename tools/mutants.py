@@ -494,8 +494,8 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "scan-islice-to-the-budget", "dold.py",
-        "islice(specs, SCAN_BUDGET + 1)",
-        "islice(specs, SCAN_BUDGET)",
+        "max_r), SCAN_BUDGET + 1)",
+        "max_r), SCAN_BUDGET)",
         (
             "tests/test_dold.py::test_scan_dold_price_refuses_before_verifying",
         ),
@@ -525,6 +525,51 @@ MUTANTS: tuple[Mutant, ...] = (
         (
             "tests/test_dold.py::test_lucas_verdict_matches_grids_exhaustively",
             "tests/test_dold.py::test_verify_dold_p12",
+        ),
+    ),
+    Mutant(
+        "lemma-budget-one-short", "dold.py",
+        "budget = alpha_hat(N) // 2",
+        "budget = alpha_hat(N) // 2 - 1",
+        (
+            "tests/test_dold.py::test_scan_dold_ties_the_exhaustive_screen",
+            "tests/test_dold.py::test_factor_lemma_keeps_every_nonvanishing_spec",
+        ),
+    ),
+    Mutant(
+        "lemma-s-range-one-short", "dold.py",
+        "min(1 << t, (cost - k) // 2 + 1)",
+        "min(1 << t, (cost - k) // 2)",
+        (
+            "tests/test_dold.py::test_scan_dold_ties_the_exhaustive_screen",
+            "tests/test_dold.py::test_factor_lemma_keeps_every_nonvanishing_spec",
+        ),
+    ),
+    Mutant(
+        "lemma-powers-stop-one-early", "dold.py",
+        "range(low.bit_length() - 1, (room // k).bit_length())",
+        "range(low.bit_length() - 1, (room // k).bit_length() - 1)",
+        (
+            "tests/test_dold.py::test_scan_dold_dimensions_divisible_by_four",
+            "tests/test_dold.py::test_scan_dold_ties_the_exhaustive_screen",
+        ),
+    ),
+    Mutant(
+        "lemma-r-capped-one-short", "dold.py",
+        "min(max_r, (N + 1) // 3, budget) + 1",
+        "min(max_r, (N + 1) // 3, budget)",
+        (
+            "tests/test_dold.py::test_scan_dold_ties_the_exhaustive_screen",
+            "tests/test_dold.py::test_factor_lemma_keeps_every_nonvanishing_spec",
+        ),
+    ),
+    Mutant(
+        "w1-cut-without-c", "dold.py",
+        "cut = (min(spec.n, 1) + 1, *(1,) * spec.r)",
+        "cut = (1, *(1,) * spec.r)",
+        (
+            "tests/test_dold.py::test_verify_dold_reads_w1_in_the_cut_box",
+            "tests/test_dold.py::test_verify_dold_negative_cases",
         ),
     ),
     Mutant(
