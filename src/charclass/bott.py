@@ -679,9 +679,12 @@ class GradedClasses:
         return self._n
 
     def __getitem__(self, k: int | slice) -> Poly | tuple[Poly, ...]:
-        """Grade k, or the tuple of the grades a slice selects."""
+        """Grade k, or the tuple of the grades a slice selects; a bool is
+        refused, not read as grade 0 or 1."""
         if isinstance(k, slice):
             return tuple(map(self.__getitem__, range(*k.indices(len(self)))))
+        if isinstance(k, bool):
+            raise ValueError(f"the grade must be an integer, got {k!r}")
         piece = self._pieces[k]  # IndexError or TypeError for a bad index
         if piece is None:
             k %= len(self)  # the grade of a negative index

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import FrozenInstanceError, dataclass, field
-from itertools import chain, compress
+from itertools import compress
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "Monomial",
@@ -28,21 +28,29 @@ _FACTORS = attrgetter("factors")
 _BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
 
 
-class _ByteFactors(dict):
-    """Row k maps a byte b to the factors of the squarefree monomial b << 8k.
+class _ByteRows(dict):
+    """Row k maps a byte b to ``join`` of the ``entry`` of each variable of
+    the squarefree monomial b << 8k, in increasing order.
 
     Fixed data, independent of any input; a row is built on first use, so
     importing the module builds none.  Every row of offset k shares the
-    same eight ``(v, 1)`` pairs.
+    same eight entries.
     """
 
-    def __missing__(self, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-        pairs = [(8 * k + i + 1, 1) for i in range(8)]
-        row = self[k] = tuple(tuple(map(pairs.__getitem__, bits)) for bits in _BYTE_BITS)
+    def __init__(self, entry: Callable[[int], object], join: Callable[[Iterable], object]):
+        super().__init__()
+        self.entry, self.join = entry, join
+
+    def __missing__(self, k: int) -> tuple:
+        entry = [self.entry(8 * k + i + 1) for i in range(8)].__getitem__
+        row = self[k] = tuple(self.join(map(entry, bits)) for bits in _BYTE_BITS)
         return row
 
 
-_BYTE_FACTORS = _ByteFactors()
+# the factors of each byte's monomial, and their text, each factor led by
+# "*" ("" for the byte 0), so the text of a mask joins its bytes' texts
+_BYTE_FACTORS = _ByteRows(lambda v: (v, 1), tuple)
+_BYTE_TEXT = _ByteRows("*x{}".format, "".join)
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,7 +97,7 @@ class Monomial:
     def from_mask(cls, mask: int) -> "Monomial":
         """Squarefree monomial whose variable set is the bitmask (bit i-1 <-> x_i).
 
-        `_mask_factors` joins the factors one step per byte: those of a
+        `_joined_rows` joins the factors one step per byte: those of a
         nonzero byte k are a row of the lazily built `_BYTE_FACTORS` table,
         so monomials share their ``(v, 1)`` pairs; a zero byte builds and
         joins no row.  Rows of increasing k hold increasing variables, so
@@ -99,7 +107,7 @@ class Monomial:
         """
         if mask < 0:
             raise ValueError(f"mask must be >= 0, got {mask}")
-        return _squarefree_monomial(_mask_factors(mask))
+        return _squarefree_monomial(_joined_rows(mask, _BYTE_FACTORS, ()))
 
     # -- queries ------------------------------------------------------------
 
@@ -154,17 +162,16 @@ class Monomial:
 _set_factors = Monomial.__dict__["factors"].__set__  # bypasses the frozen __setattr__
 
 
-def _mask_factors(mask: int) -> tuple[tuple[int, int], ...]:
-    """The factors of the squarefree monomial of the mask (>= 0), joined
-    from one `_BYTE_FACTORS` row per nonzero byte."""
-    factors: tuple[tuple[int, int], ...] = ()
+def _joined_rows(mask: int, rows: _ByteRows, joined: tuple | str) -> tuple | str:
+    """``joined`` followed by the entry of ``rows`` of each nonzero byte of
+    the mask (>= 0), lowest first; a zero byte builds and joins no row."""
     k = 0
     while mask:
         if b := mask & 255:
-            factors += _BYTE_FACTORS[k][b]
+            joined += rows[k][b]
         mask >>= 8
         k += 1
-    return factors
+    return joined
 
 
 def _squarefree_monomial(factors: tuple[tuple[int, int], ...]) -> Monomial:
@@ -453,6 +460,7 @@ def parse_poly(text: str) -> Poly:
 # -- packed grades -----------------------------------------------------------
 
 _LOW_BYTES: list[list] = []  # filled on first use by `_low_bytes`
+_ZERO_BLOCK = bytes(32)
 
 
 def _reversed_binary(x: int) -> str:
@@ -469,29 +477,23 @@ def _reversed_binary(x: int) -> str:
 def _low_bytes() -> list[list]:
     """Three tables of the low byte b of a packed mask (x_1..x_8): the byte
     values in the factor-tuple order of their squarefree monomials within
-    one degree (descending `_reversed_binary`); the text of each b alone
-    ("1" for b = 0); and that text as the head of a term that goes on in a
-    higher block (followed by "*", empty for b = 0).  Fixed data, built on
-    first use, so importing the module builds none."""
+    one degree (descending `_reversed_binary`); the text of each b, the
+    head of the terms of its bucket ("" for b = 0); and the separator
+    " + " and that head, which joins a bucket's higher-variable texts.
+    Fixed data, built on first use, so importing the module builds none."""
     if not _LOW_BYTES:
-        alone = list(map(_factors_text, _BYTE_FACTORS[0]))
+        head = [t[1:] for t in _BYTE_TEXT[0]]
         order = sorted(range(256), key=_reversed_binary, reverse=True)
-        _LOW_BYTES.extend((order, alone, [""] + [t + "*" for t in alone[1:]]))
+        _LOW_BYTES.extend((order, head, [" + " + t for t in head]))
     return _LOW_BYTES
 
 
-def _nonzero_blocks(v: int) -> dict[int, list[int]]:
-    """The one walk over the bits of the packed vector v, for its text and
-    its terms: each nonzero 32-byte block h, lowest first, with the low
-    bytes b = 8i + j of its set bits in increasing order, where bit j of
-    byte i of the block is the mask 256h + b."""
-    data = v.to_bytes((v.bit_length() + 7) // 8, "little")
+def _block_bytes(v: int) -> dict[int, bytes]:
+    """The nonzero 32-byte blocks of the packed vector v, lowest first:
+    bit j of byte i of block h is the mask 256h + 8i + j."""
+    data = v.to_bytes(-(-v.bit_length() // 256) * 32, "little")
     chunks = [data[s : s + 32] for s in range(0, len(data), 32)]
-    return {
-        h: [i << 3 | j for i in compress(range(32), c) for j in _BYTE_BITS[c[i]]]
-        for h, c in enumerate(chunks)
-        if any(c)
-    }
+    return {h: c for h, c in enumerate(chunks) if c != _ZERO_BLOCK}
 
 
 def _packed_poly(v: int) -> Poly:
@@ -505,40 +507,51 @@ def _packed_poly(v: int) -> Poly:
 
 
 def _packed_text(v: int) -> str:
-    """The `format_poly` text of the homogeneous packed vector v, written
-    from the bits alone: no `Monomial` is made and no sort runs over the
-    terms.
-
-    The term of mask m = 256h + b (block h, low byte b) is the text of b
-    from `_low_bytes`, then that of h, joined once per block from the
-    factors of `_mask_factors`.
+    """The text of the packed vector v, its terms by descending reversed
+    mask, written from the bits alone: no `Monomial` is made and no sort
+    runs over the terms.  For a homogeneous v that is the canonical order,
+    so this is the `format_poly` text of its grade.
 
     Within one degree, the factor-tuple order is the descending order of
     rev(m), m with its bits reversed: A precedes B iff the least variable
-    of A ^ B lies in A, the highest bit of rev.  With H bits for h,
-    rev(m) = rev_8(b) * 2^H + rev_H(h), so the texts come out ordered when
-    the blocks are walked by descending rev_H(h), each text is put in the
-    bucket of its low byte, and the buckets are joined by descending
-    rev_8(b); `_reversed_binary` gives both orders without a width.
+    of A ^ B lies in A, the highest bit of rev.  With H bits for the block
+    h of m = 256h + b, rev(m) = rev_8(b) * 2^H + rev_H(h), so the terms
+    come out ordered when the blocks are walked by descending rev_H(h),
+    each block's text goes in the bucket of each of its low bytes, and the
+    buckets are joined by descending rev_8(b); `_reversed_binary` gives
+    both orders without a width.  Block 0 has the least key, so its terms
+    (text "", the low byte alone) come last in their buckets.
+
+    One walk over the nonzero blocks appends each block's one text,
+    written once from `_BYTE_TEXT` rows, to its buckets; a bucket b is
+    joined once, as the head of b and then its texts, each after " + " and
+    that head, so no term is concatenated on its own.  Bucket 0 has no
+    head: its texts lose their leading "*", and block 0's is the term 1.
     """
-    blocks = _nonzero_blocks(v)
-    order, alone, head = _low_bytes()
+    order, head, sep = _low_bytes()
+    blocks = _block_bytes(v)
     buckets: list[list[str]] = [[] for _ in range(256)]
     for h in sorted(blocks, key=_reversed_binary, reverse=True):
-        prefixes, high = (head, _factors_text(_mask_factors(h << 8))) if h else (alone, "")
-        for b in blocks[h]:
-            buckets[b].append(prefixes[b] + high)
-    return " + ".join(chain.from_iterable(map(buckets.__getitem__, order))) or "0"
+        c, text = blocks[h], _joined_rows(h << 8, _BYTE_TEXT, "")
+        for i in compress(range(0, 256, 8), c):
+            for j in _BYTE_BITS[c[i >> 3]]:
+                buckets[i | j].append(text)
+    if buckets[0]:
+        buckets[0] = [t[1:] or "1" for t in buckets[0]]
+    full = list(compress(order, map(buckets.__getitem__, order)))
+    texts = map(str.join, map(sep.__getitem__, full), map(buckets.__getitem__, full))
+    return " + ".join(map(str.__add__, map(head.__getitem__, full), texts)) or "0"
 
 
 def _packed_terms(v: int) -> Iterator[Monomial]:
-    """The terms of the packed vector v, in no set order: the factors of
-    the low byte b are the row `_BYTE_FACTORS[0]`, those of the block h are
-    joined once per block by `_mask_factors`.  Both are strictly increasing
-    with exponent 1, so each term is made by the unchecked
-    `_squarefree_monomial`."""
+    """The terms of the packed vector v, in no set order, from the same
+    walk over its nonzero blocks: the factors of the low byte b are the
+    row `_BYTE_FACTORS[0]`, those of the block h are joined once per block
+    by `_joined_rows`.  Both are strictly increasing with exponent 1, so
+    each term is made by the unchecked `_squarefree_monomial`."""
     low = _BYTE_FACTORS[0]
-    for h, bs in _nonzero_blocks(v).items():
-        high = _mask_factors(h << 8)
-        for b in bs:
-            yield _squarefree_monomial(low[b] + high)
+    for h, c in _block_bytes(v).items():
+        high = _joined_rows(h << 8, _BYTE_FACTORS, ())
+        for i in compress(range(0, 256, 8), c):
+            for j in _BYTE_BITS[c[i >> 3]]:
+                yield _squarefree_monomial(low[i | j] + high)

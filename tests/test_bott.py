@@ -278,16 +278,18 @@ def test_dense_ring_over_x1_to_xa_is_the_ring_of_the_sub_tower():
         lambda: banded_matrix(5, 2.0),
         lambda: random_orientable_matrix(5.0, 1),
         lambda: random_orientable_matrix(5, True),
+        lambda: total_sw(main_matrix(5))[True],
     ],
     ids=[
         "dual_sw-up_to-bool", "dual_sw-up_to-float", "extend_with_circles-k-bool",
         "main_matrix-float", "chain_matrix-float", "banded_matrix-bandwidth-float",
         "random_orientable_matrix-n-float", "random_orientable_matrix-seed-bool",
+        "graded_classes-grade-bool",
     ],
 )
 def test_bott_calls_accept_only_integers(call):
-    # True was read as 1 (a grade-1 dual class, one more circle) and a float
-    # raised TypeError from inside << or range
+    # True was read as 1 (a grade-1 dual class, one more circle, w_1 for
+    # classes[True]) and a float raised TypeError from inside << or range
     with pytest.raises(ValueError, match="must be an integer"):
         call()
 
@@ -715,12 +717,17 @@ def test_dual_sw_renders_only_the_grade_read(monkeypatch):
 _BLOCK_EDGES = tuple(b for k in range(1, 16) for b in (256 * k - 1, 256 * k))
 
 
-def _grades_match_the_mask_oracle(bits: set[int] | range, n: int) -> None:
+def _grades_match_the_mask_oracle(bits: set[int] | range, n: int, cut: bool = True) -> None:
     # to_poly takes one grade at a time, so the vector of the masks ``bits``
-    # (all below 2^n) is cut into its grades and each is checked on its own
+    # (all below 2^n) is cut into its grades and each is checked on its own;
+    # without ``cut``, each grade is summed from the masks of its degree
     v = sum(1 << m for m in bits)
     for k in range(n + 1):
-        piece = _DenseRing.to_poly(_DenseRing.grade_piece(v, n, k))
+        grade = (
+            _DenseRing.grade_piece(v, n, k) if cut
+            else sum(1 << m for m in bits if m.bit_count() == k)
+        )
+        piece = _DenseRing.to_poly(grade)
         expected = Poly.of(mask_monomial(m) for m in bits if m.bit_count() == k)
         assert piece == expected
         assert piece.monomials() == sorted(expected.terms, key=canonical_key)
@@ -758,6 +765,24 @@ def test_to_poly_matches_the_mask_oracle_past_x16(n, seed):
         bits |= {edge + rng.getrandbits(10) for _ in range(25)}
     bits |= {rng.getrandbits(n) for _ in range(50)}
     _grades_match_the_mask_oracle(bits, n)
+
+
+@pytest.mark.parametrize("n", (25, 26))
+def test_to_poly_matches_the_mask_oracle_past_x24(n):
+    # from x25 on, a block index h takes three bytes, so a block's text
+    # joins three rows.  Sparse masks on both sides of the block edges
+    # where x17 and x25 enter (2^16 and 2^24), the top mask and a few drawn
+    # from the whole range; each grade is summed from its masks, since a
+    # grade_piece of a 2^26-bit vector sweeps masks of that size
+    rng = random.Random(n)
+    bits = {0, (1 << n) - 1}
+    for edge in (1 << 16, 1 << 24):
+        bits |= {edge, edge - 256, edge + 256, edge - 1}
+        bits |= {edge - 1 - rng.getrandbits(10) for _ in range(25)}
+        bits |= {edge + rng.getrandbits(10) for _ in range(25)}
+    bits |= {rng.getrandbits(n) for _ in range(8)}
+    assert any(m >> 8 >= 1 << 16 for m in bits)  # three-byte block indices
+    _grades_match_the_mask_oracle(bits, n, cut=False)
 
 
 def test_to_poly_keeps_equality_hash_and_repr_on_the_terms():

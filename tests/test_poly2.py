@@ -350,6 +350,29 @@ def test_import_builds_no_byte_factor_rows():
     assert out[:5] == ["0 0", "[12]", "False 1 0", "True", "[256, 256, 256]"]
 
 
+def test_import_builds_no_block_text_row():
+    # the text rows are built one per byte offset on first use, like the
+    # factor rows; eager ones slow every command-line start
+    out = _fresh_python(
+        "import charclass.cli, charclass.poly2 as p; print(len(p._BYTE_TEXT))"
+    )
+    assert out[:1] == ["0"]
+
+
+def test_first_rendering_builds_only_the_rows_of_the_bytes_it_meets():
+    # main n = 11 sweeps x1..x9, so its grades meet bytes 0 and 1 of a
+    # mask; x4*x21 (mask 2^20 + 8) meets bytes 0 and 2, and its block
+    # index 2^12 has a zero low byte, which builds no row
+    out = _fresh_python(
+        "import charclass.bott as b, charclass.poly2 as p; "
+        "g = b.total_sw(b.main_matrix(5))[3]; print(p.format_poly(g), sorted(p._BYTE_TEXT)); "
+        "g = b.total_sw(b.main_matrix(11))[4]; p.format_poly(g); print(sorted(p._BYTE_TEXT)); "
+        "print(p.format_poly(p._packed_poly(1 << (1 << 20 | 8))), sorted(p._BYTE_TEXT)); "
+        "print(sorted(p._BYTE_FACTORS))"
+    )
+    assert out[:4] == ["x1*x2*x3 [0]", "[0, 1]", "x4*x21 [0, 1, 2]", "[]"]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 16).flatmap(
     lambda H: st.tuples(st.just(H), st.lists(st.integers(0, (1 << H) - 1), max_size=40))
@@ -364,6 +387,29 @@ def test_the_reversed_key_needs_no_width(case):
     H, xs = case
     padded = sorted(xs, key=lambda x: f"{x:0{H}b}"[::-1], reverse=True)
     assert sorted(xs, key=_reversed_binary, reverse=True) == padded
+
+
+def _descending_reversed(bits: set[int]) -> list[int]:
+    # the masks by their bit reversals, descending, at a width that holds all
+    width = max(bits, default=0).bit_length()
+    return sorted(bits, key=lambda m: f"{m:0{width}b}"[::-1], reverse=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sets(st.integers(0, 4095) | st.sampled_from((255, 256, 257, 511, 512, 767)),
+               max_size=60))
+@example({1, 257})
+@example({0, 256})
+@example({0})
+@example({3, 259, 515, 771})
+def test_packed_text_lists_any_vector_by_descending_reversed_mask(bits):
+    # the order lemma behind the writer, for a vector of any degrees: the
+    # terms come by descending reversed mask, low-byte buckets over blocks.
+    # In one degree a bucket never holds block 0 beside a higher block, but
+    # across degrees it does (x1 and x1*x9), and block 0 comes last
+    v = sum(1 << m for m in bits)
+    texts = [oracle_format_monomial(mask_monomial(m)) for m in _descending_reversed(bits)]
+    assert poly2._packed_text(v) == (" + ".join(texts) or "0")
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "charclass"

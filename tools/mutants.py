@@ -220,16 +220,16 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "to-poly-text-without-the-star", "poly2.py",
-        '[t + "*" for t in alone[1:]]',
-        "alone[1:]",
+        '"*x{}".format',
+        '"x{}".format',
         (
             "tests/test_poly2.py::test_rendering_of_dense_grade_pieces_matches_the_per_term_oracle",
         ),
     ),
     Mutant(
         "packed-terms-skip-block-0", "poly2.py",
-        "for h, bs in _nonzero_blocks(v).items():",
-        "for h, bs in _nonzero_blocks(v >> 256 << 256).items():",
+        "for h, c in _block_bytes(v).items():",
+        "for h, c in _block_bytes(v >> 256 << 256).items():",
         (
             "tests/test_bott.py::test_to_poly_matches_the_mask_oracle",
             "tests/test_poly2.py::test_a_dense_grade_piece_builds_its_terms_on_first_read",
@@ -242,6 +242,41 @@ MUTANTS: tuple[Mutant, ...] = (
         (
             "tests/test_poly2.py::test_rendering_of_dense_grade_pieces_matches_the_per_term_oracle",
             "tests/test_poly2.py::test_a_dense_grade_piece_builds_its_terms_on_first_read",
+        ),
+    ),
+    Mutant(
+        "block-0-terms-first-in-their-bucket", "poly2.py",
+        "sorted(blocks, key=_reversed_binary, reverse=True)",
+        'sorted(blocks, key=lambda h: _reversed_binary(h) if h else "2", reverse=True)',
+        (
+            "tests/test_poly2.py::test_packed_text_lists_any_vector_by_descending_reversed_mask",
+        ),
+    ),
+    Mutant(
+        "block-text-row-one-byte-off", "poly2.py",
+        '_joined_rows(h << 8, _BYTE_TEXT, "")',
+        '_joined_rows(h << 16, _BYTE_TEXT, "")',
+        (
+            "tests/test_bott.py::test_to_poly_matches_the_mask_oracle",
+            "tests/test_poly2.py::test_rendering_of_dense_grade_pieces_matches_the_per_term_oracle",
+        ),
+    ),
+    Mutant(
+        "bucket-joined-without-its-head", "poly2.py",
+        '" + ".join(map(str.__add__, map(head.__getitem__, full), texts))',
+        '" + ".join(texts)',
+        (
+            "tests/test_bott.py::test_to_poly_matches_the_mask_oracle",
+            "tests/test_poly2.py::test_rendering_of_dense_grade_pieces_matches_the_per_term_oracle",
+        ),
+    ),
+    Mutant(
+        "bucket-0-keeps-the-star", "poly2.py",
+        'buckets[0] = [t[1:] or "1" for t in buckets[0]]',
+        "buckets[0] = buckets[0]",
+        (
+            "tests/test_bott.py::test_to_poly_matches_the_mask_oracle",
+            "tests/test_bott.py::test_to_poly_of_every_full_vector",
         ),
     ),
     Mutant(
